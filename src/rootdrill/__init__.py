@@ -7,127 +7,50 @@ observed deviation, and flags snapshots whose deviation cannot be explained
 by any internal combination.
 """
 
-from .cluster import (
-    LeafDistribution,
-    ScoreCluster,
-    cluster_distributions,
-    dirac_distribution,
-    knee_threshold,
-    leaf_distributions,
-    overall_distribution,
-    poisson_distribution,
-)
+from .cluster import dirac_distribution, knee_threshold, poisson_distribution
 from .data import (
     AttributeCombination,
-    AttributeSchema,
     Cuboid,
     MeasureSpec,
     ParseError,
-    Snapshot,
     aggregate,
-    cuboids_by_layer,
-    drop_attributes,
-    leaves_under,
     parse_snapshot,
     snapshot_from_rows,
 )
-from .evaluate import (
-    BenchmarkReport,
-    EvalCase,
-    anomaly_magnitude,
-    evaluate_fault,
-    exrc_f1,
-    f1_score,
-    run_benchmark,
-)
-from .forecast import moving_average, parse_history, render_table, snapshot_with_forecast
+from .evaluate import evaluate_fault, f1_score
 from .localize import (
     LocalizationReport,
     LocalizeConfig,
-    RootCauseCandidate,
-    candidate_complexity,
-    descended_ratio,
     explanation_score,
     localize,
-    score_histogram,
     select_exrc_threshold,
-    tradeoff_weight,
 )
-from .ripple import (
-    MeaninglessPairError,
-    UndefinedValueError,
-    derived_value,
-    deviation_score,
-    expected_abnormal_value,
-)
-from .simulate import (
-    SimulatedFault,
-    SimulationParams,
-    eliminate_attributes,
-    generate_dataset,
-    read_fault,
-    simulate_fault,
-    synthetic_base,
-    validity_check,
-    write_fault,
-)
+from .ripple import deviation_score
+from .simulate import SimulationParams, eliminate_attributes, simulate_fault, synthetic_base
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AttributeCombination",
-    "AttributeSchema",
-    "BenchmarkReport",
     "Cuboid",
-    "EvalCase",
-    "LeafDistribution",
     "LocalizationReport",
     "LocalizeConfig",
-    "MeaninglessPairError",
     "MeasureSpec",
     "ParseError",
-    "RootCauseCandidate",
-    "ScoreCluster",
-    "SimulatedFault",
     "SimulationParams",
-    "Snapshot",
-    "UndefinedValueError",
     "aggregate",
-    "anomaly_magnitude",
-    "candidate_complexity",
-    "cluster_distributions",
-    "cuboids_by_layer",
-    "derived_value",
-    "descended_ratio",
     "deviation_score",
     "dirac_distribution",
-    "drop_attributes",
     "eliminate_attributes",
     "evaluate_fault",
-    "expected_abnormal_value",
     "explanation_score",
-    "exrc_f1",
     "f1_score",
-    "generate_dataset",
     "knee_threshold",
-    "leaf_distributions",
-    "leaves_under",
     "localize",
-    "moving_average",
-    "overall_distribution",
-    "parse_history",
     "parse_snapshot",
     "poisson_distribution",
-    "read_fault",
-    "render_table",
-    "run_benchmark",
-    "score_histogram",
     "select_exrc_threshold",
     "simulate_fault",
     "snapshot_from_rows",
-    "snapshot_with_forecast",
     "synthetic_base",
-    "tradeoff_weight",
-    "validity_check",
-    "write_fault",
 ]

@@ -143,8 +143,7 @@ def poisson_distribution(v: float, f: float) -> LeafDistribution:
     if a.size == 0:  # numerically impossible, but never return an empty law
         return dirac_distribution(v, f)
     w = w / w.sum()
-    scores = (f - a) / (f + a)
-    bins = bin_of(scores)
+    bins = bin_of(deviation_score(a, f))
     hist = np.bincount(bins, weights=w, minlength=N_BINS)
     nz = np.flatnonzero(hist)
     return LeafDistribution(nz, hist[nz])

@@ -12,12 +12,12 @@ from __future__ import annotations
 import csv
 import io
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .ripple import derived_value
+from .ripple import derived_value, measure_values
 
 _MEASURE_KINDS = ("fundamental", "quotient", "product")
 _FAMILIES = ("none", "poisson")
@@ -119,10 +119,6 @@ class AttributeCombination:
     def __len__(self) -> int:
         return len(self.items)
 
-    def specializes(self, other: "AttributeCombination") -> bool:
-        """True when self binds everything ``other`` binds (self descends from other)."""
-        return set(other.items) <= set(self.items)
-
     def __str__(self) -> str:
         if not self.items:
             return "(total)"
@@ -160,7 +156,6 @@ class _CuboidIndex:
     group_of: np.ndarray         # (n,) group id of every leaf
     order: np.ndarray            # leaf indices sorted by group id
     starts: np.ndarray           # (G+1,) slice bounds into `order`
-    col_sums: dict[str, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
 
     @property
     def n_groups(self) -> int:
@@ -228,9 +223,11 @@ class Snapshot:
             if np.any(np.abs(v - np.round(v)) > 1e-9):
                 raise ParseError("poisson family requires integer real values")
         # duplicate leaf bindings break the leaf/aggregate distinction
-        uniq = np.unique(self.codes, axis=0)
+        uniq, counts = np.unique(self.codes, axis=0, return_counts=True)
         if len(uniq) != n:
-            raise ParseError("duplicate leaf rows in snapshot")
+            dup = uniq[np.argmax(counts > 1)]
+            names = {a: self.schema.domains[a][c] for a, c in zip(self.schema.attributes, dup)}
+            raise ParseError(f"duplicate leaf {names} in snapshot")
 
     @property
     def n_leaves(self) -> int:
@@ -263,19 +260,10 @@ class Snapshot:
         """
         if self._leaf_vals is None:
             m = self.measure
-            if m.kind == "fundamental":
-                v = self.real[m.operands[0]]
-                f = self.forecast[m.operands[0]]
-            elif m.kind == "product":
-                a, b = m.operands
-                v = self.real[a] * self.real[b]
-                f = self.forecast[a] * self.forecast[b]
-            else:
-                a, b = m.operands
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    v = np.where(self.real[b] > 0, self.real[a] / np.where(self.real[b] > 0, self.real[b], 1.0), 0.0)
-                    f = np.where(self.forecast[b] > 0, self.forecast[a] / np.where(self.forecast[b] > 0, self.forecast[b], 1.0), 0.0)
-            self._leaf_vals = (np.asarray(v, float), np.asarray(f, float))
+            self._leaf_vals = tuple(
+                measure_values(m.kind, [table[c] for c in m.operands])
+                for table in (self.real, self.forecast)
+            )
         return self._leaf_vals
 
     def leaf_weights(self) -> np.ndarray:
@@ -303,19 +291,6 @@ class Snapshot:
             idx = _CuboidIndex(cols, group_codes, group_of, order, starts)
             self._cuboid_cache[key] = idx
         return idx
-
-    def group_sums(self, cuboid: Cuboid, column: str) -> tuple[np.ndarray, np.ndarray]:
-        """(real, forecast) sums of ``column`` per group of ``cuboid``."""
-        idx = self.cuboid_index(cuboid)
-        cached = idx.col_sums.get(column)
-        if cached is None:
-            g = idx.n_groups
-            cached = (
-                np.bincount(idx.group_of, weights=self.real[column], minlength=g),
-                np.bincount(idx.group_of, weights=self.forecast[column], minlength=g),
-            )
-            idx.col_sums[column] = cached
-        return cached
 
     def combination_of_group(self, cuboid: Cuboid, g: int) -> AttributeCombination:
         idx = self.cuboid_index(cuboid)
@@ -427,11 +402,6 @@ def _build_snapshot(
         [[code_of[a][row[j]] for j, a in enumerate(attrs)] for row in rows],
         dtype=np.int32,
     )
-    seen: dict[tuple[str, ...], int] = {}
-    for i, row in enumerate(rows):
-        if row in seen:
-            raise ParseError(f"duplicate leaf {dict(zip(attrs, row))} (rows {seen[row] + 2} and {i + 2})")
-        seen[row] = i
     real_arr = {c: np.asarray(vals, float) for c, vals in real.items()}
     fcst_arr = {c: np.asarray(vals, float) for c, vals in forecast.items()}
     return Snapshot(schema, codes, real_arr, fcst_arr, measure)
@@ -448,11 +418,6 @@ def snapshot_from_rows(
     return _build_snapshot(attrs, rows, real, forecast, measure)
 
 
-def leaves_under(snapshot: Snapshot, combination: AttributeCombination) -> set[int]:
-    """Indices of observed leaves descended from ``combination``."""
-    return set(np.flatnonzero(snapshot.leaf_mask(combination)).tolist())
-
-
 def cuboids_by_layer(schema: AttributeSchema, max_layer: int | None = None) -> list[Cuboid]:
     """All non-empty attribute subsets, ordered by layer then name."""
     top = schema.n_attributes if max_layer is None else min(max_layer, schema.n_attributes)
@@ -462,12 +427,6 @@ def cuboids_by_layer(schema: AttributeSchema, max_layer: int | None = None) -> l
         for combo in itertools.combinations(names, layer):
             out.append(Cuboid(combo))
     return out
-
-
-def combinations_in_cuboid(snapshot: Snapshot, cuboid: Cuboid) -> list[AttributeCombination]:
-    """Distinct observed projections of the leaves onto ``cuboid``, sorted."""
-    idx = snapshot.cuboid_index(cuboid)
-    return [snapshot.combination_of_group(cuboid, g) for g in range(idx.n_groups)]
 
 
 def aggregate(

@@ -105,12 +105,17 @@ def evaluate_fault(
     )
 
 
-def _eval_dir(args: tuple[str, LocalizeConfig, str | None]) -> tuple[str, EvalCase]:
+def _eval_dir(
+    args: tuple[str, LocalizeConfig, str | None]
+) -> tuple[tuple[int, int], EvalCase] | str:
+    """Setting key and evaluated case, or why the directory could not be read."""
     path, cfg, family = args
-    fault = read_fault(path)
-    case = evaluate_fault(fault, cfg, family)
-    # carry the setting key through the worker boundary
-    return f"{fault.params.n_element},{fault.params.cuboid_layer}", case
+    try:
+        fault = read_fault(path)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+    key = (fault.params.n_element, fault.params.cuboid_layer)
+    return key, evaluate_fault(fault, cfg, family)
 
 
 def find_fault_dirs(dataset_dir: str | Path) -> list[Path]:
@@ -126,37 +131,30 @@ def run_benchmark(
 ) -> BenchmarkReport:
     """Evaluate every fault directory under ``dataset_dir``.
 
-    Malformed directories are skipped with a warning and counted.  Results are
-    aggregated in directory order, so reports are reproducible regardless of
-    worker count.
+    Directories that cannot be read as faults are skipped with a warning
+    naming the reason, and counted; an error raised while localizing a fault
+    propagates.  Results are aggregated in directory order, so reports are
+    reproducible regardless of worker count.
     """
     cfg = cfg or LocalizeConfig()
     dirs = find_fault_dirs(dataset_dir)
     jobs = [(str(d), cfg, family_override) for d in dirs]
-    results: list[tuple[str, EvalCase] | None] = []
     if workers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for d, res in zip(dirs, pool.map(_try_eval, jobs, chunksize=4)):
-                if res is None:
-                    warnings.warn(f"skipping malformed fault directory {d}")
-                results.append(res)
+            results = list(pool.map(_eval_dir, jobs, chunksize=4))
     else:
-        for job, d in zip(jobs, dirs):
-            res = _try_eval(job)
-            if res is None:
-                warnings.warn(f"skipping malformed fault directory {d}")
-            results.append(res)
+        results = [_eval_dir(job) for job in jobs]
 
     cases_by_setting: dict[tuple[int, int], list[EvalCase]] = {}
     all_cases: list[EvalCase] = []
     skipped = 0
-    for res in results:
-        if res is None:
+    for d, res in zip(dirs, results):
+        if isinstance(res, str):
+            warnings.warn(f"skipping unreadable fault directory {d}: {res}")
             skipped += 1
             continue
-        key_s, case = res
-        n, layer = key_s.split(",")
-        cases_by_setting.setdefault((int(n), int(layer)), []).append(case)
+        key, case = res
+        cases_by_setting.setdefault(key, []).append(case)
         all_cases.append(case)
 
     per_setting = {k: f1_score(v) for k, v in sorted(cases_by_setting.items())}
@@ -176,10 +174,3 @@ def run_benchmark(
         n_cases=len(all_cases),
         skipped=skipped,
     )
-
-
-def _try_eval(args: tuple[str, LocalizeConfig, str | None]):
-    try:
-        return _eval_dir(args)
-    except Exception:
-        return None

@@ -20,6 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .cluster import (
+    N_BINS,
     _interior_minima,
     cluster_distributions,
     knee_threshold,
@@ -28,7 +29,7 @@ from .cluster import (
     weighted_quantile,
 )
 from .data import AttributeCombination, Cuboid, Snapshot, cuboids_by_layer
-from .ripple import UndefinedValueError, derived_value
+from .ripple import deviation_score, measure_values
 
 
 @dataclass
@@ -119,6 +120,12 @@ def tradeoff_weight(num_cluster: int, num_attr: int, coverage: float) -> float:
     return (log(num_cluster + 1) / num_cluster) * (num_attr / log(num_attr + 1)) * (-log(coverage))
 
 
+def _member_ratio(member, nonmember) -> np.ndarray:
+    """Member mass against member mass plus outsider count (0 without members)."""
+    member = np.asarray(member, dtype=float)
+    return np.divide(member, member + nonmember, out=np.zeros_like(member), where=member > 0.0)
+
+
 def descended_ratio(
     snapshot: Snapshot, e: AttributeCombination, membership: np.ndarray
 ) -> float:
@@ -128,13 +135,58 @@ def descended_ratio(
     leaves never deemed abnormal).  Member leaves contribute their probability,
     non-members count 1 against the candidate.
     """
-    mask = snapshot.leaf_mask(e)
-    p = membership[mask]
-    member = float(p.sum())
-    if member == 0.0:
-        return 0.0
-    nonmember = int(np.count_nonzero(p == 0.0))
-    return member / (member + nonmember)
+    p = membership[snapshot.leaf_mask(e)]
+    return float(_member_ratio(p.sum(), np.count_nonzero(p == 0.0)))
+
+
+class _PrefixScorer:
+    """Explanation scores of leaf-sequence prefixes, on per-snapshot arrays.
+
+    ``exclude`` marks leaves claimed by other clusters: they never count in
+    the complement pool a candidate is compared against.
+    """
+
+    def __init__(self, snapshot: Snapshot, exclude: np.ndarray) -> None:
+        self.snapshot = snapshot
+        self.v, self.f = snapshot.leaf_values()
+        self.absres = np.abs(self.v - self.f)
+        self.pool = ~exclude
+        self.pool_res = float(self.absres[self.pool].sum())
+        self.pool_n = int(np.count_nonzero(self.pool))
+        m = snapshot.measure
+        self.op_real = [snapshot.real[c] for c in m.operands]
+        self.op_fcst = [snapshot.forecast[c] for c in m.operands]
+
+    def prefix_scores(self, seq: np.ndarray, cuts: np.ndarray) -> np.ndarray:
+        """:func:`explanation_score` of candidate ``seq[:cut]`` for each of ``cuts``.
+
+        ``d_va`` compares the candidate's leaves against the values the ripple
+        pattern implies for them, ``d_vf`` against their forecasts, and
+        ``d_pf`` compares every other pooled leaf against its forecast.
+        """
+        last = cuts - 1
+        absres = self.absres[seq]
+        d_vf = np.cumsum(absres)[last] / cuts
+        in_pool = self.pool[seq]
+        pool_res = self.pool_res - np.cumsum(absres * in_pool)[last]
+        pool_n = self.pool_n - np.cumsum(in_pool)[last]
+        d_pf = np.divide(pool_res, pool_n, out=np.zeros(cuts.size), where=pool_n > 0)
+
+        kind = self.snapshot.measure.kind
+        v_s = measure_values(kind, [np.cumsum(c[seq])[last] for c in self.op_real])
+        f_s = measure_values(kind, [np.cumsum(c[seq])[last] for c in self.op_fcst])
+        # without forecast mass the ripple ratio is undefined: the slice is
+        # taken as-is.  A zero real denominator needs no case of its own,
+        # since every leaf rate under it is 0 as well.
+        v, f = self.v[seq], self.f[seq]
+        d_va = np.zeros(cuts.size)
+        for k in np.flatnonzero(f_s > 0.0):
+            n = cuts[k]
+            d_va[k] = np.abs(v[:n] - f[:n] * (v_s[k] / f_s[k])).mean()
+
+        denom = d_vf + d_pf
+        gps = 1.0 - (d_va + d_pf) / np.where(denom > 0.0, denom, 1.0)
+        return np.where(denom > 0.0, gps, 0.0)
 
 
 def explanation_score(
@@ -156,40 +208,18 @@ def explanation_score(
     le = np.zeros(snapshot.n_leaves, dtype=bool)
     for c in combos:
         le |= snapshot.leaf_mask(c)
-    if not le.any():
+    seq = np.flatnonzero(le)
+    if not seq.size:
         raise ValueError("candidate has no descended leaves")
-    pool = ~le
-    if exclude is not None:
-        pool &= ~exclude
-
-    v, f = snapshot.leaf_values()
-    m = snapshot.measure
-    try:
-        v_s = derived_value(m, [float(snapshot.real[c][le].sum()) for c in m.operands])
-        f_s = derived_value(m, [float(snapshot.forecast[c][le].sum()) for c in m.operands])
-    except UndefinedValueError:
-        v_s = f_s = 0.0
-    if f_s <= 0.0:
-        # no forecast mass: the ripple ratio is undefined, take the slice as-is
-        a = v[le]
-    else:
-        a = f[le] * (v_s / f_s)
-    d_va = float(np.mean(np.abs(v[le] - a)))
-    d_vf = float(np.mean(np.abs(v[le] - f[le])))
-    if pool.any():
-        d_pf = float(np.mean(np.abs(v[pool] - f[pool])))
-    else:
-        d_pf = 0.0
-    denom = d_vf + d_pf
-    if denom == 0.0:
-        return 0.0
-    return 1.0 - (d_va + d_pf) / denom
+    if exclude is None:
+        exclude = np.zeros(snapshot.n_leaves, dtype=bool)
+    return float(_PrefixScorer(snapshot, exclude).prefix_scores(seq, np.array([seq.size]))[0])
 
 
 # -- per-cluster search ----------------------------------------------------
 
 
-class _ClusterSearch:
+class _ClusterSearch(_PrefixScorer):
     """Candidate search within one cluster, sharing per-snapshot arrays.
 
     All hot-path work happens on the cuboid group tables.  Combination objects
@@ -202,27 +232,17 @@ class _ClusterSearch:
         membership: np.ndarray,
         exclude: np.ndarray,
     ) -> None:
-        self.snapshot = snapshot
+        super().__init__(snapshot, exclude)
         self.membership = membership
-        self.exclude = exclude
-        self.v, self.f = snapshot.leaf_values()
-        self.absres = np.abs(self.v - self.f)
-        self.pool = ~exclude
-        self.pool_res = float(self.absres[self.pool].sum())
-        self.pool_n = int(np.count_nonzero(self.pool))
-        m = snapshot.measure
-        self.op_real = [snapshot.real[c] for c in m.operands]
-        self.op_fcst = [snapshot.forecast[c] for c in m.operands]
+        self.outsider = (membership == 0.0).astype(float)
 
     def search(self, cuboid: Cuboid) -> RootCauseCandidate | None:
         snap = self.snapshot
         idx = snap.cuboid_index(cuboid)
         g = idx.n_groups
         member = np.bincount(idx.group_of, weights=self.membership, minlength=g)
-        nonmember = np.bincount(
-            idx.group_of, weights=(self.membership == 0.0).astype(float), minlength=g
-        )
-        ratio = np.where(member > 0.0, member / (member + nonmember), 0.0)
+        nonmember = np.bincount(idx.group_of, weights=self.outsider, minlength=g)
+        ratio = _member_ratio(member, nonmember)
         n_pos = int(np.count_nonzero(ratio > 0.0))
         if n_pos == 0:
             return None
@@ -233,52 +253,12 @@ class _ClusterSearch:
 
         leaf_runs = [idx.leaves_of(gi) for gi in order]
         cuts = np.cumsum([r.size for r in leaf_runs])
-        seq = np.concatenate(leaf_runs)
-        v, f = self.v[seq], self.f[seq]
-        cum_res = np.cumsum(self.absres[seq])
-        in_pool = self.pool[seq]
-        cum_pool_res = np.cumsum(self.absres[seq] * in_pool)
-        cum_pool_n = np.cumsum(in_pool)
-        cum_ops_v = [np.cumsum(col[seq]) for col in self.op_real]
-        cum_ops_f = [np.cumsum(col[seq]) for col in self.op_fcst]
-
-        measure = snap.measure
-        best_k, best_gps = -1, -np.inf
-        for k in range(n_pos):
-            n_le = int(cuts[k])
-            d_vf = cum_res[n_le - 1] / n_le
-            pool_res = self.pool_res - cum_pool_res[n_le - 1]
-            pool_n = self.pool_n - int(cum_pool_n[n_le - 1])
-            d_pf = pool_res / pool_n if pool_n > 0 else 0.0
-            try:
-                v_s = derived_value(measure, [float(c[n_le - 1]) for c in cum_ops_v])
-                f_s = derived_value(measure, [float(c[n_le - 1]) for c in cum_ops_f])
-            except UndefinedValueError:
-                v_s = f_s = 0.0
-            if f_s <= 0.0:
-                d_va = 0.0
-            else:
-                d_va = float(np.abs(v[:n_le] - f[:n_le] * (v_s / f_s)).mean())
-            denom = d_vf + d_pf
-            gps = 1.0 - (d_va + d_pf) / denom if denom > 0.0 else 0.0
-            if gps > best_gps:
-                best_k, best_gps = k, gps
+        gps = self.prefix_scores(np.concatenate(leaf_runs), cuts)
+        best_k = int(np.argmax(gps))
         combos = tuple(
             snap.combination_of_group(cuboid, int(gi)) for gi in order[: best_k + 1]
         )
-        return RootCauseCandidate(tuple(sorted(combos)), float(best_gps), cuboid)
-
-
-def search_cuboid(
-    snapshot: Snapshot,
-    cuboid: Cuboid,
-    membership: np.ndarray,
-    exclude: np.ndarray | None = None,
-) -> RootCauseCandidate | None:
-    """Best prefix candidate of one cuboid (None when no leaf touches the cluster)."""
-    if exclude is None:
-        exclude = np.zeros(snapshot.n_leaves, dtype=bool)
-    return _ClusterSearch(snapshot, membership, exclude).search(cuboid)
+        return RootCauseCandidate(tuple(sorted(combos)), float(gps[best_k]), cuboid)
 
 
 def _candidate_sort_key(c: RootCauseCandidate, weight: float):
@@ -325,11 +305,22 @@ def localize_cluster(
 _TOTAL_SHIFT_FACTOR = 3.0
 
 
-def _leaf_scores(v: np.ndarray, f: np.ndarray) -> np.ndarray:
-    tot = v + f
-    with np.errstate(divide="ignore", invalid="ignore"):
-        s = np.where(tot > 0.0, (f - v) / np.where(tot > 0.0, tot, 1.0), 0.0)
-    return s
+def _abnormal_leaves(snapshot: Snapshot):
+    """Stages 1 and 2 of the pipeline.
+
+    Returns the residuals, the knee threshold, the abnormal leaves above it
+    and their score distributions (none when no leaf is abnormal).
+    """
+    v, f = snapshot.leaf_values()
+    resid = np.abs(v - f)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        threshold = knee_threshold(resid)
+    abnormal = np.flatnonzero(resid > threshold)
+    dists = []
+    if abnormal.size:
+        dists = leaf_distributions(v[abnormal], f[abnormal], snapshot.measure.distribution_family)
+    return resid, threshold, abnormal, dists
 
 
 def _no_cluster_report(
@@ -358,16 +349,10 @@ def localize(snapshot: Snapshot, cfg: LocalizeConfig | None = None) -> Localizat
     cfg = cfg or LocalizeConfig()
     t0 = time.perf_counter()
     v, f = snapshot.leaf_values()
-    resid = np.abs(v - f)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        threshold = knee_threshold(resid)
-    abnormal = np.flatnonzero(resid > threshold)
+    resid, threshold, abnormal, dists = _abnormal_leaves(snapshot)
     if abnormal.size == 0:
         return _no_cluster_report(v, f, threshold, t0)
 
-    family = snapshot.measure.distribution_family
-    dists = leaf_distributions(v[abnormal], f[abnormal], family)
     clusters = cluster_distributions(
         dists,
         min_mass=cfg.min_cluster_mass,
@@ -380,7 +365,7 @@ def localize(snapshot: Snapshot, cfg: LocalizeConfig | None = None) -> Localizat
     # carry no signal; their leaves stay in the complement pool
     normal = resid <= threshold
     if normal.any():
-        scores = np.abs(_leaf_scores(v[normal], f[normal]))
+        scores = np.abs(deviation_score(v[normal], f[normal]))
         wts = snapshot.leaf_weights()[normal]
         band = weighted_quantile(scores, wts, cfg.noise_band_quantile)
         clusters = [c for c in clusters if abs(c.center) > band]
@@ -427,20 +412,8 @@ def localize(snapshot: Snapshot, cfg: LocalizeConfig | None = None) -> Localizat
 
 def score_histogram(snapshot: Snapshot) -> np.ndarray:
     """Mean deviation-score distribution of the abnormal leaves (for plotting)."""
-    v, f = snapshot.leaf_values()
-    resid = np.abs(v - f)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        threshold = knee_threshold(resid)
-    abnormal = np.flatnonzero(resid > threshold)
-    if abnormal.size == 0:
-        from .cluster import N_BINS
-
-        return np.zeros(N_BINS)
-    dists = leaf_distributions(
-        v[abnormal], f[abnormal], snapshot.measure.distribution_family
-    )
-    return overall_distribution(dists)
+    dists = _abnormal_leaves(snapshot)[3]
+    return overall_distribution(dists) if dists else np.zeros(N_BINS)
 
 
 # -- external-root-cause threshold from history ----------------------------

@@ -30,6 +30,7 @@ from .data import (
     snapshot_from_rows,
 )
 from .forecast import render_table
+from .ripple import expected_abnormal_value, measure_values
 
 _MEASURE_KINDS = ("fundamental", "success_rate")
 
@@ -139,85 +140,49 @@ def _pick_combinations(
 def simulate_fault(
     base: Snapshot, params: SimulationParams, rng: np.random.Generator
 ) -> SimulatedFault:
-    """Plant one fault onto ``base``; the base's real values act as the truth."""
-    if params.measure_kind == "success_rate":
-        if base.measure.kind != "quotient":
-            raise ValueError("success_rate simulation needs a quotient measure base")
-        return _simulate_success_rate(base, params, rng)
-    if base.measure.kind != "fundamental":
+    """Plant one fault onto ``base``; the base's real values act as the truth.
+
+    A fundamental fault perturbs the leaf values themselves.  A success-rate
+    fault perturbs each leaf's rate, then re-draws the counts around the
+    truth (Poisson totals, binomial successes), so the rates stay the
+    driving signal.
+    """
+    rate = params.measure_kind == "success_rate"
+    if base.measure.kind != ("quotient" if rate else "fundamental"):
         raise ValueError(f"cannot simulate {params.measure_kind} on a {base.measure.kind} measure")
+    m = base.measure
+    truth = measure_values(m.kind, [base.real[c] for c in m.operands])
+    top = 1.0 if rate else None
 
-    col = base.measure.operands[0]
-    truth = base.real[col].astype(float)
     v = truth * (1.0 + params.base_noise_sigma * rng.standard_normal(truth.size))
-    np.clip(v, 0.0, None, out=v)
-
+    np.clip(v, 0.0, top, out=v)
     picks = _pick_combinations(base, params, rng)
     mags = _draw_magnitudes(params, rng)
     for (cuboid, g, leaves), d in zip(picks, mags):
         # the whole slice deviates by exactly d, replacing the base noise
-        v[leaves] = truth[leaves] * (1.0 - d) / (1.0 + d)
+        v[leaves] = expected_abnormal_value(truth[leaves], d)
     affected = np.concatenate([leaves for _, _, leaves in picks])
     if params.leaf_noise_sigma > 0:
         v[affected] *= 1.0 + params.leaf_noise_sigma * rng.standard_normal(affected.size)
-        np.clip(v, 0.0, None, out=v)
-    if base.measure.distribution_family == "poisson":
-        v = np.clip(np.rint(v), 0.0, None)
+        np.clip(v, 0.0, top, out=v)
 
-    snapshot = Snapshot(
-        base.schema,
-        base.codes,
-        {col: v},
-        {col: truth.copy()},
-        base.measure,
-    )
+    if rate:
+        succ_col, total_col = m.operands
+        total_v = rng.poisson(base.real[total_col]).astype(float)
+        succ_v = rng.binomial(total_v.astype(np.int64), v).astype(float)
+        real = {succ_col: succ_v, total_col: total_v}
+    else:
+        if m.distribution_family == "poisson":
+            v = np.clip(np.rint(v), 0.0, None)
+        real = {m.operands[0]: v}
+    forecast = {c: base.real[c].astype(float) for c in m.operands}
+    snapshot = Snapshot(base.schema, base.codes, real, forecast, m)
     combos = [base.combination_of_group(c, g) for c, g, _ in picks]
     return SimulatedFault(
         snapshot,
         _group_truth(combos, mags),
         params,
-        dict(zip(combos, (float(m) for m in mags))),
-    )
-
-
-def _simulate_success_rate(
-    base: Snapshot, params: SimulationParams, rng: np.random.Generator
-) -> SimulatedFault:
-    succ_col, total_col = base.measure.operands
-    succ_t = base.real[succ_col].astype(float)
-    total_t = base.real[total_col].astype(float)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        rate_t = np.where(total_t > 0, succ_t / np.where(total_t > 0, total_t, 1.0), 0.0)
-
-    rate = rate_t * (1.0 + params.base_noise_sigma * rng.standard_normal(rate_t.size))
-    np.clip(rate, 0.0, 1.0, out=rate)
-
-    picks = _pick_combinations(base, params, rng)
-    mags = _draw_magnitudes(params, rng)
-    for (cuboid, g, leaves), d in zip(picks, mags):
-        rate[leaves] = rate_t[leaves] * (1.0 - d) / (1.0 + d)
-    affected = np.concatenate([leaves for _, _, leaves in picks])
-    if params.leaf_noise_sigma > 0:
-        rate[affected] *= 1.0 + params.leaf_noise_sigma * rng.standard_normal(affected.size)
-        np.clip(rate, 0.0, 1.0, out=rate)
-
-    # counts are re-drawn around the truth so the rates stay the driving signal
-    total_v = rng.poisson(total_t).astype(float)
-    succ_v = rng.binomial(total_v.astype(np.int64), rate).astype(float)
-
-    snapshot = Snapshot(
-        base.schema,
-        base.codes,
-        {succ_col: succ_v, total_col: total_v},
-        {succ_col: succ_t.copy(), total_col: total_t.copy()},
-        base.measure,
-    )
-    combos = [base.combination_of_group(c, g) for c, g, _ in picks]
-    return SimulatedFault(
-        snapshot,
-        _group_truth(combos, mags),
-        params,
-        dict(zip(combos, (float(m) for m in mags))),
+        dict(zip(combos, (float(d) for d in mags))),
     )
 
 

@@ -16,13 +16,9 @@ from rootdrill import (
     MeasureSpec,
     SimulationParams,
     aggregate,
-    cluster_distributions,
-    derived_value,
     deviation_score,
     eliminate_attributes,
     evaluate_fault,
-    exrc_f1,
-    expected_abnormal_value,
     explanation_score,
     f1_score,
     localize,
@@ -31,8 +27,9 @@ from rootdrill import (
     snapshot_from_rows,
     synthetic_base,
 )
-from rootdrill.cluster import LeafDistribution, bin_of
-from rootdrill.evaluate import EvalCase
+from rootdrill.cluster import LeafDistribution, bin_of, cluster_distributions
+from rootdrill.evaluate import EvalCase, exrc_f1
+from rootdrill.ripple import derived_value, expected_abnormal_value
 
 
 def verdict(criterion: int, ok: bool, detail: str) -> None:

@@ -4,17 +4,18 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.stats import poisson
 
-from rootdrill import (
+from rootdrill import dirac_distribution, knee_threshold, poisson_distribution
+from rootdrill.cluster import (
+    N_BINS,
     LeafDistribution,
-    MeaninglessPairError,
+    bin_center,
+    bin_of,
     cluster_distributions,
-    dirac_distribution,
-    knee_threshold,
     leaf_distributions,
     overall_distribution,
-    poisson_distribution,
+    weighted_quantile,
 )
-from rootdrill.cluster import N_BINS, bin_center, bin_of, weighted_quantile
+from rootdrill.ripple import MeaninglessPairError
 
 
 class TestGrid:

@@ -3,18 +3,14 @@ import pytest
 
 from rootdrill import (
     AttributeCombination,
-    AttributeSchema,
     Cuboid,
     MeasureSpec,
     ParseError,
     aggregate,
-    cuboids_by_layer,
-    drop_attributes,
-    leaves_under,
     parse_snapshot,
     snapshot_from_rows,
 )
-from rootdrill.data import combinations_in_cuboid
+from rootdrill.data import AttributeSchema, cuboids_by_layer, drop_attributes
 
 
 def combo(**bindings):
@@ -62,12 +58,15 @@ class TestAttributeCombination:
         with pytest.raises(ValueError):
             AttributeCombination((("a", "1"), ("a", "2")))
 
-    def test_specializes(self):
-        leaf = combo(a="1", b="2")
-        assert leaf.specializes(combo(a="1"))
-        assert leaf.specializes(AttributeCombination())
-        assert not leaf.specializes(combo(a="2"))
-        assert not combo(a="1").specializes(leaf)
+    def test_specializes(self, province_snapshot):
+        # a more specific combination's leaves lie inside its parent's
+        leaf = province_snapshot.leaf_mask(combo(Province="Beijing", ISP="China Mobile"))
+        parent = province_snapshot.leaf_mask(combo(Province="Beijing"))
+        other = province_snapshot.leaf_mask(combo(Province="Shanghai"))
+        assert np.array_equal(leaf & parent, leaf)
+        assert province_snapshot.leaf_mask(AttributeCombination()).all()
+        assert not (leaf & other).any()
+        assert not np.array_equal(leaf & parent, parent)
 
     def test_hashable(self):
         assert len({combo(a="1"), combo(a="1"), combo(a="2")}) == 2
@@ -149,8 +148,9 @@ class TestParse:
 
 class TestSnapshotOps:
     def test_leaves_under(self, province_snapshot):
-        assert leaves_under(province_snapshot, combo(Province="Beijing")) == {0, 1}
-        assert len(leaves_under(province_snapshot, AttributeCombination())) == 9
+        beijing = province_snapshot.leaf_mask(combo(Province="Beijing"))
+        assert np.flatnonzero(beijing).tolist() == [0, 1]
+        assert np.count_nonzero(province_snapshot.leaf_mask(AttributeCombination())) == 9
 
     def test_leaf_mask_unknown_value(self, province_snapshot):
         with pytest.raises(ValueError):
@@ -183,11 +183,20 @@ class TestSnapshotOps:
 
     def test_cuboid_group_sums(self, province_snapshot):
         cub = Cuboid(("Province",))
-        real, fcst = province_snapshot.group_sums(cub, "value")
-        combos = combinations_in_cuboid(province_snapshot, cub)
+        idx = province_snapshot.cuboid_index(cub)
+        real, fcst = (
+            np.bincount(idx.group_of, weights=t["value"], minlength=idx.n_groups)
+            for t in (province_snapshot.real, province_snapshot.forecast)
+        )
+        combos = [province_snapshot.combination_of_group(cub, g) for g in range(idx.n_groups)]
+        assert combos == sorted(combos)
         by_name = {str(c): (r, f) for c, r, f in zip(combos, real, fcst)}
         assert by_name["Province=Beijing"] == (15.0, 30.0)
         assert len(combos) == 7
+        for g, c in enumerate(combos):
+            assert np.array_equal(
+                np.sort(idx.leaves_of(g)), np.flatnonzero(province_snapshot.leaf_mask(c))
+            )
 
     def test_cuboids_by_layer(self):
         schema = AttributeSchema(("a", "b", "c", "d"), {k: (("x"),) for k in "abcd"})

@@ -1,20 +1,17 @@
 import numpy as np
 import pytest
 
+import rootdrill.evaluate as evaluate_mod
 from rootdrill import (
     AttributeCombination,
-    EvalCase,
     LocalizeConfig,
     SimulationParams,
-    anomaly_magnitude,
     evaluate_fault,
-    exrc_f1,
     f1_score,
-    generate_dataset,
-    run_benchmark,
     synthetic_base,
-    write_fault,
 )
+from rootdrill.evaluate import EvalCase, anomaly_magnitude, exrc_f1, run_benchmark
+from rootdrill.simulate import generate_dataset, write_fault
 
 
 def combo(**bindings):
@@ -140,7 +137,16 @@ class TestRunBenchmark:
         shutil.copytree(small_dataset, root)
         bad = root / "n1_l1" / "0000" / "snapshot.csv"
         bad.write_text("broken\n")
-        with pytest.warns(UserWarning):
+        with pytest.warns(UserWarning, match="unreadable.*ParseError"):
             report = run_benchmark(root, LocalizeConfig())
         assert report.skipped == 1
         assert report.n_cases == 3
+
+    def test_localize_error_propagates(self, small_dataset, monkeypatch):
+        # a crash inside the pipeline is a bug, not a malformed directory
+        def boom(snapshot, cfg=None):
+            raise RuntimeError("pipeline bug")
+
+        monkeypatch.setattr(evaluate_mod, "localize", boom)
+        with pytest.raises(RuntimeError, match="pipeline bug"):
+            run_benchmark(small_dataset, LocalizeConfig())

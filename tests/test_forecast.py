@@ -1,13 +1,7 @@
 import pytest
 
-from rootdrill import (
-    MeasureSpec,
-    ParseError,
-    moving_average,
-    parse_snapshot,
-    render_table,
-    snapshot_with_forecast,
-)
+from rootdrill import MeasureSpec, ParseError, parse_snapshot
+from rootdrill.forecast import moving_average, render_table, snapshot_with_forecast
 
 
 def _hist(value_by_key):

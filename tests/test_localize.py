@@ -3,6 +3,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 localize_mod = importlib.import_module("rootdrill.localize")
 
@@ -10,24 +12,25 @@ from rootdrill import (
     AttributeCombination,
     LocalizeConfig,
     MeasureSpec,
-    Snapshot,
-    candidate_complexity,
-    cluster_distributions,
-    descended_ratio,
-    drop_attributes,
     explanation_score,
     knee_threshold,
-    leaf_distributions,
     localize,
-    score_histogram,
     select_exrc_threshold,
     snapshot_from_rows,
     synthetic_base,
+)
+from rootdrill.cluster import bin_of, cluster_distributions, leaf_distributions
+from rootdrill.data import Snapshot, cuboids_by_layer, drop_attributes
+from rootdrill.ripple import UndefinedValueError, derived_value
+from rootdrill.localize import (
+    _candidate_sort_key,
+    _PrefixScorer,
+    candidate_complexity,
+    descended_ratio,
+    localize_cluster,
+    score_histogram,
     tradeoff_weight,
 )
-from rootdrill.cluster import bin_of
-from rootdrill.data import combinations_in_cuboid, cuboids_by_layer
-from rootdrill.localize import _candidate_sort_key, localize_cluster, search_cuboid
 
 
 def combo(**bindings):
@@ -152,6 +155,81 @@ class TestExplanationScore:
         assert b == pytest.approx(a, rel=1e-9)
 
 
+def naive_explanation_score(snapshot, combinations, exclude=None):
+    """Reference explanation score, written straight from its definition."""
+    le = np.zeros(snapshot.n_leaves, dtype=bool)
+    for c in combinations:
+        le |= snapshot.leaf_mask(c)
+    pool = ~le
+    if exclude is not None:
+        pool &= ~exclude
+
+    v, f = snapshot.leaf_values()
+    m = snapshot.measure
+    try:
+        v_s = derived_value(m, [float(snapshot.real[c][le].sum()) for c in m.operands])
+        f_s = derived_value(m, [float(snapshot.forecast[c][le].sum()) for c in m.operands])
+    except UndefinedValueError:
+        v_s = f_s = 0.0
+    if f_s <= 0.0:
+        # no forecast mass: the ripple ratio is undefined, take the slice as-is
+        a = v[le]
+    else:
+        a = f[le] * (v_s / f_s)
+    d_va = float(np.mean(np.abs(v[le] - a)))
+    d_vf = float(np.mean(np.abs(v[le] - f[le])))
+    d_pf = float(np.mean(np.abs(v[pool] - f[pool]))) if pool.any() else 0.0
+    denom = d_vf + d_pf
+    if denom == 0.0:
+        return 0.0
+    return 1.0 - (d_va + d_pf) / denom
+
+
+@st.composite
+def scored_candidates(draw):
+    """A small snapshot of any measure kind, a ranked run of combinations from
+    one cuboid, and an optional mask of leaves claimed elsewhere."""
+    kind = draw(st.sampled_from(["fundamental", "product", "quotient"]))
+    n_a, n_b = draw(st.integers(2, 4)), draw(st.integers(1, 4))
+    rows = [(f"a{i}", f"b{j}") for i in range(n_a) for j in range(n_b)]
+    n = len(rows)
+    # small integers, zeros included: quotients meet zero denominators
+    column = st.lists(st.integers(0, 20), min_size=n, max_size=n).map(
+        lambda xs: np.array(xs, dtype=float)
+    )
+    operands = ("x",) if kind == "fundamental" else ("x", "y")
+    real = {c: draw(column) for c in operands}
+    forecast = {c: draw(column) for c in operands}
+    snap = snapshot_from_rows(("A", "B"), rows, real, forecast, MeasureSpec(kind, operands))
+    cuboid = draw(st.sampled_from(cuboids_by_layer(snap.schema)))
+    order = draw(st.permutations(range(snap.cuboid_index(cuboid).n_groups)))
+    groups = order[: draw(st.integers(1, len(order)))]
+    exclude = None
+    if draw(st.booleans()):
+        exclude = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    return snap, cuboid, groups, exclude
+
+
+class TestGpsKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(scored_candidates())
+    def test_prefix_scores_match_naive_reference(self, case):
+        snap, cuboid, groups, exclude = case
+        idx = snap.cuboid_index(cuboid)
+        combos = [snap.combination_of_group(cuboid, g) for g in groups]
+        runs = [idx.leaves_of(g) for g in groups]
+        scorer = _PrefixScorer(
+            snap, np.zeros(snap.n_leaves, dtype=bool) if exclude is None else exclude
+        )
+        got = scorer.prefix_scores(np.concatenate(runs), np.cumsum([r.size for r in runs]))
+        for k in range(len(combos)):
+            want = naive_explanation_score(snap, combos[: k + 1], exclude)
+            assert got[k] == pytest.approx(want, abs=1e-12)
+            assert explanation_score(snap, combos[: k + 1], exclude) == pytest.approx(
+                want, abs=1e-12
+            )
+
+
 class TestSearch:
     def test_prefix_search_matches_exhaustive(self):
         snap = planted_snapshot(n_values=3, d=0.5, quiet_noise=0.002, seed=1)
@@ -171,7 +249,8 @@ class TestSearch:
 
         best_score, best = -np.inf, None
         for cuboid in cuboids_by_layer(snap.schema):
-            combos = combinations_in_cuboid(snap, cuboid)
+            idx = snap.cuboid_index(cuboid)
+            combos = [snap.combination_of_group(cuboid, g) for g in range(idx.n_groups)]
             for r in range(1, len(combos) + 1):
                 for subset in itertools.combinations(combos, r):
                     gps = explanation_score(snap, subset)
@@ -186,9 +265,9 @@ class TestSearch:
     def test_search_cuboid_none_when_cluster_untouched(self):
         snap = planted_snapshot()
         membership = np.zeros(snap.n_leaves)
-        from rootdrill import Cuboid
-
-        assert search_cuboid(snap, Cuboid(("A",)), membership) is None
+        exclude = np.zeros(snap.n_leaves, dtype=bool)
+        # no cuboid holds a member leaf, so no layer yields a candidate
+        assert localize_cluster(snap, membership, exclude, 1.0, LocalizeConfig()) is None
 
     def test_two_sibling_faults_need_both_combos(self):
         rng = np.random.default_rng(2)
@@ -223,7 +302,8 @@ class TestSearch:
         assert 2 in exhaustive
 
     def test_sort_key_prefers_score_then_simplicity(self):
-        from rootdrill import Cuboid, RootCauseCandidate
+        from rootdrill import Cuboid
+        from rootdrill.localize import RootCauseCandidate
 
         a = RootCauseCandidate((combo(x="1"),), gps=0.9, cuboid=Cuboid(("x",)))
         b = RootCauseCandidate((combo(x="1", y="2"),), gps=0.9, cuboid=Cuboid(("x", "y")))

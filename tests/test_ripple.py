@@ -1,16 +1,17 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rootdrill import (
+from rootdrill import MeasureSpec, deviation_score
+from rootdrill.ripple import (
     MeaninglessPairError,
-    MeasureSpec,
     UndefinedValueError,
     derived_value,
-    deviation_score,
     expected_abnormal_value,
+    measure_values,
 )
 
 positive = st.floats(min_value=1e-6, max_value=1e9, allow_nan=False)
@@ -40,6 +41,22 @@ def test_deviation_score_rejects_negative():
 def test_deviation_score_empty_pair():
     with pytest.raises(MeaninglessPairError):
         deviation_score(0, 0)
+
+
+def test_deviation_score_arrays():
+    v = np.array([5.0, 10.0, 0.0, 4.0, 0.0])
+    f = np.array([10.0, 5.0, 4.0, 0.0, 0.0])
+    # an empty pair inside an array scores 0 instead of raising
+    assert deviation_score(v, f).tolist() == [1 / 3, -1 / 3, 1.0, -1.0, 0.0]
+    # one side may be a scalar, as when candidate rates meet one forecast
+    assert deviation_score(np.array([5.0, 15.0]), 10.0).tolist() == [1 / 3, -0.2]
+    with pytest.raises(ValueError):
+        deviation_score(np.array([1.0, -1.0]), np.array([1.0, 1.0]))
+
+
+@given(v=positive, f=positive)
+def test_deviation_score_array_matches_scalar(v, f):
+    assert deviation_score(np.array([v]), np.array([f]))[0] == deviation_score(v, f)
 
 
 def test_error_hierarchy():
@@ -88,6 +105,23 @@ def test_derived_value_quotient():
 def test_derived_value_product():
     m = MeasureSpec("product", ("price", "count"))
     assert derived_value(m, [2.5, 4.0]) == 10.0
+
+
+def test_measure_values_elementwise():
+    a, b = np.array([3.0, 0.0, 5.0]), np.array([4.0, 0.0, 0.0])
+    assert measure_values("fundamental", [a]).tolist() == [3.0, 0.0, 5.0]
+    assert measure_values("product", [a, b]).tolist() == [12.0, 0.0, 0.0]
+    # a zero denominator evaluates to 0 rather than raising
+    assert measure_values("quotient", [a, b]).tolist() == [0.75, 0.0, 0.0]
+    with pytest.raises(ValueError):
+        measure_values("ratio", [a, b])
+
+
+def test_expected_abnormal_value_arrays():
+    f = np.array([10.0, 4.0, 0.0])
+    a = expected_abnormal_value(f, 0.5)
+    assert a.tolist() == pytest.approx([10 / 3, 4 / 3, 0.0])
+    assert deviation_score(a[:2], f[:2]).tolist() == pytest.approx([0.5, 0.5])
 
 
 def test_derived_value_arity():

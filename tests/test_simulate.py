@@ -1,18 +1,23 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from rootdrill import (
     AttributeCombination,
     MeasureSpec,
-    SimulatedFault,
     SimulationParams,
     deviation_score,
     eliminate_attributes,
-    generate_dataset,
-    read_fault,
     simulate_fault,
     snapshot_from_rows,
     synthetic_base,
+)
+from rootdrill.forecast import render_table
+from rootdrill.simulate import (
+    SimulatedFault,
+    generate_dataset,
+    read_fault,
     validity_check,
     write_fault,
 )
@@ -151,6 +156,47 @@ class TestSuccessRate:
         for col in ("succ", "total"):
             x = fault.snapshot.real[col]
             assert np.array_equal(x, np.rint(x))
+
+
+class TestGoldenDigests:
+    """Fixed-seed faults must keep planting the same snapshot, byte for byte.
+
+    The digests were taken before the fundamental and success-rate planting
+    paths were merged; a change here changes every generated benchmark
+    workload, so it has to be deliberate.
+    """
+
+    @staticmethod
+    def digest(fault):
+        return hashlib.sha256(render_table(fault.snapshot).encode()).hexdigest()
+
+    def test_poisson_count_fault(self):
+        base = synthetic_base(n_attrs=3, n_values=6, seed=42, family="poisson")
+        params = SimulationParams(2, 1, base_noise_sigma=0.05, leaf_noise_sigma=0.05)
+        fault = simulate_fault(base, params, np.random.default_rng(101))
+        assert self.digest(fault) == (
+            "bd7eea94f55d2100b05d1e4d332747769dce36cbf100f82788fd21b239e3b301"
+        )
+
+    def test_success_rate_fault(self):
+        rng = np.random.default_rng(9)
+        rows = [(f"a{i}", f"b{j}") for i in range(5) for j in range(5)]
+        total = rng.integers(200, 500, len(rows)).astype(float)
+        succ = np.round(total * rng.uniform(0.7, 0.99, len(rows)))
+        total[3] = succ[3] = 0.0  # an empty leaf: its rate is 0
+        base = snapshot_from_rows(
+            ("A", "B"), rows,
+            {"succ": succ, "total": total},
+            {"succ": succ.copy(), "total": total.copy()},
+            MeasureSpec("quotient", ("succ", "total")),
+        )
+        params = SimulationParams(
+            2, 1, base_noise_sigma=0.02, leaf_noise_sigma=0.05, measure_kind="success_rate"
+        )
+        fault = simulate_fault(base, params, np.random.default_rng(102))
+        assert self.digest(fault) == (
+            "62ad2506fa810376543c0002c28c12a319258524339f3abbed1495ce089b2efe"
+        )
 
 
 class TestValidity:

@@ -20,23 +20,15 @@ import time
 
 import numpy as np
 
-from rootdrill import (
-    SimulationParams,
-    dirac_distribution,
-    evaluate_fault,
-    f1_score,
-    poisson_distribution,
-    simulate_fault,
-    synthetic_base,
-)
-from rootdrill.cluster import bin_center
+from rootdrill import SimulationParams, evaluate_fault, f1_score, simulate_fault, synthetic_base
+from rootdrill.cluster import bin_center, leaf_distributions
 
 # -- one leaf, two score models -------------------------------------------
 
 v, f = 4, 5.0
 print(f"leaf with real={v}, forecast={f}")
-for name, dist in (("dirac", dirac_distribution(v, f)),
-                   ("poisson", poisson_distribution(v, f))):
+for name, family in (("dirac", "none"), ("poisson", "poisson")):
+    dist = leaf_distributions(np.array([v], float), np.array([f]), family)
     top = dist.mass.max()
     print(f"\n{name} score distribution ({dist.bins.size} bins):")
     for b, m in zip(dist.bins, dist.mass):

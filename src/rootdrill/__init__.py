@@ -7,7 +7,7 @@ observed deviation, and flags snapshots whose deviation cannot be explained
 by any internal combination.
 """
 
-from .cluster import dirac_distribution, knee_threshold, poisson_distribution
+from .cluster import knee_threshold
 from .data import (
     AttributeCombination,
     Cuboid,
@@ -40,7 +40,6 @@ __all__ = [
     "SimulationParams",
     "aggregate",
     "deviation_score",
-    "dirac_distribution",
     "eliminate_attributes",
     "evaluate_fault",
     "explanation_score",
@@ -48,7 +47,6 @@ __all__ = [
     "knee_threshold",
     "localize",
     "parse_snapshot",
-    "poisson_distribution",
     "select_exrc_threshold",
     "simulate_fault",
     "snapshot_from_rows",

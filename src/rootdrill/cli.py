@@ -13,19 +13,14 @@ import argparse
 import json
 import sys
 import traceback
+from contextlib import contextmanager
 from pathlib import Path
 
 from .cluster import N_BINS, bin_center
-from .data import MeasureSpec, ParseError, parse_snapshot
+from .data import MeasureSpec, parse_snapshot
 from .evaluate import run_benchmark
 from .forecast import DEFAULT_WINDOW, snapshot_with_forecast
-from .localize import (
-    LocalizationReport,
-    LocalizeConfig,
-    localize,
-    score_histogram,
-    select_exrc_threshold,
-)
+from .localize import LocalizationReport, LocalizeConfig, localize, select_exrc_threshold
 from .simulate import SimulationParams, generate_dataset, synthetic_base, write_fault
 
 SCHEMA_VERSION = "1"
@@ -37,6 +32,19 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+class _InputError(Exception):
+    """Bad arguments or unreadable input (exit 1)."""
+
+
+@contextmanager
+def _reading_input():
+    """Report an error raised while reading or validating input as bad input."""
+    try:
+        yield
+    except (OSError, ValueError, KeyError) as e:
+        raise _InputError(e) from e
 
 
 def parse_measure(text: str) -> MeasureSpec:
@@ -98,30 +106,30 @@ def report_json(report: LocalizationReport) -> dict:
 
 
 def _cmd_localize(args) -> int:
-    measure = parse_measure(args.measure)
-    snapshot_path = Path(args.snapshot)
-    text = snapshot_path.read_text()
-    if args.history:
-        hist_dir = Path(args.history)
-        files = sorted(p for p in hist_dir.iterdir() if p.suffix == ".csv")
-        # when the snapshot sits inside the history directory, use only what
-        # precedes it
-        names = [p.name for p in files]
-        if snapshot_path.resolve().parent == hist_dir.resolve() and snapshot_path.name in names:
-            files = files[: names.index(snapshot_path.name)]
-        if not files:
-            raise ValueError(f"no history CSVs usable in {hist_dir}")
-        snapshot = snapshot_with_forecast(
-            text, [p.read_text() for p in files], measure, window=DEFAULT_WINDOW
-        )
-    else:
-        snapshot = parse_snapshot(text, measure)
-
-    cfg = LocalizeConfig(delta=args.delta, delta_exrc=args.delta_exrc)
+    with _reading_input():
+        measure = parse_measure(args.measure)
+        snapshot_path = Path(args.snapshot)
+        text = snapshot_path.read_text()
+        if args.history:
+            hist_dir = Path(args.history)
+            files = sorted(p for p in hist_dir.iterdir() if p.suffix == ".csv")
+            # when the snapshot sits inside the history directory, use only
+            # what precedes it
+            names = [p.name for p in files]
+            if snapshot_path.resolve().parent == hist_dir.resolve() and snapshot_path.name in names:
+                files = files[: names.index(snapshot_path.name)]
+            if not files:
+                raise ValueError(f"no history CSVs usable in {hist_dir}")
+            snapshot = snapshot_with_forecast(
+                text, [p.read_text() for p in files], measure, window=DEFAULT_WINDOW
+            )
+        else:
+            snapshot = parse_snapshot(text, measure)
+        cfg = LocalizeConfig(delta=args.delta, delta_exrc=args.delta_exrc)
     report = localize(snapshot, cfg)
 
     if args.hist_out:
-        density = score_histogram(snapshot)
+        density = report.score_density
         lines = ["bin_center,density"]
         lines += [f"{float(bin_center(i)):.2f},{float(density[i]):.10g}" for i in range(N_BINS)]
         Path(args.hist_out).write_text("\n".join(lines) + "\n")
@@ -155,22 +163,25 @@ def _load_base(spec: str, measure_text: str, seed: int):
 
 
 def _cmd_simulate(args) -> int:
-    base = _load_base(args.base, args.measure, args.seed)
-    cells = parse_grid(args.grid)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    for n, layer in cells:
-        params = SimulationParams(
-            n_element=n,
-            cuboid_layer=layer,
-            base_noise_sigma=args.noise,
-            leaf_noise_sigma=args.leaf_noise,
-            seed=args.seed * 1000003 + n * 1009 + layer,
-        )
-        faults = generate_dataset(base, [params], args.per_cell)
-        for i, fault in enumerate(faults):
-            write_fault(fault, out / f"n{n}_l{layer}" / f"{i:04d}")
-        print(f"cell ({n},{layer}): wrote {len(faults)} faults")
+    # a ValueError while simulating means an argument does not fit the base
+    # (a layer deeper than its attributes, --per-cell 0)
+    with _reading_input():
+        base = _load_base(args.base, args.measure, args.seed)
+        cells = parse_grid(args.grid)
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        for n, layer in cells:
+            params = SimulationParams(
+                n_element=n,
+                cuboid_layer=layer,
+                base_noise_sigma=args.noise,
+                leaf_noise_sigma=args.leaf_noise,
+                seed=args.seed * 1000003 + n * 1009 + layer,
+            )
+            faults = generate_dataset(base, [params], args.per_cell)
+            for i, fault in enumerate(faults):
+                write_fault(fault, out / f"n{n}_l{layer}" / f"{i:04d}")
+            print(f"cell ({n},{layer}): wrote {len(faults)} faults")
     manifest = {
         "version": SCHEMA_VERSION,
         "base": args.base,
@@ -188,7 +199,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    cfg = LocalizeConfig(delta=args.delta, delta_exrc=args.delta_exrc)
+    with _reading_input():
+        cfg = LocalizeConfig(delta=args.delta, delta_exrc=args.delta_exrc)
     report = run_benchmark(
         args.dataset, cfg, workers=args.workers, family_override=args.family
     )
@@ -209,11 +221,12 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_exrc_threshold(args) -> int:
-    values = json.loads(Path(args.history).read_text())
-    if not isinstance(values, list) or not all(
-        isinstance(x, (int, float)) for x in values
-    ):
-        raise ValueError("history file must hold a JSON array of numbers")
+    with _reading_input():
+        values = json.loads(Path(args.history).read_text())
+        if not isinstance(values, list) or not all(
+            isinstance(x, (int, float)) for x in values
+        ):
+            raise ValueError("history file must hold a JSON array of numbers")
     print(f"{select_exrc_threshold(values):.4f}")
     return 0
 
@@ -269,7 +282,8 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if e.code in (0, None) else 1
     try:
         return args.func(args)
-    except (ParseError, OSError, ValueError, KeyError, json.JSONDecodeError) as e:
+    except (_InputError, OSError) as e:
+        # an unwritable output path is bad input as well
         print(f"error: {e}", file=sys.stderr)
         return 1
     except Exception:

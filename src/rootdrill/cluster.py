@@ -15,7 +15,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import poisson
+from scipy.special import gammaln, xlogy
 
 from .ripple import MeaninglessPairError, deviation_score
 
@@ -99,75 +99,105 @@ def knee_threshold(
     return float(vals[best])
 
 
-# -- per-leaf score distributions ------------------------------------------
+# -- score mass of the abnormal leaves -------------------------------------
+
+# candidate-rate terms evaluated at once: bounds the temporaries of stage 2
+BLOCK_TERMS = 1 << 16
 
 
-@dataclass(frozen=True)
-class LeafDistribution:
-    """Mass of one leaf's deviation score over the grid."""
+@dataclass(frozen=True, eq=False)
+class ScoreMass:
+    """Deviation-score mass of a run of leaves over the grid.
 
+    Terms are sorted by leaf, then by bin: leaf ``i`` owns
+    ``bins[ptr[i]:ptr[i + 1]]`` and the matching ``mass``, which sums to 1.
+    Iterating yields one-leaf slices of the same type.
+    """
+
+    ptr: np.ndarray
     bins: np.ndarray
     mass: np.ndarray
 
-    def total(self) -> float:
-        return float(self.mass.sum())
+    def __len__(self) -> int:
+        return self.ptr.size - 1
+
+    def __iter__(self):
+        for lo, hi in zip(self.ptr[:-1], self.ptr[1:]):
+            yield ScoreMass(np.array([0, hi - lo]), self.bins[lo:hi], self.mass[lo:hi])
+
+    def histogram(self) -> np.ndarray:
+        """Mass per grid bin, summed over the leaves."""
+        return np.bincount(self.bins, weights=self.mass, minlength=N_BINS)
 
 
-def dirac_distribution(v: float, f: float) -> LeafDistribution:
-    """All mass at the observed deviation score."""
-    b = int(bin_of(deviation_score(v, f)))
-    return LeafDistribution(np.array([b]), np.array([1.0]))
+def leaf_distributions(v: np.ndarray, f: np.ndarray, family: str) -> ScoreMass:
+    """Score mass of the leaves with real values ``v`` and forecasts ``f``.
 
-
-def poisson_distribution(v: float, f: float) -> LeafDistribution:
-    """Score mass under Poisson sampling noise on the observed count.
-
-    The observed count v is one draw from an unknown rate.  Each candidate
-    integer rate a receives the likelihood of observing v under it, and
-    contributes its own deviation score against the forecast.  Terms below
-    ``PMF_CUTOFF`` are dropped and the remainder renormalized.
+    Under family "poisson" each observed count v is one draw from an unknown
+    rate.  Each candidate integer rate a receives the likelihood of observing
+    v under it, and contributes its own deviation score against the forecast.
+    Terms below ``PMF_CUTOFF`` are dropped and the rest renormalized per leaf.
+    A leaf with a zero forecast (every positive rate scores -1) or with no
+    term left, and every leaf of another family, keeps all its mass at its
+    observed score.
     """
-    v = float(v)
-    if v < 0 or abs(v - round(v)) > 1e-9:
-        raise ValueError(f"poisson treatment needs a non-negative integer count, got {v}")
-    if v + f <= 0.0:
+    v, f = np.asarray(v, dtype=float), np.asarray(f, dtype=float)
+    poisson = family == "poisson"
+    if poisson and np.any((v < 0) | (np.abs(v - np.round(v)) > 1e-9)):
+        raise ValueError("poisson treatment needs non-negative integer counts")
+    if np.any(v + f <= 0.0):
         raise MeaninglessPairError("no observation and no forecast")
-    if f == 0.0:
-        # every positive candidate rate scores -1 against a zero forecast
-        return LeafDistribution(np.array([int(bin_of(-1.0))]), np.array([1.0]))
+    observed = bin_of(deviation_score(v, f))
+    if not poisson:
+        return ScoreMass(np.arange(v.size + 1), observed, np.ones(v.size))
+
     spread = 10.0 * np.sqrt(v) + 30.0
-    a = np.arange(max(0.0, np.floor(v - spread)), np.ceil(v + spread) + 1.0)
-    w = poisson.pmf(v, a)
-    keep = w >= PMF_CUTOFF
-    a, w = a[keep], w[keep]
-    if a.size == 0:  # numerically impossible, but never return an empty law
-        return dirac_distribution(v, f)
-    w = w / w.sum()
-    bins = bin_of(deviation_score(a, f))
-    hist = np.bincount(bins, weights=w, minlength=N_BINS)
-    nz = np.flatnonzero(hist)
-    return LeafDistribution(nz, hist[nz])
-
-
-def leaf_distributions(
-    v: np.ndarray, f: np.ndarray, family: str
-) -> list[LeafDistribution]:
-    if family == "poisson":
-        return [poisson_distribution(vi, fi) for vi, fi in zip(v, f)]
-    return [dirac_distribution(vi, fi) for vi, fi in zip(v, f)]
-
-
-def overall_distribution(dists: list[LeafDistribution]) -> np.ndarray:
-    """Arithmetic mean of the leaf distributions over the grid."""
-    if not dists:
-        raise ValueError("no distributions to average")
-    hist = np.zeros(N_BINS)
-    for d in dists:
-        hist[d.bins] += d.mass
-    return hist / len(dists)
+    lo = np.maximum(0.0, np.floor(v - spread))
+    n_rates = (np.ceil(v + spread) - lo + 1.0).astype(np.int64)
+    ends = np.cumsum(n_rates)
+    counts, bins, mass = [np.zeros(1, np.int64)], [np.zeros(0, np.int64)], [np.zeros(0)]
+    s = 0
+    while s < v.size:
+        # whole leaves within the term budget, and at least one leaf
+        e = max(s + 1, int(np.searchsorted(ends, ends[s] - n_rates[s] + BLOCK_TERMS, "right")))
+        n = n_rates[s:e]
+        leaf = np.repeat(np.arange(e - s), n)
+        a = lo[s:e][leaf] + (np.arange(leaf.size) - np.repeat(np.cumsum(n) - n, n))
+        w = np.exp(xlogy(v[s:e][leaf], a) - gammaln(v[s:e] + 1.0)[leaf] - a)
+        keep = w >= PMF_CUTOFF
+        leaf, a, w = leaf[keep], a[keep], w[keep]
+        # each leaf's total in the pairwise order of ``ndarray.sum``, which
+        # reduceat keeps when every leaf's run starts with a 0: rounding
+        # here decides search ties between leaves of equal membership
+        per_leaf = np.bincount(leaf, minlength=e - s) + 1
+        padded = np.zeros(w.size + e - s)
+        padded[np.arange(w.size) + leaf + 1] = w
+        total = np.add.reduceat(padded, np.cumsum(per_leaf) - per_leaf)
+        grid = np.bincount(
+            leaf * N_BINS + bin_of(deviation_score(a, f[s:e][leaf])),
+            weights=w / total[leaf],
+            minlength=(e - s) * N_BINS,
+        ).reshape(e - s, N_BINS)
+        # a zero forecast scores every positive rate -1: its row holds only
+        # the observed bin, which the spike sets to exactly 1
+        spike = np.flatnonzero((f[s:e] == 0.0) | (total == 0.0))
+        grid[spike, observed[s:e][spike]] = 1.0
+        nz = np.flatnonzero(grid)
+        counts.append(np.bincount(nz // N_BINS, minlength=e - s))
+        bins.append(nz % N_BINS)
+        mass.append(grid.ravel()[nz])
+        s = e
+    return ScoreMass(np.cumsum(np.concatenate(counts)), np.concatenate(bins), np.concatenate(mass))
 
 
 # -- density clustering ----------------------------------------------------
+
+# a run holding less than one leaf's worth of mass is not a cluster
+MIN_CLUSTER_MASS = 1.0
+# moving-average width that merges near-identical scores into one mode
+SMOOTHING_WIDTH = 5
+# at most this many occupied bins are exact spikes, left unsmoothed
+SPARSE_BINS = 20
 
 
 @dataclass
@@ -208,80 +238,52 @@ def _interior_minima(d: np.ndarray) -> list[int]:
     return mins
 
 
-def _prominent_minima(d: np.ndarray, valley_ratio: float) -> list[int]:
-    """Interior minima deep enough to justify a split.
-
-    A ragged mode shows many shallow dips; cutting at each would shatter one
-    population into fragments.  A minimum only separates clusters when the
-    density there falls to at most ``valley_ratio`` of the smaller adjacent
-    peak.  The shallowest offender is dropped first and neighbors re-merged,
-    so prominence is always judged against the full merged segments.  At the
-    default ratio of 1 every strict minimum qualifies and nothing is merged.
-    """
-    mins = _interior_minima(d)
-    while mins:
-        edges = [0] + mins + [len(d)]
-        worst, worst_ratio = -1, valley_ratio
-        for i, m in enumerate(mins):
-            left = d[edges[i]:m].max()
-            right = d[m + 1:edges[i + 2]].max()
-            ref = min(left, right)
-            ratio = d[m] / ref if ref > 0 else 1.0
-            if ratio > worst_ratio:
-                worst, worst_ratio = i, ratio
-        if worst < 0:
-            break
-        del mins[worst]
-    return mins
-
-
-def cluster_distributions(
-    dists: list[LeafDistribution],
-    min_mass: float = 1.0,
-    smoothing_width: int = 5,
-    sparse_bins: int = 20,
-    valley_ratio: float = 1.0,
-) -> list[ScoreCluster]:
-    """Cut the accumulated score density at its prominent local minima.
+def cluster_distributions(scores: ScoreMass) -> list[ScoreCluster]:
+    """Cut the accumulated score density at its local minima.
 
     Smoothing widens each mode so that near-identical scores merge, but it is
-    only applied when more than ``sparse_bins`` bins are occupied: a handful of
-    exact spikes must stay separable, and smearing them would fuse distinct
-    faults.  Minimum bins belong to no cluster, so an exact spike is always
-    wholly inside or wholly outside a cluster.  Runs holding less than
-    ``min_mass`` leaf-equivalents of mass are discarded.
+    only applied when more than ``SPARSE_BINS`` bins are occupied: a handful
+    of exact spikes must stay separable, and smearing them would fuse
+    distinct faults.  Minimum bins belong to no cluster, so an exact spike is
+    always wholly inside or wholly outside a cluster.  Runs holding less
+    than ``MIN_CLUSTER_MASS`` leaf-equivalents of mass are discarded.
     """
-    hist = np.zeros(N_BINS)
-    for dist in dists:
-        hist[dist.bins] += dist.mass
+    hist = scores.histogram()
     if hist.sum() == 0.0:
         return []
-    occupied = int(np.count_nonzero(hist))
     density = hist
-    if occupied > sparse_bins and smoothing_width > 1:
-        kernel = np.ones(smoothing_width) / smoothing_width
+    if np.count_nonzero(hist) > SPARSE_BINS:
+        kernel = np.ones(SMOOTHING_WIDTH) / SMOOTHING_WIDTH
         density = np.convolve(hist, kernel, mode="same")
-    mins = _prominent_minima(density, valley_ratio)
 
-    boundaries = [-1] + mins + [N_BINS]
+    boundaries = [-1] + _interior_minima(density) + [N_BINS]
+    cut = []  # (left, right) separating bins of each kept run
+    run_of_bin = np.full(N_BINS, -1)
+    for left, right in zip(boundaries[:-1], boundaries[1:]):
+        if left + 1 < right and hist[left + 1:right].sum() >= MIN_CLUSTER_MASS:
+            run_of_bin[left + 1:right] = len(cut)
+            cut.append((left, right))
+    n = len(scores)
+    leaf = np.repeat(np.arange(n), np.diff(scores.ptr))
+    run = run_of_bin[scores.bins]
+    inside = run >= 0
+    membership = np.bincount(
+        run[inside] * n + leaf[inside],
+        weights=scores.mass[inside],
+        minlength=len(cut) * n,
+    ).reshape(len(cut), n)
+
     clusters: list[ScoreCluster] = []
-    for k in range(len(boundaries) - 1):
-        lo = boundaries[k] + 1
-        hi = boundaries[k + 1] - 1
-        if lo > hi:
-            continue
-        mass = float(hist[lo:hi + 1].sum())
-        if mass < min_mass:
-            continue
-        member = np.array(
-            [float(d.mass[(d.bins >= lo) & (d.bins <= hi)].sum()) for d in dists]
-        )
-        seg = density[lo:hi + 1]
+    for (left, right), member in zip(cut, membership):
+        seg = density[left + 1:right]
         peak = np.flatnonzero(seg == seg.max())
-        center = float(bin_center(lo + (peak[0] + peak[-1]) // 2))
-        left = -1.0 if boundaries[k] < 0 else float(bin_center(boundaries[k]))
-        right = 1.0 if boundaries[k + 1] >= N_BINS else float(bin_center(boundaries[k + 1]))
-        clusters.append(ScoreCluster(lo, hi, (left, right), center, mass, member))
+        center = float(bin_center(left + 1 + (peak[0] + peak[-1]) // 2))
+        bounds = (
+            -1.0 if left < 0 else float(bin_center(left)),
+            1.0 if right >= N_BINS else float(bin_center(right)),
+        )
+        mass = float(hist[left + 1:right].sum())
+        clusters.append(ScoreCluster(left + 1, right - 1, bounds, center, mass, member))
     return clusters
 
 

@@ -151,7 +151,6 @@ class Cuboid:
 class _CuboidIndex:
     """Per-cuboid grouping of leaves by their projected attribute values."""
 
-    col_idx: np.ndarray          # schema column positions of the cuboid attrs
     group_codes: np.ndarray      # (G, k) value codes of each distinct group
     group_of: np.ndarray         # (n,) group id of every leaf
     order: np.ndarray            # leaf indices sorted by group id
@@ -281,14 +280,13 @@ class Snapshot:
         key = cuboid.attrs
         idx = self._cuboid_cache.get(key)
         if idx is None:
-            cols = np.array([self._attr_pos[a] for a in key], dtype=int)
-            sub = self.codes[:, cols]
-            group_codes, group_of = np.unique(sub, axis=0, return_inverse=True)
+            cols = [self._attr_pos[a] for a in key]
+            group_codes, group_of = np.unique(self.codes[:, cols], axis=0, return_inverse=True)
             group_of = group_of.astype(np.int64).ravel()
             order = np.argsort(group_of, kind="stable")
             counts = np.bincount(group_of, minlength=len(group_codes))
             starts = np.concatenate([[0], np.cumsum(counts)])
-            idx = _CuboidIndex(cols, group_codes, group_of, order, starts)
+            idx = _CuboidIndex(group_codes, group_of, order, starts)
             self._cuboid_cache[key] = idx
         return idx
 
@@ -314,7 +312,7 @@ def parse_snapshot(text: str, measure: MeasureSpec | None = None) -> Snapshot:
     """
     measure = measure or MeasureSpec()
     attrs, rows, real, forecast = _parse_table(text, measure.operands, need_forecast=True)
-    return _build_snapshot(attrs, rows, real, forecast, measure)
+    return snapshot_from_rows(attrs, rows, real, forecast, measure)
 
 
 def _parse_table(
@@ -385,13 +383,14 @@ def _parse_value(token: str, lineno: int, colname: str) -> float:
     return x
 
 
-def _build_snapshot(
+def snapshot_from_rows(
     attrs: Sequence[str],
     rows: Sequence[tuple[str, ...]],
     real: Mapping[str, Sequence[float]],
     forecast: Mapping[str, Sequence[float]],
     measure: MeasureSpec,
 ) -> Snapshot:
+    """Build a snapshot from in-memory rows (same validation as the CSV path)."""
     domains = {
         a: tuple(sorted({row[j] for row in rows}))
         for j, a in enumerate(attrs)
@@ -405,17 +404,6 @@ def _build_snapshot(
     real_arr = {c: np.asarray(vals, float) for c, vals in real.items()}
     fcst_arr = {c: np.asarray(vals, float) for c, vals in forecast.items()}
     return Snapshot(schema, codes, real_arr, fcst_arr, measure)
-
-
-def snapshot_from_rows(
-    attrs: Sequence[str],
-    rows: Sequence[tuple[str, ...]],
-    real: Mapping[str, Sequence[float]],
-    forecast: Mapping[str, Sequence[float]],
-    measure: MeasureSpec,
-) -> Snapshot:
-    """Build a snapshot from in-memory rows (same validation as the CSV path)."""
-    return _build_snapshot(attrs, rows, real, forecast, measure)
 
 
 def cuboids_by_layer(schema: AttributeSchema, max_layer: int | None = None) -> list[Cuboid]:

@@ -66,15 +66,6 @@ def exrc_f1(cases: Sequence[EvalCase]) -> float:
     return 2.0 * precision * recall / (precision + recall)
 
 
-def anomaly_magnitude(snapshot: Snapshot) -> float:
-    """Relative size of the overall deviation: |sum(v - f)| / sum(f)."""
-    v, f = snapshot.leaf_values()
-    total_f = float(f.sum())
-    if total_f <= 0.0:
-        raise ValueError("total forecast is zero; magnitude undefined")
-    return abs(float((v - f).sum())) / total_f
-
-
 # -- benchmark orchestration -----------------------------------------------
 
 

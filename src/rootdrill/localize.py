@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import log
 from typing import Sequence
 
@@ -25,7 +25,6 @@ from .cluster import (
     cluster_distributions,
     knee_threshold,
     leaf_distributions,
-    overall_distribution,
     weighted_quantile,
 )
 from .data import AttributeCombination, Cuboid, Snapshot, cuboids_by_layer
@@ -44,19 +43,11 @@ class LocalizeConfig:
         explanation scores below this.
     max_layer
         cap on searched cuboid layers (None = all).
-    min_cluster_mass, smoothing_width, sparse_bins, valley_ratio,
-    noise_band_quantile
-        clustering knobs, see the cluster module.
     """
 
     delta: float = 0.9
     delta_exrc: float = 0.8
     max_layer: int | None = None
-    min_cluster_mass: float = 1.0
-    smoothing_width: int = 5
-    sparse_bins: int = 20
-    valley_ratio: float = 1.0
-    noise_band_quantile: float = 0.999
 
     def __post_init__(self) -> None:
         if not 0.0 < self.delta <= 1.0:
@@ -65,8 +56,6 @@ class LocalizeConfig:
             raise ValueError("delta_exrc must lie in (0, 1]")
         if self.max_layer is not None and self.max_layer < 1:
             raise ValueError("max_layer must be positive")
-        if not 0.0 < self.valley_ratio <= 1.0:
-            raise ValueError("valley_ratio must lie in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -84,12 +73,19 @@ class ClusterResult:
 
 @dataclass
 class LocalizationReport:
+    """Verdict on one snapshot.
+
+    ``score_density`` is the abnormal leaves' mean score mass over the grid
+    (all zeros when no leaf is abnormal).
+    """
+
     root_causes: list[tuple[AttributeCombination, ...]]
     per_cluster: list[ClusterResult]
     min_gps: float | None
     external_root_cause: bool
     elapsed: float
     note: str | None = None
+    score_density: np.ndarray = field(default_factory=lambda: np.zeros(N_BINS))
 
 
 # -- scoring primitives ----------------------------------------------------
@@ -304,27 +300,13 @@ def localize_cluster(
 # knee * sqrt(n) when they are honest noise
 _TOTAL_SHIFT_FACTOR = 3.0
 
-
-def _abnormal_leaves(snapshot: Snapshot):
-    """Stages 1 and 2 of the pipeline.
-
-    Returns the residuals, the knee threshold, the abnormal leaves above it
-    and their score distributions (none when no leaf is abnormal).
-    """
-    v, f = snapshot.leaf_values()
-    resid = np.abs(v - f)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        threshold = knee_threshold(resid)
-    abnormal = np.flatnonzero(resid > threshold)
-    dists = []
-    if abnormal.size:
-        dists = leaf_distributions(v[abnormal], f[abnormal], snapshot.measure.distribution_family)
-    return resid, threshold, abnormal, dists
+# clusters centered inside this weighted quantile of the normal leaves' own
+# absolute scores carry no signal
+NOISE_BAND_QUANTILE = 0.999
 
 
 def _no_cluster_report(
-    v: np.ndarray, f: np.ndarray, threshold: float, t0: float
+    v: np.ndarray, f: np.ndarray, threshold: float, density: np.ndarray, t0: float
 ) -> LocalizationReport:
     """Verdict when nothing localizes: quiet, unless the total still moved.
 
@@ -333,14 +315,10 @@ def _no_cluster_report(
     That is an external root cause, not a healthy snapshot.
     """
     shift = abs(float((v - f).sum()))
-    bar = _TOTAL_SHIFT_FACTOR * threshold * np.sqrt(v.size)
-    if shift > bar:
-        return LocalizationReport(
-            [], [], None, True, time.perf_counter() - t0,
-            note="unexplained total shift",
-        )
+    external = bool(shift > _TOTAL_SHIFT_FACTOR * threshold * np.sqrt(v.size))
+    note = "unexplained total shift" if external else "no anomaly"
     return LocalizationReport(
-        [], [], None, False, time.perf_counter() - t0, note="no anomaly"
+        [], [], None, external, time.perf_counter() - t0, note=note, score_density=density
     )
 
 
@@ -349,29 +327,29 @@ def localize(snapshot: Snapshot, cfg: LocalizeConfig | None = None) -> Localizat
     cfg = cfg or LocalizeConfig()
     t0 = time.perf_counter()
     v, f = snapshot.leaf_values()
-    resid, threshold, abnormal, dists = _abnormal_leaves(snapshot)
+    resid = np.abs(v - f)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        threshold = knee_threshold(resid)
+    abnormal = np.flatnonzero(resid > threshold)
     if abnormal.size == 0:
-        return _no_cluster_report(v, f, threshold, t0)
+        return _no_cluster_report(v, f, threshold, np.zeros(N_BINS), t0)
 
-    clusters = cluster_distributions(
-        dists,
-        min_mass=cfg.min_cluster_mass,
-        smoothing_width=cfg.smoothing_width,
-        sparse_bins=cfg.sparse_bins,
-        valley_ratio=cfg.valley_ratio,
-    )
+    scores = leaf_distributions(v[abnormal], f[abnormal], snapshot.measure.distribution_family)
+    density = scores.histogram() / len(scores)
+    clusters = cluster_distributions(scores)
 
     # clusters whose score is within the normal leaves' own deviation range
     # carry no signal; their leaves stay in the complement pool
     normal = resid <= threshold
     if normal.any():
-        scores = np.abs(deviation_score(v[normal], f[normal]))
+        normal_scores = np.abs(deviation_score(v[normal], f[normal]))
         wts = snapshot.leaf_weights()[normal]
-        band = weighted_quantile(scores, wts, cfg.noise_band_quantile)
+        band = weighted_quantile(normal_scores, wts, NOISE_BAND_QUANTILE)
         clusters = [c for c in clusters if abs(c.center) > band]
 
     if not clusters:
-        return _no_cluster_report(v, f, threshold, t0)
+        return _no_cluster_report(v, f, threshold, density, t0)
 
     n = snapshot.n_leaves
     memberships = []
@@ -406,14 +384,9 @@ def localize(snapshot: Snapshot, cfg: LocalizeConfig | None = None) -> Localizat
         if r.candidate is not None and r.candidate.gps >= cfg.delta_exrc
     ]
     return LocalizationReport(
-        root_causes, results, min_gps, external, time.perf_counter() - t0
+        root_causes, results, min_gps, external, time.perf_counter() - t0,
+        score_density=density,
     )
-
-
-def score_histogram(snapshot: Snapshot) -> np.ndarray:
-    """Mean deviation-score distribution of the abnormal leaves (for plotting)."""
-    dists = _abnormal_leaves(snapshot)[3]
-    return overall_distribution(dists) if dists else np.zeros(N_BINS)
 
 
 # -- external-root-cause threshold from history ----------------------------

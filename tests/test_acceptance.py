@@ -22,12 +22,11 @@ from rootdrill import (
     explanation_score,
     f1_score,
     localize,
-    poisson_distribution,
     simulate_fault,
     snapshot_from_rows,
     synthetic_base,
 )
-from rootdrill.cluster import LeafDistribution, bin_of, cluster_distributions
+from rootdrill.cluster import cluster_distributions, leaf_distributions
 from rootdrill.evaluate import EvalCase, exrc_f1
 from rootdrill.ripple import derived_value, expected_abnormal_value
 
@@ -272,19 +271,18 @@ def test_criterion_8_invariants():
     for _ in range(200):
         v = int(rng.integers(0, 500))
         f = float(rng.uniform(0.1, 500.0))
-        worst = max(worst, abs(poisson_distribution(v, f).mass.sum() - 1.0))
+        mass = leaf_distributions(np.array([v], float), np.array([f]), "poisson").mass
+        worst = max(worst, abs(mass.sum() - 1.0))
     checks["pmf"] = bool(worst <= 1e-6)
 
     # cluster bound interiors never overlap
     disjoint = True
     for _ in range(30):
         scores = np.clip(rng.normal(0.0, 0.4, 300), -1.0, 1.0)
-        dists = [
-            LeafDistribution(np.array([int(bin_of(s))]), np.array([1.0]))
-            for s in scores
-        ]
+        # real 1 - s against forecast 1 + s scores s
+        spikes = leaf_distributions(1.0 - scores, 1.0 + scores, "none")
         spans = sorted(
-            (c.lo_bin, c.hi_bin) for c in cluster_distributions(dists)
+            (c.lo_bin, c.hi_bin) for c in cluster_distributions(spikes)
         )
         for (_, hi), (lo, _) in zip(spans, spans[1:]):
             disjoint &= hi < lo

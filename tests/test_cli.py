@@ -1,3 +1,4 @@
+import importlib
 import json
 import subprocess
 import sys
@@ -5,6 +6,9 @@ import sys
 import pytest
 
 from rootdrill.cli import main, parse_grid, parse_measure
+
+localize_mod = importlib.import_module("rootdrill.localize")
+evaluate_mod = importlib.import_module("rootdrill.evaluate")
 
 
 @pytest.fixture
@@ -88,7 +92,12 @@ class TestLocalizeCommand:
         assert report["external_root_cause"] is False
         assert report["root_causes"] == [[{"attr": "Province", "value": "Beijing"}]]
 
-    def test_hist_out(self, snapshot_file, tmp_path):
+    def test_hist_out(self, snapshot_file, tmp_path, monkeypatch):
+        calls = []
+        stage2 = localize_mod.leaf_distributions
+        monkeypatch.setattr(
+            localize_mod, "leaf_distributions", lambda *a: calls.append(a) or stage2(*a)
+        )
         out = tmp_path / "report.json"
         hist = tmp_path / "hist.csv"
         main(
@@ -104,6 +113,8 @@ class TestLocalizeCommand:
         assert len(lines) == 202
         total = sum(float(l.split(",")[1]) for l in lines[1:])
         assert total == pytest.approx(1.0)
+        # the histogram comes from the verdict's own stage 2
+        assert len(calls) == 1
 
     def test_note_for_quiet_snapshot(self, tmp_path):
         snap = tmp_path / "quiet.csv"
@@ -167,6 +178,13 @@ class TestLocalizeCommand:
         rc = main(["localize", "--snapshot", str(bad), "--out", str(tmp_path / "r.json")])
         assert rc == 1
 
+    @pytest.mark.parametrize(
+        "extra", [["--measure", "ratio:x"], ["--measure", "a:b:c:d"], ["--delta", "0"]]
+    )
+    def test_bad_argument_is_input_error(self, snapshot_file, tmp_path, extra):
+        args = ["localize", "--snapshot", str(snapshot_file), "--out", str(tmp_path / "r.json")]
+        assert main(args + extra) == 1
+
 
 class TestSimulateEvaluateCommands:
     def test_round_trip(self, tmp_path, capsys):
@@ -219,6 +237,23 @@ class TestSimulateEvaluateCommands:
                 "--out", str(tmp_path / "ds"),
             ]
         )
+        assert rc == 1
+
+    def test_pipeline_value_error_is_internal(self, tmp_path, monkeypatch, capsys):
+        ds = tmp_path / "ds"
+        base = ["--base", "synthetic:2x4", "--grid", "1x1", "--per-cell", "1"]
+        assert main(["simulate", *base, "--out", str(ds)]) == 0
+
+        def broken(*args, **kwargs):
+            raise ValueError("internal bug in the pipeline")
+
+        monkeypatch.setattr(evaluate_mod, "localize", broken)
+        rc = main(["evaluate", "--dataset", str(ds), "--out", str(tmp_path / "e.json")])
+        assert rc == 2
+        assert "internal bug in the pipeline" in capsys.readouterr().err
+
+    def test_bad_delta_is_input_error(self, tmp_path):
+        rc = main(["evaluate", "--dataset", str(tmp_path), "--delta", "0", "--out", "e.json"])
         assert rc == 1
 
     def test_bad_synthetic_spec_is_input_error(self, tmp_path):

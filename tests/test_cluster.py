@@ -1,21 +1,25 @@
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import poisson
 
-from rootdrill import dirac_distribution, knee_threshold, poisson_distribution
+import rootdrill.cluster as cluster_mod
+from rootdrill import knee_threshold
 from rootdrill.cluster import (
+    BLOCK_TERMS,
     N_BINS,
-    LeafDistribution,
+    PMF_CUTOFF,
+    ScoreMass,
     bin_center,
     bin_of,
     cluster_distributions,
     leaf_distributions,
-    overall_distribution,
     weighted_quantile,
 )
-from rootdrill.ripple import MeaninglessPairError
+from rootdrill.ripple import MeaninglessPairError, deviation_score
 
 
 class TestGrid:
@@ -71,34 +75,66 @@ class TestKneeThreshold:
         assert knee_threshold(r) in r
 
 
+def one_leaf(v, f, family):
+    """Stage 2 on a single leaf."""
+    return leaf_distributions(np.array([v], float), np.array([f], float), family)
+
+
+def spikes(bins, mass=None):
+    """One leaf per entry of ``bins``, all its mass at that bin."""
+    n = len(bins)
+    mass = np.ones(n) if mass is None else np.asarray(mass, float)
+    return ScoreMass(np.arange(n + 1), np.asarray(bins, dtype=np.int64), mass)
+
+
+def reference_poisson(v, f):
+    """Per-leaf Poisson score mass, written out with scipy.stats.
+
+    The batched stage 2 must reproduce it: same bins, same mass.
+    """
+    if f == 0.0:
+        return np.array([int(bin_of(-1.0))]), np.array([1.0])
+    spread = 10.0 * np.sqrt(v) + 30.0
+    a = np.arange(max(0.0, np.floor(v - spread)), np.ceil(v + spread) + 1.0)
+    w = poisson.pmf(v, a)
+    keep = w >= PMF_CUTOFF
+    a, w = a[keep], w[keep]
+    if a.size == 0:
+        return np.array([int(bin_of(deviation_score(v, f)))]), np.array([1.0])
+    w = w / w.sum()
+    hist = np.bincount(bin_of(deviation_score(a, f)), weights=w, minlength=N_BINS)
+    nz = np.flatnonzero(hist)
+    return nz, hist[nz]
+
+
 class TestDirac:
     def test_single_spike(self):
-        d = dirac_distribution(5, 10)
+        d = one_leaf(5, 10, "none")
+        assert len(d) == 1
         assert list(d.bins) == [int(bin_of(1 / 3))]
         assert list(d.mass) == [1.0]
-        assert d.total() == 1.0
 
     def test_empty_pair_raises(self):
         with pytest.raises(MeaninglessPairError):
-            dirac_distribution(0, 0)
+            one_leaf(0, 0, "none")
 
 
 class TestPoisson:
     def test_normalized(self):
         for v, f in [(0, 3), (5, 5), (5, 10), (100, 80), (1000, 900)]:
-            d = poisson_distribution(v, f)
-            assert d.total() == pytest.approx(1.0, abs=1e-9)
+            d = one_leaf(v, f, "poisson")
+            assert d.mass.sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_mode_at_observed_count(self):
         # the most likely rate is the observed count itself
-        d = poisson_distribution(5, 10)
+        d = one_leaf(5, 10, "poisson")
         top = d.bins[np.argmax(d.mass)]
         lo, hi = bin_of(1 / 3) - 1, bin_of(1 / 3) + 1
         assert lo <= top <= hi
 
     def test_spread_grows_with_uncertainty(self):
-        small = poisson_distribution(4, 8)
-        large = poisson_distribution(400, 800)
+        small = one_leaf(4, 8, "poisson")
+        large = one_leaf(400, 800, "poisson")
         def spread(d):
             centers = bin_center(d.bins)
             m = (centers * d.mass).sum()
@@ -108,62 +144,89 @@ class TestPoisson:
     def test_matches_pmf_weights(self):
         # likelihood of the observed count under its own rate, scipy oracle
         assert poisson.pmf(5, 5) == pytest.approx(0.17546736976785068, rel=1e-12)
-        d = poisson_distribution(5, 1000)
+        d = one_leaf(5, 1000, "poisson")
         # with a huge forecast all plausible rates score near +1
         assert (bin_center(d.bins) > 0.9).all()
 
     def test_zero_forecast_is_certain_increase(self):
-        d = poisson_distribution(7, 0)
+        d = one_leaf(7, 0, "poisson")
         assert list(d.bins) == [0]  # score -1
         assert list(d.mass) == [1.0]
 
     def test_zero_observation_keeps_mass(self):
-        d = poisson_distribution(0, 6)
-        assert d.total() == pytest.approx(1.0, abs=1e-9)
+        d = one_leaf(0, 6, "poisson")
+        assert d.mass.sum() == pytest.approx(1.0, abs=1e-9)
         assert int(d.bins[np.argmax(d.mass)]) == 200  # rate 0 is likeliest
 
     def test_rejects_non_integer(self):
         with pytest.raises(ValueError):
-            poisson_distribution(1.5, 3)
+            one_leaf(1.5, 3, "poisson")
 
     def test_rejects_empty_pair(self):
         with pytest.raises(MeaninglessPairError):
-            poisson_distribution(0, 0)
+            one_leaf(0, 0, "poisson")
 
     @given(
         v=st.integers(min_value=0, max_value=500),
         f=st.floats(min_value=0.1, max_value=500),
     )
     def test_normalization_property(self, v, f):
-        assert poisson_distribution(v, f).total() == pytest.approx(1.0, abs=1e-6)
+        assert one_leaf(v, f, "poisson").mass.sum() == pytest.approx(1.0, abs=1e-6)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        leaves=st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=5000),
+                st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=6000.0)),
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+        budget=st.sampled_from([64, 700, BLOCK_TERMS]),
+    )
+    @example(leaves=[(5000, 4000.0), (0, 3.0), (7, 0.0)], budget=64)
+    def test_batch_matches_per_leaf_formula(self, leaves, budget):
+        # every leaf has at least 31 candidate rates, so a budget of 64 terms
+        # holds at most two leaves; a count of 5000 has 1,477, more than 700
+        leaves = [(v, f) for v, f in leaves if v + f > 0.0]
+        assume(leaves)
+        v = np.array([v for v, _ in leaves], float)
+        f = np.array([f for _, f in leaves])
+        with mock.patch.object(cluster_mod, "BLOCK_TERMS", budget):
+            got = leaf_distributions(v, f, "poisson")
+        assert len(got) == len(leaves)
+        for d, (vi, fi) in zip(got, leaves):
+            bins, mass = reference_poisson(float(vi), fi)
+            assert np.array_equal(d.bins, bins)
+            assert np.abs(d.mass - mass).max() <= 1e-12
+            assert d.mass.sum() == pytest.approx(1.0, abs=1e-6)
 
 
 def test_leaf_distributions_family_switch():
     v = np.array([5.0, 3.0])
     f = np.array([10.0, 3.0])
     exact = leaf_distributions(v, f, "none")
+    assert len(exact) == 2
     assert all(len(d.bins) == 1 for d in exact)
     fuzzy = leaf_distributions(v, f, "poisson")
     assert all(len(d.bins) > 1 for d in fuzzy)
+    assert fuzzy.ptr[-1] == fuzzy.bins.size == fuzzy.mass.size
 
 
 def test_overall_distribution_mean():
-    dists = [dirac_distribution(5, 10), dirac_distribution(10, 5)]
-    hist = overall_distribution(dists)
+    scores = leaf_distributions(np.array([5.0, 10.0]), np.array([10.0, 5.0]), "none")
+    hist = scores.histogram() / len(scores)
     assert hist.shape == (N_BINS,)
     assert hist[int(bin_of(1 / 3))] == 0.5
     assert hist[int(bin_of(-1 / 3))] == 0.5
     assert hist.sum() == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        overall_distribution([])
 
 
 class TestClustering:
     def test_two_spikes_split_at_midpoint(self):
-        dists = [dirac_distribution(3, 1) for _ in range(30)] + [
-            dirac_distribution(1, 3) for _ in range(30)
-        ]
-        clusters = cluster_distributions(dists)
+        scores = spikes([int(bin_of(-0.5))] * 30 + [int(bin_of(0.5))] * 30)
+        clusters = cluster_distributions(scores)
         assert len(clusters) == 2
         a, b = clusters
         assert a.bounds == (-1.0, 0.0)
@@ -174,14 +237,23 @@ class TestClustering:
         assert a.mass == b.mass == 30.0
 
     def test_membership_is_indicator_for_spikes(self):
-        dists = [dirac_distribution(3, 1) for _ in range(30)] + [
-            dirac_distribution(1, 3) for _ in range(30)
-        ]
-        clusters = cluster_distributions(dists)
+        v = np.array([3.0] * 30 + [1.0] * 30)
+        clusters = cluster_distributions(leaf_distributions(v, 4.0 - v, "none"))
         for c in clusters:
             assert set(np.unique(c.membership)) <= {0.0, 1.0}
         stacked = np.vstack([c.membership for c in clusters])
         assert (stacked.sum(axis=0) <= 1.0 + 1e-12).all()
+
+    def test_membership_sums_each_leafs_mass_inside(self):
+        v = np.array([40.0, 42.0, 5.0, 200.0, 7.0])
+        f = np.array([20.0, 21.0, 6.0, 100.0, 0.0])
+        scores = leaf_distributions(v, f, "poisson")
+        clusters = cluster_distributions(scores)
+        assert clusters
+        for c in clusters:
+            for i, d in enumerate(scores):
+                inside = (d.bins >= c.lo_bin) & (d.bins <= c.hi_bin)
+                assert c.membership[i] == pytest.approx(d.mass[inside].sum(), abs=1e-12)
 
     def test_wide_modes_merge_under_smoothing(self):
         rng = np.random.default_rng(3)
@@ -189,11 +261,7 @@ class TestClustering:
             [rng.normal(-0.5, 0.03, 300), rng.normal(0.5, 0.03, 300)]
         )
         scores = np.clip(scores, -1.0, 1.0)
-        dists = [
-            LeafDistribution(np.array([int(bin_of(s))]), np.array([1.0]))
-            for s in scores
-        ]
-        clusters = cluster_distributions(dists)
+        clusters = cluster_distributions(spikes(bin_of(scores)))
         assert len(clusters) == 2
         centers = sorted(c.center for c in clusters)
         assert centers[0] == pytest.approx(-0.5, abs=0.05)
@@ -202,57 +270,35 @@ class TestClustering:
     def test_sparse_spikes_stay_separate(self):
         # three spikes two bins apart: smoothing would fuse them, sparseness
         # keeps it off
-        mk = lambda b: LeafDistribution(np.array([b]), np.array([1.0]))
-        dists = [mk(100)] * 5 + [mk(104)] * 5 + [mk(108)] * 5
-        clusters = cluster_distributions(dists)
+        clusters = cluster_distributions(spikes([100] * 5 + [104] * 5 + [108] * 5))
         assert len(clusters) == 3
 
     def test_min_mass_discards(self):
-        dists = [dirac_distribution(3, 1)] * 30 + [dirac_distribution(1, 3)]
-        clusters = cluster_distributions(dists, min_mass=2.0)
+        # the lone leaf at +0.5 holds under one leaf's worth of mass there
+        clusters = cluster_distributions(
+            spikes([int(bin_of(-0.5))] * 30 + [int(bin_of(0.5))], [1.0] * 30 + [0.9])
+        )
         assert len(clusters) == 1
         assert clusters[0].center == pytest.approx(-0.5)
 
-    def test_shallow_dip_merges_at_lower_valley_ratio(self):
-        # contiguous bump with one dip: 6 between peaks 10 and 8, depth 0.75
-        mk = lambda b: LeafDistribution(np.array([b]), np.array([1.0]))
+    def test_every_strict_minimum_cuts(self):
+        # contiguous bump with one shallow dip: 6 between peaks 10 and 8
         heights = {95: 4, 96: 10, 97: 7, 98: 6, 99: 8, 100: 3}
-        dists = [mk(b) for b, h in heights.items() for _ in range(h)]
-        assert len(cluster_distributions(dists)) == 2
-        merged = cluster_distributions(dists, valley_ratio=0.7)
-        assert len(merged) == 1
-        assert merged[0].mass == sum(heights.values())
-
-    def test_valley_prominence_rejudged_after_merge(self):
-        # dips at 6 (ratio 6/7) and 5 (ratio 5/7); dropping the first widens
-        # the second's left segment, whose peak 10 keeps the 5 a real valley
-        mk = lambda b: LeafDistribution(np.array([b]), np.array([1.0]))
-        heights = {95: 10, 96: 6, 97: 7, 98: 5, 99: 9}
-        dists = [mk(b) for b, h in heights.items() for _ in range(h)]
-        clusters = cluster_distributions(dists, valley_ratio=0.8)
-        # the single surviving cut sits at bin 98
+        clusters = cluster_distributions(spikes([b for b, h in heights.items() for _ in range(h)]))
         assert [(c.lo_bin, c.hi_bin) for c in clusters] == [(0, 97), (99, 200)]
-        assert [c.mass for c in clusters] == [23.0, 9.0]
 
     def test_flat_density_single_cluster(self):
-        dists = [
-            LeafDistribution(np.array([b]), np.array([1.0])) for b in range(N_BINS)
-        ]
-        clusters = cluster_distributions(dists, sparse_bins=N_BINS + 1)
+        clusters = cluster_distributions(spikes(np.arange(N_BINS)))
         assert len(clusters) == 1
         assert clusters[0].bounds == (-1.0, 1.0)
 
     def test_empty_input(self):
-        assert cluster_distributions([]) == []
+        assert cluster_distributions(spikes([])) == []
 
     def test_bounds_disjoint_interiors(self):
         rng = np.random.default_rng(4)
         scores = np.clip(rng.normal(0.0, 0.4, 500), -1.0, 1.0)
-        dists = [
-            LeafDistribution(np.array([int(bin_of(s))]), np.array([1.0]))
-            for s in scores
-        ]
-        clusters = cluster_distributions(dists)
+        clusters = cluster_distributions(spikes(bin_of(scores)))
         spans = sorted((c.lo_bin, c.hi_bin) for c in clusters)
         for (_, hi), (lo, _) in zip(spans, spans[1:]):
             assert hi < lo

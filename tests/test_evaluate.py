@@ -10,7 +10,7 @@ from rootdrill import (
     f1_score,
     synthetic_base,
 )
-from rootdrill.evaluate import EvalCase, anomaly_magnitude, exrc_f1, run_benchmark
+from rootdrill.evaluate import EvalCase, exrc_f1, run_benchmark
 from rootdrill.simulate import generate_dataset, write_fault
 
 
@@ -63,20 +63,6 @@ class TestExrcF1:
 
     def test_no_flags_anywhere(self):
         assert exrc_f1([case(set(), set(), False, False)]) == 0.0
-
-
-def test_anomaly_magnitude(province_snapshot):
-    assert anomaly_magnitude(province_snapshot) == pytest.approx(32.8 / 550.8)
-
-
-def test_anomaly_magnitude_zero_forecast():
-    from rootdrill import MeasureSpec, snapshot_from_rows
-
-    snap = snapshot_from_rows(
-        ("a",), [("x",)], {"value": [1.0]}, {"value": [0.0]}, MeasureSpec()
-    )
-    with pytest.raises(ValueError):
-        anomaly_magnitude(snap)
 
 
 @pytest.fixture(scope="module")

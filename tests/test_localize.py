@@ -12,15 +12,19 @@ from rootdrill import (
     AttributeCombination,
     LocalizeConfig,
     MeasureSpec,
+    SimulationParams,
     explanation_score,
     knee_threshold,
     localize,
+    parse_snapshot,
     select_exrc_threshold,
+    simulate_fault,
     snapshot_from_rows,
     synthetic_base,
 )
 from rootdrill.cluster import bin_of, cluster_distributions, leaf_distributions
 from rootdrill.data import Snapshot, cuboids_by_layer, drop_attributes
+from rootdrill.forecast import render_table
 from rootdrill.ripple import UndefinedValueError, derived_value
 from rootdrill.localize import (
     _candidate_sort_key,
@@ -28,7 +32,6 @@ from rootdrill.localize import (
     candidate_complexity,
     descended_ratio,
     localize_cluster,
-    score_histogram,
     tradeoff_weight,
 )
 
@@ -386,8 +389,6 @@ class TestLocalizeReport:
             LocalizeConfig(delta_exrc=1.5)
         with pytest.raises(ValueError):
             LocalizeConfig(max_layer=0)
-        with pytest.raises(ValueError):
-            LocalizeConfig(valley_ratio=0.0)
 
     def test_max_layer_caps_search(self):
         base = synthetic_base(n_attrs=3, n_values=4, seed=6, family="none")
@@ -410,7 +411,7 @@ class TestLocalizeReport:
 
 class TestScoreHistogram:
     def test_worked_example_histogram(self, province_snapshot):
-        hist = score_histogram(province_snapshot)
+        hist = localize(province_snapshot).score_density
         assert hist.shape == (201,)
         assert hist.sum() == pytest.approx(1.0)
         assert hist[int(bin_of(1 / 3))] == pytest.approx(2 / 3)
@@ -422,7 +423,9 @@ class TestScoreHistogram:
             ("A",), rows, {"value": [1.0, 2.0, 3.0]}, {"value": [1.0, 2.0, 3.0]},
             MeasureSpec(),
         )
-        assert score_histogram(snap).sum() == 0.0
+        hist = localize(snap).score_density
+        assert hist.shape == (201,)
+        assert not hist.any()
 
 
 class TestSelectExrcThreshold:
@@ -443,3 +446,48 @@ class TestSelectExrcThreshold:
         external = rng.uniform(0.2, 0.4, 10)
         t = select_exrc_threshold(np.concatenate([healthy, external]))
         assert external.max() < t <= healthy.min()
+
+
+class TestRowOrder:
+    """Reordering the CSV rows must not change the verdict."""
+
+    @staticmethod
+    def count_fault():
+        base = synthetic_base(n_attrs=3, n_values=6, seed=42, family="poisson")
+        params = SimulationParams(2, 1, base_noise_sigma=0.05, leaf_noise_sigma=0.05)
+        return simulate_fault(base, params, np.random.default_rng(103))
+
+    @staticmethod
+    def rate_fault():
+        rng = np.random.default_rng(9)
+        rows = [(f"a{i}", f"b{j}", f"c{k}") for i in range(6) for j in range(6) for k in range(4)]
+        total = rng.integers(200, 500, len(rows)).astype(float)
+        succ = np.round(total * rng.uniform(0.9, 0.99, len(rows)))
+        base = snapshot_from_rows(
+            ("A", "B", "C"), rows,
+            {"succ": succ, "total": total},
+            {"succ": succ.copy(), "total": total.copy()},
+            MeasureSpec("quotient", ("succ", "total")),
+        )
+        params = SimulationParams(
+            2, 1, base_noise_sigma=0.02, leaf_noise_sigma=0.05, measure_kind="success_rate"
+        )
+        return simulate_fault(base, params, np.random.default_rng(103))
+
+    @pytest.mark.parametrize("make", ["count_fault", "rate_fault"])
+    def test_row_permutation_keeps_the_verdict(self, make):
+        snap = getattr(self, make)().snapshot
+        header, *rows = render_table(snap).splitlines()
+        ref = localize(parse_snapshot("\n".join([header, *rows]), snap.measure))
+        assert ref.per_cluster
+        rng = np.random.default_rng(103)
+        for _ in range(3):
+            rng.shuffle(rows)
+            got = localize(parse_snapshot("\n".join([header, *rows]), snap.measure))
+            assert got.root_causes == ref.root_causes
+            assert got.external_root_cause == ref.external_root_cause
+            assert [r.bounds for r in got.per_cluster] == [r.bounds for r in ref.per_cluster]
+            for a, b in zip(got.per_cluster, ref.per_cluster):
+                assert (a.candidate is None) == (b.candidate is None)
+                if a.candidate is not None:
+                    assert a.candidate.gps == pytest.approx(b.candidate.gps, abs=1e-9)

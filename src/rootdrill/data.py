@@ -147,10 +147,48 @@ class Cuboid:
         return "x".join(self.attrs)
 
 
+# a mixed-radix leaf key stays below this, so it fits an int64 with room to spare
+_KEY_LIMIT = 2**62
+
+
+def _group_rows(
+    codes: np.ndarray, sizes: Sequence[int]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Group the rows of ``codes``, whose column j holds codes in ``[0, sizes[j])``.
+
+    Returns ``(group_codes, group_of, order, starts)``: each distinct row
+    once in lexicographic order, every row's group id, the row indices
+    sorted stably by group, and the (G+1,) group bounds into that order.
+    Each row gets one integer key, ``key * sizes[j] + codes[:, j]`` over the
+    columns, so key order is the rows' lexicographic order.  Before the key
+    would pass ``_KEY_LIMIT`` it is replaced by its dense rank, which keeps
+    that order.
+    """
+    n = len(codes)
+    key = np.zeros(n, dtype=np.int64)
+    span = 1
+    for j, size in enumerate(sizes):
+        if span * size > _KEY_LIMIT:
+            distinct, key = np.unique(key, return_inverse=True)
+            span = len(distinct)
+        key = key * size + codes[:, j]
+        span *= size
+    order = np.argsort(key, kind="stable")
+    first = np.ones(n, dtype=bool)
+    first[1:] = key[order[1:]] != key[order[:-1]]
+    group_of = np.empty(n, dtype=np.int64)
+    group_of[order] = np.cumsum(first) - 1
+    heads = np.flatnonzero(first)
+    starts = np.append(heads, n)
+    return codes[order[heads]], group_of, order, starts
+
+
 @dataclass
 class _CuboidIndex:
     """Per-cuboid grouping of leaves by their projected attribute values."""
 
+    attrs: tuple[str, ...]       # the cuboid's attributes, sorted
+    domains: tuple[tuple[str, ...], ...]  # value names of each attribute
     group_codes: np.ndarray      # (G, k) value codes of each distinct group
     group_of: np.ndarray         # (n,) group id of every leaf
     order: np.ndarray            # leaf indices sorted by group id
@@ -163,15 +201,25 @@ class _CuboidIndex:
     def leaves_of(self, g: int) -> np.ndarray:
         return self.order[self.starts[g]:self.starts[g + 1]]
 
+    def combination(self, g: int) -> AttributeCombination:
+        """The attribute combination that group ``g`` stands for."""
+        return AttributeCombination(
+            tuple(
+                (a, dom[c]) for a, dom, c in zip(self.attrs, self.domains, self.group_codes[g])
+            )
+        )
+
 
 class Snapshot:
     """One parsed snapshot: leaf table plus the indexes search relies on.
 
     Rows are leaves; ``codes[i, j]`` is the integer code of leaf i's value for
-    attribute j, with codes assigned in sorted order of the observed domain so
-    every derived ordering is deterministic.  A per-attribute inverted index
-    (value code to boolean row mask) backs ``leaf_mask``; intersecting masks
-    answers descendant queries without scanning rows.
+    attribute j.  Codes are dense, ``0 .. len(domain) - 1``, and assigned in
+    sorted order of the domain, so every derived ordering is deterministic
+    and the integer keys that group leaves sort like the value names.  A
+    per-attribute inverted index (value code to boolean row mask) backs
+    ``leaf_mask``; intersecting masks answers descendant queries without
+    scanning rows.
     """
 
     def __init__(
@@ -221,10 +269,15 @@ class Snapshot:
             v = self.real[self.measure.operands[0]]
             if np.any(np.abs(v - np.round(v)) > 1e-9):
                 raise ParseError("poisson family requires integer real values")
+        sizes = [len(self.schema.domains[a]) for a in self.schema.attributes]
+        for j, (a, size) in enumerate(zip(self.schema.attributes, sizes)):
+            col = self.codes[:, j]
+            if col.min() < 0 or col.max() >= size:
+                raise ValueError(f"value code of attribute {a!r} outside its domain")
         # duplicate leaf bindings break the leaf/aggregate distinction
-        uniq, counts = np.unique(self.codes, axis=0, return_counts=True)
-        if len(uniq) != n:
-            dup = uniq[np.argmax(counts > 1)]
+        group_codes, _, _, starts = _group_rows(self.codes, sizes)
+        if len(group_codes) != n:
+            dup = group_codes[np.argmax(np.diff(starts) > 1)]
             names = {a: self.schema.domains[a][c] for a, c in zip(self.schema.attributes, dup)}
             raise ParseError(f"duplicate leaf {names} in snapshot")
 
@@ -281,22 +334,11 @@ class Snapshot:
         idx = self._cuboid_cache.get(key)
         if idx is None:
             cols = [self._attr_pos[a] for a in key]
-            group_codes, group_of = np.unique(self.codes[:, cols], axis=0, return_inverse=True)
-            group_of = group_of.astype(np.int64).ravel()
-            order = np.argsort(group_of, kind="stable")
-            counts = np.bincount(group_of, minlength=len(group_codes))
-            starts = np.concatenate([[0], np.cumsum(counts)])
-            idx = _CuboidIndex(group_codes, group_of, order, starts)
+            domains = tuple(self.schema.domains[a] for a in key)
+            grouping = _group_rows(self.codes[:, cols], [len(d) for d in domains])
+            idx = _CuboidIndex(key, domains, *grouping)
             self._cuboid_cache[key] = idx
         return idx
-
-    def combination_of_group(self, cuboid: Cuboid, g: int) -> AttributeCombination:
-        idx = self.cuboid_index(cuboid)
-        items = tuple(
-            (a, self.schema.domains[a][idx.group_codes[g, j]])
-            for j, a in enumerate(cuboid.attrs)
-        )
-        return AttributeCombination(tuple(sorted(items)))
 
 
 # -- spec-level operations -------------------------------------------------
@@ -450,9 +492,8 @@ def drop_attributes(snapshot: Snapshot, attrs: Iterable[str]) -> Snapshot:
     if not keep:
         raise ValueError("cannot drop every attribute")
     cols = [snapshot._attr_pos[a] for a in keep]
-    sub = snapshot.codes[:, cols]
-    group_codes, group_of = np.unique(sub, axis=0, return_inverse=True)
-    group_of = group_of.astype(np.int64).ravel()
+    sizes = [len(snapshot.schema.domains[a]) for a in keep]
+    group_codes, group_of, _, _ = _group_rows(snapshot.codes[:, cols], sizes)
     g = len(group_codes)
     real = {
         c: np.bincount(group_of, weights=snapshot.real[c], minlength=g)

@@ -233,8 +233,7 @@ class _ClusterSearch(_PrefixScorer):
         self.outsider = (membership == 0.0).astype(float)
 
     def search(self, cuboid: Cuboid) -> RootCauseCandidate | None:
-        snap = self.snapshot
-        idx = snap.cuboid_index(cuboid)
+        idx = self.snapshot.cuboid_index(cuboid)
         g = idx.n_groups
         member = np.bincount(idx.group_of, weights=self.membership, minlength=g)
         nonmember = np.bincount(idx.group_of, weights=self.outsider, minlength=g)
@@ -251,9 +250,7 @@ class _ClusterSearch(_PrefixScorer):
         cuts = np.cumsum([r.size for r in leaf_runs])
         gps = self.prefix_scores(np.concatenate(leaf_runs), cuts)
         best_k = int(np.argmax(gps))
-        combos = tuple(
-            snap.combination_of_group(cuboid, int(gi)) for gi in order[: best_k + 1]
-        )
+        combos = tuple(idx.combination(gi) for gi in order[: best_k + 1])
         return RootCauseCandidate(tuple(sorted(combos)), float(gps[best_k]), cuboid)
 
 

@@ -177,7 +177,7 @@ def simulate_fault(
         real = {m.operands[0]: v}
     forecast = {c: base.real[c].astype(float) for c in m.operands}
     snapshot = Snapshot(base.schema, base.codes, real, forecast, m)
-    combos = [base.combination_of_group(c, g) for c, g, _ in picks]
+    combos = [base.cuboid_index(c).combination(g) for c, g, _ in picks]
     return SimulatedFault(
         snapshot,
         _group_truth(combos, mags),

@@ -1,5 +1,10 @@
+import math
+import re
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rootdrill import (
     AttributeCombination,
@@ -10,7 +15,7 @@ from rootdrill import (
     parse_snapshot,
     snapshot_from_rows,
 )
-from rootdrill.data import AttributeSchema, cuboids_by_layer, drop_attributes
+from rootdrill.data import AttributeSchema, Snapshot, cuboids_by_layer, drop_attributes
 
 
 def combo(**bindings):
@@ -188,7 +193,7 @@ class TestSnapshotOps:
             np.bincount(idx.group_of, weights=t["value"], minlength=idx.n_groups)
             for t in (province_snapshot.real, province_snapshot.forecast)
         )
-        combos = [province_snapshot.combination_of_group(cub, g) for g in range(idx.n_groups)]
+        combos = [idx.combination(g) for g in range(idx.n_groups)]
         assert combos == sorted(combos)
         by_name = {str(c): (r, f) for c, r, f in zip(combos, real, fcst)}
         assert by_name["Province=Beijing"] == (15.0, 30.0)
@@ -254,3 +259,105 @@ def test_snapshot_rejects_nan():
             {"value": [1.0, 1.0]},
             MeasureSpec(),
         )
+
+
+@pytest.mark.parametrize("bad", [2, -1])
+def test_snapshot_rejects_code_outside_domain(bad):
+    schema = AttributeSchema(("a", "b"), {"a": ("x",), "b": ("u", "w")})
+    codes = np.array([[0, 0], [0, bad]])
+    ones = {"value": np.ones(2)}
+    with pytest.raises(ValueError, match="'b'"):
+        Snapshot(schema, codes, ones, ones, MeasureSpec())
+
+
+# -- leaf grouping against the row-wise reference --------------------------
+
+
+def reference_grouping(codes):
+    """Group rows with ``np.unique(axis=0)``: (group codes, group of, order, starts)."""
+    group_codes, group_of = np.unique(codes, axis=0, return_inverse=True)
+    group_of = group_of.astype(np.int64).ravel()
+    order = np.argsort(group_of, kind="stable")
+    counts = np.bincount(group_of, minlength=len(group_codes))
+    return group_codes, group_of, order, np.concatenate([[0], np.cumsum(counts)])
+
+
+def value_name(code):
+    return f"v{code:04d}"  # sorts like the code
+
+
+def snapshot_of(code_rows, n_attrs):
+    rng = np.random.default_rng(0)
+    attrs = [f"a{j}" for j in range(n_attrs)]
+    rows = [tuple(value_name(c) for c in r) for r in code_rows]
+    real = {"x": rng.uniform(0, 10, len(rows)), "y": rng.uniform(1, 10, len(rows))}
+    fcst = {"x": rng.uniform(0, 10, len(rows)), "y": rng.uniform(1, 10, len(rows))}
+    return snapshot_from_rows(attrs, rows, real, fcst, MeasureSpec("quotient", ("x", "y")))
+
+
+def wide_rows(n_attrs=8, n_leaves=1000, n_values=1000, seed=7):
+    """Distinct random rows with about 630 observed values per attribute."""
+    rng = np.random.default_rng(seed)
+    rows = {tuple(r) for r in rng.integers(0, n_values, (n_leaves, n_attrs)).tolist()}
+    return sorted(rows, key=lambda r: rng.random())
+
+
+@st.composite
+def sparse_grids(draw):
+    """Distinct rows of a random grid (some combinations never observed), plus
+    the attributes to drop: a proper subset, empty on a one-attribute grid."""
+    sizes = draw(st.lists(st.integers(1, 6), min_size=1, max_size=4))
+    row = st.tuples(*[st.integers(0, s - 1) for s in sizes])
+    rows = draw(st.lists(row, min_size=1, max_size=40, unique=True))
+    drop = draw(st.sets(st.sampled_from([f"a{j}" for j in range(len(sizes))]),
+                        max_size=len(sizes) - 1))
+    return rows, len(sizes), drop
+
+
+def assert_groups_match_reference(snap):
+    for cuboid in cuboids_by_layer(snap.schema):
+        idx = snap.cuboid_index(cuboid)
+        cols = [snap.schema.attributes.index(a) for a in cuboid.attrs]
+        want = reference_grouping(snap.codes[:, cols])
+        got = (idx.group_codes, idx.group_of, idx.order, idx.starts)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+
+
+def assert_drop_matches_reference(snap, drop):
+    flat = drop_attributes(snap, drop)
+    cols = [j for j, a in enumerate(snap.schema.attributes) if a not in drop]
+    group_codes, group_of, _, _ = reference_grouping(snap.codes[:, cols])
+    assert np.array_equal(flat.codes, group_codes)
+    for c in snap.measure.operands:
+        for got, table in ((flat.real, snap.real), (flat.forecast, snap.forecast)):
+            want = np.bincount(group_of, weights=table[c], minlength=len(group_codes))
+            assert np.array_equal(got[c], want)
+
+
+class TestGroupingReference:
+    @settings(max_examples=200, deadline=None)
+    @given(sparse_grids())
+    @example(([(0,), (2,), (1,)], 1, set()))
+    @example(([(0, 1), (1, 0), (1, 1)], 2, {"a1"}))
+    def test_cuboids_and_drop_match_unique_rows(self, grid):
+        rows, n_attrs, drop = grid
+        snap = snapshot_of(rows, n_attrs)
+        assert_groups_match_reference(snap)
+        if drop:
+            assert_drop_matches_reference(snap, drop)
+
+    def test_key_wider_than_int64_is_reranked(self):
+        snap = snapshot_of(wide_rows(), 8)
+        sizes = [len(snap.schema.domains[a]) for a in snap.schema.attributes]
+        assert math.prod(sizes) > 2**62
+        assert_groups_match_reference(snap)
+        for drop in (["a0"], ["a3", "a5"], ["a1", "a2", "a4", "a6", "a7"]):
+            assert_drop_matches_reference(snap, set(drop))
+
+    def test_wide_duplicate_leaf_is_named(self):
+        rows = wide_rows()
+        rows.append(rows[417])
+        names = ", ".join(f"'a{j}': '{value_name(c)}'" for j, c in enumerate(rows[417]))
+        with pytest.raises(ParseError, match=re.escape("duplicate leaf {" + names + "}")):
+            snapshot_of(rows, 8)

@@ -219,7 +219,7 @@ class TestGpsKernel:
     def test_prefix_scores_match_naive_reference(self, case):
         snap, cuboid, groups, exclude = case
         idx = snap.cuboid_index(cuboid)
-        combos = [snap.combination_of_group(cuboid, g) for g in groups]
+        combos = [idx.combination(g) for g in groups]
         runs = [idx.leaves_of(g) for g in groups]
         scorer = _PrefixScorer(
             snap, np.zeros(snap.n_leaves, dtype=bool) if exclude is None else exclude
@@ -253,7 +253,7 @@ class TestSearch:
         best_score, best = -np.inf, None
         for cuboid in cuboids_by_layer(snap.schema):
             idx = snap.cuboid_index(cuboid)
-            combos = [snap.combination_of_group(cuboid, g) for g in range(idx.n_groups)]
+            combos = [idx.combination(g) for g in range(idx.n_groups)]
             for r in range(1, len(combos) + 1):
                 for subset in itertools.combinations(combos, r):
                     gps = explanation_score(snap, subset)
@@ -449,7 +449,7 @@ class TestSelectExrcThreshold:
 
 
 class TestRowOrder:
-    """Reordering the CSV rows must not change the verdict."""
+    """Reordering the CSV rows, or renaming in order, must not change the verdict."""
 
     @staticmethod
     def count_fault():
@@ -491,3 +491,37 @@ class TestRowOrder:
                 assert (a.candidate is None) == (b.candidate is None)
                 if a.candidate is not None:
                     assert a.candidate.gps == pytest.approx(b.candidate.gps, abs=1e-9)
+
+    @pytest.mark.parametrize("make", ["count_fault", "rate_fault"])
+    def test_order_preserving_rename_keeps_the_verdict(self, make):
+        # one prefix on every attribute name and value keeps every sorted
+        # order, so even tie-breaks between equal candidates must not move
+        snap = getattr(self, make)().snapshot
+        prefix = "zz_"
+        attrs = snap.schema.attributes
+        rows = [
+            tuple(prefix + snap.schema.domains[a][c] for a, c in zip(attrs, row))
+            for row in snap.codes
+        ]
+        renamed = snapshot_from_rows(
+            [prefix + a for a in attrs], rows, snap.real, snap.forecast, snap.measure
+        )
+
+        def rename(combos):
+            return tuple(
+                AttributeCombination(tuple((prefix + a, prefix + v) for a, v in c.items))
+                for c in combos
+            )
+
+        ref = localize(snap)
+        got = localize(renamed)
+        assert ref.per_cluster
+        assert got.root_causes == [rename(g) for g in ref.root_causes]
+        assert got.external_root_cause == ref.external_root_cause
+        assert got.min_gps == ref.min_gps
+        assert [r.bounds for r in got.per_cluster] == [r.bounds for r in ref.per_cluster]
+        for a, b in zip(got.per_cluster, ref.per_cluster):
+            assert (a.candidate is None) == (b.candidate is None)
+            if a.candidate is not None:
+                assert a.candidate.combinations == rename(b.candidate.combinations)
+                assert a.candidate.gps == b.candidate.gps

@@ -40,12 +40,15 @@ def bin_center(idx: int | np.ndarray) -> np.ndarray:
 # -- knee threshold --------------------------------------------------------
 
 
-def knee_threshold(
-    residuals: np.ndarray,
-    gap_frac: float = 0.1,
-    winsor_q: float = 0.995,
-    snap_mass: float = 0.005,
-) -> float:
+# the x axis of the residual CDF ends at this cumulative fraction
+KNEE_WINSOR_Q = 0.995
+# a gap this wide, as a share of the residual range, separates the tail
+KNEE_GAP_FRAC = 0.1
+# the nudge past the knee gives up after this much more of the leaf mass
+KNEE_SNAP_MASS = 0.005
+
+
+def knee_threshold(residuals: np.ndarray) -> float:
     """Residual value after which leaves count as abnormal.
 
     Works on the empirical CDF of absolute residuals.  The bulk of leaves
@@ -55,11 +58,12 @@ def knee_threshold(
     forward to just before the first wide gap in the sorted values so that a
     cleanly separated tail is never split.
 
-    The x axis is normalized by the value at cumulative fraction ``winsor_q``
-    rather than the maximum, so a single extreme outlier cannot flatten the
-    whole curve.  The forward nudge gives up after ``snap_mass`` additional
-    mass.  Degenerate inputs (under three distinct values) fall back to the
-    median with a warning.
+    The x axis is normalized by the value at cumulative fraction
+    ``KNEE_WINSOR_Q`` rather than the maximum, so a single extreme outlier
+    cannot flatten the whole curve.  A wide gap spans at least
+    ``KNEE_GAP_FRAC`` of the full range, and the forward nudge gives up after
+    ``KNEE_SNAP_MASS`` additional mass.  Degenerate inputs (under three
+    distinct values) fall back to the median with a warning.
     """
     r = np.asarray(residuals, dtype=float)
     if r.size == 0:
@@ -78,7 +82,7 @@ def knee_threshold(
         # majority of leaves already sit at the smallest residual: everything
         # above it is tail
         return float(vals[0])
-    hi = vals[min(int(np.searchsorted(frac, winsor_q, side="left")), vals.size - 1)]
+    hi = vals[min(int(np.searchsorted(frac, KNEE_WINSOR_Q, side="left")), vals.size - 1)]
     lo = vals[0]
     span = hi - lo
     if span <= 0:
@@ -88,12 +92,12 @@ def knee_threshold(
     k = int(np.argmax(y - x))
     full_span = vals[-1] - vals[0]
     gaps = np.diff(vals)
-    mass_limit = cum[k] + snap_mass * n
+    mass_limit = cum[k] + KNEE_SNAP_MASS * n
     best = k
     for i in range(k, vals.size - 1):
         if cum[i] > mass_limit:
             break
-        if gaps[i] >= gap_frac * full_span:
+        if gaps[i] >= KNEE_GAP_FRAC * full_span:
             best = i
             break
     return float(vals[best])

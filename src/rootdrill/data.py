@@ -13,7 +13,7 @@ import csv
 import io
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NoReturn, Sequence
 
 import numpy as np
 
@@ -217,7 +217,7 @@ class Snapshot:
     attribute j.  Codes are dense, ``0 .. len(domain) - 1``, and assigned in
     sorted order of the domain, so every derived ordering is deterministic
     and the integer keys that group leaves sort like the value names.  A
-    per-attribute inverted index (value code to boolean row mask) backs
+    per-attribute inverted index (value name to boolean row mask) backs
     ``leaf_mask``; intersecting masks answers descendant queries without
     scanning rows.
     """
@@ -236,13 +236,9 @@ class Snapshot:
         self.forecast = {c: np.asarray(a, dtype=float) for c, a in forecast.items()}
         self.measure = measure
         self._validate()
-        self._code_of = {
-            a: {v: i for i, v in enumerate(schema.domains[a])}
-            for a in schema.attributes
-        }
         self._attr_pos = {a: j for j, a in enumerate(schema.attributes)}
-        self._masks: dict[str, list[np.ndarray]] = {
-            a: [self.codes[:, j] == c for c in range(len(schema.domains[a]))]
+        self._masks: dict[str, dict[str, np.ndarray]] = {
+            a: {v: self.codes[:, j] == c for c, v in enumerate(schema.domains[a])}
             for j, a in enumerate(schema.attributes)
         }
         self._cuboid_cache: dict[tuple[str, ...], _CuboidIndex] = {}
@@ -299,7 +295,7 @@ class Snapshot:
         mask = np.ones(self.n_leaves, dtype=bool)
         for a, v in combination.items:
             try:
-                mask &= self._masks[a][self._code_of[a][v]]
+                mask &= self._masks[a][v]
             except KeyError:
                 raise ValueError(f"unknown binding {a}={v}") from None
         return mask
@@ -353,15 +349,22 @@ def parse_snapshot(text: str, measure: MeasureSpec | None = None) -> Snapshot:
     Attribute matching is exact and case-sensitive.
     """
     measure = measure or MeasureSpec()
-    attrs, rows, real, forecast = _parse_table(text, measure.operands, need_forecast=True)
-    return snapshot_from_rows(attrs, rows, real, forecast, measure)
+    attrs, columns, real, forecast = _parse_table(text, measure.operands, need_forecast=True)
+    schema, codes = _encode(attrs, columns)
+    return Snapshot(schema, codes, real, forecast, measure)
 
 
 def _parse_table(
     text: str,
     operands: Sequence[str],
     need_forecast: bool,
-) -> tuple[list[str], list[tuple[str, ...]], dict[str, list[float]], dict[str, list[float]]]:
+) -> tuple[list[str], list[tuple[str, ...]], dict[str, np.ndarray], dict[str, np.ndarray]]:
+    """Read a CSV table column by column.
+
+    Returns the attribute names, one column of strings per attribute, and
+    the real and (when ``need_forecast``) forecast values per operand.  Rows
+    with no fields or only blank fields are skipped.
+    """
     reader = csv.reader(io.StringIO(text))
     try:
         header = next(reader)
@@ -397,32 +400,61 @@ def _parse_table(
     if not attrs:
         raise ParseError("no attribute columns")
 
-    rows: list[tuple[str, ...]] = []
-    real: dict[str, list[float]] = {c: [] for c in operands}
-    forecast: dict[str, list[float]] = {c: [] for c in operands}
+    records = [rec for rec in reader if any(map(str.strip, rec))]
+    if not records:
+        raise ParseError("snapshot holds no leaves")
+    value_idx = [j for pair in value_cols.values() for j in pair if j >= 0]
+    if set(map(len, records)) != {len(header)}:
+        _raise_row_error(text, header, value_idx)
+    n = len(records)
+    columns = list(zip(*records))
+    del records  # the columns now hold the only references to the field strings
+    try:
+        values = {j: np.fromiter(map(float, columns[j]), float, n) for j in value_idx}
+    except ValueError:
+        _raise_row_error(text, header, value_idx)
+    if any(np.any(v < 0) for v in values.values()):
+        _raise_row_error(text, header, value_idx)
+    real = {col: values[ri] for col, (ri, _) in value_cols.items()}
+    forecast = {col: values[pi] for col, (_, pi) in value_cols.items() if pi >= 0}
+    return attrs, [columns[j] for j in attr_idx], real, forecast
+
+
+def _raise_row_error(text: str, header: Sequence[str], value_idx: Sequence[int]) -> NoReturn:
+    """Raise the ``ParseError`` of the first malformed row, checked row by row."""
+    reader = csv.reader(io.StringIO(text))
+    next(reader)
     for lineno, rec in enumerate(reader, start=2):
-        if not rec or all(not x.strip() for x in rec):
+        if not any(map(str.strip, rec)):
             continue
         if len(rec) != len(header):
             raise ParseError(f"row {lineno}: expected {len(header)} fields, got {len(rec)}")
-        rows.append(tuple(rec[j] for j in attr_idx))
-        for col, (ri, pi) in value_cols.items():
-            real[col].append(_parse_value(rec[ri], lineno, header[ri]))
-            if pi >= 0:
-                forecast[col].append(_parse_value(rec[pi], lineno, header[pi]))
-    if not rows:
-        raise ParseError("snapshot holds no leaves")
-    return attrs, rows, real, forecast
+        for j in value_idx:
+            try:
+                x = float(rec[j])
+            except ValueError:
+                raise ParseError(f"row {lineno}: non-numeric {header[j]}={rec[j]!r}") from None
+            if x < 0:
+                raise ParseError(f"row {lineno}: negative {header[j]}={x}")
+    raise AssertionError("no malformed row found")
 
 
-def _parse_value(token: str, lineno: int, colname: str) -> float:
-    try:
-        x = float(token)
-    except ValueError:
-        raise ParseError(f"row {lineno}: non-numeric {colname}={token!r}") from None
-    if x < 0:
-        raise ParseError(f"row {lineno}: negative {colname}={x}")
-    return x
+def _encode(
+    attrs: Sequence[str], columns: Sequence[Sequence[str]]
+) -> tuple[AttributeSchema, np.ndarray]:
+    """Schema and ``int32`` code matrix of attribute columns.
+
+    Each column's domain is its sorted distinct values, and a value's code is
+    its position there, so codes are dense and follow the value names' order.
+    """
+    domains = {a: tuple(sorted(set(col))) for a, col in zip(attrs, columns)}
+    schema = AttributeSchema(tuple(attrs), domains)
+    n = len(columns[0])
+    codes = np.empty((n, len(attrs)), dtype=np.int32)
+    for j, (a, col) in enumerate(zip(attrs, columns)):
+        code_of = {v: i for i, v in enumerate(domains[a])}
+        codes[:, j] = np.fromiter(map(code_of.__getitem__, col), np.int32, n)
+    return schema, codes
 
 
 def snapshot_from_rows(
@@ -433,27 +465,15 @@ def snapshot_from_rows(
     measure: MeasureSpec,
 ) -> Snapshot:
     """Build a snapshot from in-memory rows (same validation as the CSV path)."""
-    domains = {
-        a: tuple(sorted({row[j] for row in rows}))
-        for j, a in enumerate(attrs)
-    }
-    schema = AttributeSchema(tuple(attrs), domains)
-    code_of = {a: {v: i for i, v in enumerate(domains[a])} for a in attrs}
-    codes = np.array(
-        [[code_of[a][row[j]] for j, a in enumerate(attrs)] for row in rows],
-        dtype=np.int32,
-    )
-    real_arr = {c: np.asarray(vals, float) for c, vals in real.items()}
-    fcst_arr = {c: np.asarray(vals, float) for c, vals in forecast.items()}
-    return Snapshot(schema, codes, real_arr, fcst_arr, measure)
+    schema, codes = _encode(attrs, list(zip(*rows, strict=True)))
+    return Snapshot(schema, codes, real, forecast, measure)
 
 
-def cuboids_by_layer(schema: AttributeSchema, max_layer: int | None = None) -> list[Cuboid]:
+def cuboids_by_layer(schema: AttributeSchema) -> list[Cuboid]:
     """All non-empty attribute subsets, ordered by layer then name."""
-    top = schema.n_attributes if max_layer is None else min(max_layer, schema.n_attributes)
     out: list[Cuboid] = []
     names = sorted(schema.attributes)
-    for layer in range(1, top + 1):
+    for layer in range(1, schema.n_attributes + 1):
         for combo in itertools.combinations(names, layer):
             out.append(Cuboid(combo))
     return out

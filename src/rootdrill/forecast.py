@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -19,42 +19,12 @@ from .data import (
     MeasureSpec,
     ParseError,
     Snapshot,
+    _encode,
+    _group_rows,
     _parse_table,
-    snapshot_from_rows,
 )
 
 DEFAULT_WINDOW = 10
-
-_Table = tuple[list[str], list[tuple[str, ...]], dict[str, list[float]]]
-
-
-def parse_history(text: str, measure: MeasureSpec) -> _Table:
-    """Parse one historical snapshot; only real values are required."""
-    attrs, rows, real, _ = _parse_table(text, measure.operands, need_forecast=False)
-    return attrs, rows, real
-
-
-def moving_average(
-    history: Sequence[Mapping[tuple[str, ...], float]],
-    keys: Sequence[tuple[str, ...]],
-    window: int = DEFAULT_WINDOW,
-) -> np.ndarray:
-    """Mean of the last ``window`` observations per key, absent readings as 0.
-
-    A leaf that drops out of the data still existed; treating the gap as a
-    zero observation keeps the baseline honest about disappearances.
-    """
-    if window < 1:
-        raise ValueError("window must be positive")
-    recent = history[-window:]
-    if not recent:
-        raise ValueError("no history to average")
-    out = np.zeros(len(keys))
-    for table in recent:
-        for i, k in enumerate(keys):
-            out[i] += table.get(k, 0.0)
-    out /= len(recent)
-    return out
 
 
 def snapshot_with_forecast(
@@ -65,41 +35,58 @@ def snapshot_with_forecast(
 ) -> Snapshot:
     """Assemble a snapshot whose forecast is a moving average of history.
 
-    The leaf set is the union of the current table and the averaged history:
+    The forecast of a leaf is the mean of its real values over the last
+    ``window`` history tables, a table that lacks the leaf counting as 0: a
+    leaf that drops out of the data still existed, and treating the gap as a
+    zero observation keeps the baseline honest about disappearances.  The
+    leaf set is the union of the current table and the averaged history:
     leaves seen only in history enter with a real value of 0 (they vanished),
     leaves new to the current table get a forecast of 0 (nothing predicted
-    them).  All tables must share the same attribute columns.
+    them).  All tables must share the same attribute columns, and no table
+    may name a leaf twice.
     """
     measure = measure or MeasureSpec()
-    attrs, rows, real, _ = _parse_table(current_text, measure.operands, need_forecast=False)
-    hist = [parse_history(t, measure) for t in history_texts]
-    if not hist:
+    if window < 1:
+        raise ValueError("window must be positive")
+    tables = [
+        _parse_table(t, measure.operands, need_forecast=False)
+        for t in [current_text, *history_texts]
+    ]
+    if len(tables) == 1:
         raise ValueError("history is empty")
-    for h_attrs, _, _ in hist:
+    attrs = tables[0][0]
+    for h_attrs, _, _, _ in tables[1:]:
         if h_attrs != attrs:
             raise ParseError(
                 f"history attributes {h_attrs} do not match snapshot attributes {attrs}"
             )
+    del tables[1:-window]
+    n_hist = len(tables) - 1
 
-    per_col_hist: dict[str, list[dict[tuple[str, ...], float]]] = {
-        c: [] for c in measure.operands
-    }
-    union: set[tuple[str, ...]] = set(rows)
-    for _, h_rows, h_real in hist[-window:]:
-        union.update(h_rows)
-        for c in measure.operands:
-            per_col_hist[c].append(dict(zip(h_rows, h_real[c])))
+    # one encoding and one grouping of all rows, stacked in table order
+    columns = [[v for _, cols, _, _ in tables for v in cols[j]] for j in range(len(attrs))]
+    schema, codes = _encode(attrs, columns)
+    sizes = [len(schema.domains[a]) for a in attrs]
+    leaf_codes, leaf_of, _, _ = _group_rows(codes, sizes)
+    n_leaves = len(leaf_codes)
+    table_of = np.repeat(np.arange(len(tables)), [len(cols[0]) for _, cols, _, _ in tables])
+    pairs = np.bincount(leaf_of * len(tables) + table_of)
+    if pairs.max() > 1:
+        leaf, t = divmod(int(np.argmax(pairs)), len(tables))
+        names = {a: schema.domains[a][c] for a, c in zip(attrs, leaf_codes[leaf])}
+        where = "snapshot" if t == 0 else f"history table {len(history_texts) - n_hist + t}"
+        raise ParseError(f"duplicate leaf {names} in {where}")
 
-    keys = sorted(union)
-    cur: dict[str, dict[tuple[str, ...], float]] = {
-        c: dict(zip(rows, real[c])) for c in measure.operands
-    }
-    real_out = {c: [cur[c].get(k, 0.0) for k in keys] for c in measure.operands}
-    fcst_out = {
-        c: list(moving_average(per_col_hist[c], keys, window))
-        for c in measure.operands
-    }
-    return snapshot_from_rows(attrs, keys, real_out, fcst_out, measure)
+    # rows are summed in table order, absent leaves adding nothing
+    current = table_of == 0
+    real, forecast = {}, {}
+    for c in measure.operands:
+        values = np.concatenate([tab[c] for _, _, tab, _ in tables])
+        real[c] = np.bincount(leaf_of[current], weights=values[current], minlength=n_leaves)
+        forecast[c] = np.bincount(
+            leaf_of[~current], weights=values[~current], minlength=n_leaves
+        ) / n_hist
+    return Snapshot(schema, leaf_codes, real, forecast, measure)
 
 
 def render_table(snapshot: Snapshot) -> str:

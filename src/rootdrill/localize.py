@@ -41,21 +41,16 @@ class LocalizeConfig:
     delta_exrc
         flag the fault as externally caused when the weakest cluster
         explanation scores below this.
-    max_layer
-        cap on searched cuboid layers (None = all).
     """
 
     delta: float = 0.9
     delta_exrc: float = 0.8
-    max_layer: int | None = None
 
     def __post_init__(self) -> None:
         if not 0.0 < self.delta <= 1.0:
             raise ValueError("delta must lie in (0, 1]")
         if not 0.0 < self.delta_exrc <= 1.0:
             raise ValueError("delta_exrc must lie in (0, 1]")
-        if self.max_layer is not None and self.max_layer < 1:
-            raise ValueError("max_layer must be positive")
 
 
 @dataclass(frozen=True)
@@ -116,23 +111,9 @@ def tradeoff_weight(num_cluster: int, num_attr: int, coverage: float) -> float:
     return (log(num_cluster + 1) / num_cluster) * (num_attr / log(num_attr + 1)) * (-log(coverage))
 
 
-def _member_ratio(member, nonmember) -> np.ndarray:
+def _member_ratio(member: np.ndarray, nonmember: np.ndarray) -> np.ndarray:
     """Member mass against member mass plus outsider count (0 without members)."""
-    member = np.asarray(member, dtype=float)
     return np.divide(member, member + nonmember, out=np.zeros_like(member), where=member > 0.0)
-
-
-def descended_ratio(
-    snapshot: Snapshot, e: AttributeCombination, membership: np.ndarray
-) -> float:
-    """How exclusively ``e``'s leaves belong to the cluster.
-
-    ``membership`` holds every leaf's probability of cluster membership (0 for
-    leaves never deemed abnormal).  Member leaves contribute their probability,
-    non-members count 1 against the candidate.
-    """
-    p = membership[snapshot.leaf_mask(e)]
-    return float(_member_ratio(p.sum(), np.count_nonzero(p == 0.0)))
 
 
 class _PrefixScorer:
@@ -269,12 +250,9 @@ def localize_cluster(
 ) -> RootCauseCandidate | None:
     """Layered search over cuboids; argmax of score·weight − complexity."""
     searcher = _ClusterSearch(snapshot, membership, exclude)
-    top = snapshot.schema.n_attributes
-    if cfg.max_layer is not None:
-        top = min(top, cfg.max_layer)
-    cuboids = cuboids_by_layer(snapshot.schema, top)
+    cuboids = cuboids_by_layer(snapshot.schema)
     candidates: list[RootCauseCandidate] = []
-    for layer in range(1, top + 1):
+    for layer in range(1, snapshot.schema.n_attributes + 1):
         layer_cands = [
             c
             for cuboid in cuboids

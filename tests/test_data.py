@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 import re
 
@@ -209,7 +211,7 @@ class TestSnapshotOps:
         assert len(cubs) == 15
         assert [c.layer for c in cubs] == sorted(c.layer for c in cubs)
         assert sum(1 for c in cubs if c.layer == 2) == 6
-        assert [c.attrs for c in cuboids_by_layer(schema, 1)] == [
+        assert [c.attrs for c in cubs if c.layer == 1] == [
             ("a",),
             ("b",),
             ("c",),
@@ -361,3 +363,151 @@ class TestGroupingReference:
         names = ", ".join(f"'a{j}': '{value_name(c)}'" for j, c in enumerate(rows[417]))
         with pytest.raises(ParseError, match=re.escape("duplicate leaf {" + names + "}")):
             snapshot_of(rows, 8)
+
+
+# -- column-wise reader against the row-wise reference ---------------------
+
+
+def reference_parse(text, measure):
+    """Parse a snapshot CSV row by row, one ``float`` call per value field."""
+    reader = csv.reader(io.StringIO(text))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ParseError("empty CSV") from None
+    header = [h.strip() for h in header]
+    operands = measure.operands
+    value_cols = {}
+    consumed = set()
+    for col in operands:
+        names = [f"real_{col}", f"predict_{col}"]
+        if col == "value" and len(operands) == 1 and "real" in header:
+            names = ["real", "predict"]
+        try:
+            ri, pi = header.index(names[0]), header.index(names[1])
+        except ValueError:
+            missing = names[0] if names[0] not in header else names[1]
+            raise ParseError(f"missing value column {missing!r}") from None
+        value_cols[col] = (ri, pi)
+        consumed |= {ri, pi}
+    for j, h in enumerate(header):
+        if h in ("real", "predict") or h.startswith(("real_", "predict_")):
+            consumed.add(j)
+    attr_idx = [j for j in range(len(header)) if j not in consumed]
+    attrs = [header[j] for j in attr_idx]
+    if not attrs:
+        raise ParseError("no attribute columns")
+
+    def value(token, lineno, colname):
+        try:
+            x = float(token)
+        except ValueError:
+            raise ParseError(f"row {lineno}: non-numeric {colname}={token!r}") from None
+        if x < 0:
+            raise ParseError(f"row {lineno}: negative {colname}={x}")
+        return x
+
+    rows, real, fcst = [], {c: [] for c in operands}, {c: [] for c in operands}
+    for lineno, rec in enumerate(reader, start=2):
+        if not rec or all(not x.strip() for x in rec):
+            continue
+        if len(rec) != len(header):
+            raise ParseError(f"row {lineno}: expected {len(header)} fields, got {len(rec)}")
+        rows.append(tuple(rec[j] for j in attr_idx))
+        for col, (ri, pi) in value_cols.items():
+            real[col].append(value(rec[ri], lineno, header[ri]))
+            fcst[col].append(value(rec[pi], lineno, header[pi]))
+    if not rows:
+        raise ParseError("snapshot holds no leaves")
+
+    domains = {a: tuple(sorted({row[j] for row in rows})) for j, a in enumerate(attrs)}
+    code_of = {a: {v: i for i, v in enumerate(domains[a])} for a in attrs}
+    codes = np.array(
+        [[code_of[a][row[j]] for j, a in enumerate(attrs)] for row in rows], dtype=np.int32
+    )
+    real = {c: np.asarray(v, float) for c, v in real.items()}
+    fcst = {c: np.asarray(v, float) for c, v in fcst.items()}
+    return Snapshot(AttributeSchema(tuple(attrs), domains), codes, real, fcst, measure)
+
+
+def outcome(parse, text, measure):
+    """What ``parse`` makes of ``text``: its ParseError message, or the snapshot's arrays."""
+    try:
+        snap = parse(text, measure)
+    except ParseError as err:
+        return str(err)
+    tables = [snap.real[c].tobytes() + snap.forecast[c].tobytes() for c in measure.operands]
+    return snap.schema, snap.codes.dtype, snap.codes.tobytes(), tables
+
+
+# attribute values: non-ASCII, embedded commas and quotes, inner spaces
+ATTR_VALUES = ["x", "y10", "y9", "Zürich", "北京", "a,b", 'say "hi"', "two words", "é"]
+BLANK_LINES = ["", "   ", " , ", ",,,,,", "\t"]
+MEASURES = [
+    (MeasureSpec(), ["real", "predict"]),
+    (MeasureSpec(), ["real_value", "predict_value"]),
+    (MeasureSpec("quotient", ("succ", "total")),
+     ["real_succ", "predict_succ", "real_total", "predict_total"]),
+]
+
+
+def number_text(x, style):
+    return [repr(x), f" {x!r} ", f"{x:e}", f"{x:E}", f"+{x!r}", f"+{x:.3e} "][style]
+
+
+@st.composite
+def snapshot_tables(draw):
+    """A snapshot CSV as lines, its measure, and its header."""
+    measure, value_names = draw(st.sampled_from(MEASURES))
+    n_attrs = draw(st.integers(1, 3))
+    attr_names = ["host", "région", "dc"][:n_attrs]
+    header = draw(st.permutations(attr_names + value_names))
+    leaf = st.tuples(*[st.sampled_from(ATTR_VALUES)] * n_attrs)
+    leaves = draw(st.lists(leaf, min_size=1, max_size=12, unique=True))
+    number = st.builds(
+        number_text,
+        st.one_of(st.integers(0, 10**6).map(float), st.floats(0, 1e9)),
+        st.integers(0, 5),
+    )
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(header)
+    for values in leaves:
+        by_name = dict(zip(attr_names, values))
+        w.writerow([by_name[h] if h in by_name else draw(number) for h in header])
+    lines = buf.getvalue().splitlines()
+    for _ in range(draw(st.integers(0, 4))):
+        lines.insert(draw(st.integers(1, len(lines))), draw(st.sampled_from(BLANK_LINES)))
+    return lines, measure, header
+
+
+class TestParseReference:
+    @settings(max_examples=200, deadline=None)
+    @given(snapshot_tables())
+    def test_same_snapshot_as_row_wise_reader(self, table):
+        lines, measure, _ = table
+        text = "\n".join(lines) + "\n"
+        want = outcome(reference_parse, text, measure)
+        assert not isinstance(want, str)
+        assert outcome(parse_snapshot, text, measure) == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(snapshot_tables(), st.data())
+    def test_same_error_as_row_wise_reader(self, table, data):
+        lines, measure, header = table
+        bad = data.draw(st.sampled_from(["oops", "-3", "1e", "-0.5e1", "short"]))
+        if bad == "short":
+            row = ",".join(["1"] * data.draw(st.integers(1, len(header) - 1)))
+        else:
+            # one or more bad fields: the first one in column order is named
+            fields = ["1"] * len(header)
+            value_cols = [j for j, h in enumerate(header) if h.startswith(("real", "predict"))]
+            for j in data.draw(st.sets(st.sampled_from(value_cols), min_size=1)):
+                fields[j] = bad
+            row = ",".join(fields)
+        at = data.draw(st.integers(1, len(lines)))
+        blanks = data.draw(st.lists(st.sampled_from(BLANK_LINES), max_size=3))
+        text = "\n".join(lines[:at] + blanks + [row] + lines[at:]) + "\n"
+        want = outcome(reference_parse, text, measure)
+        assert isinstance(want, str) and want.startswith("row ")
+        assert outcome(parse_snapshot, text, measure) == want

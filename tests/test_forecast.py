@@ -1,32 +1,36 @@
 import pytest
 
 from rootdrill import MeasureSpec, ParseError, parse_snapshot
-from rootdrill.forecast import moving_average, render_table, snapshot_with_forecast
+from rootdrill.forecast import render_table, snapshot_with_forecast
 
 
-def _hist(value_by_key):
-    return dict(value_by_key)
+def forecast_of(history, window, current="a,real\nx,0\n"):
+    """Forecast by leaf name of ``current`` against history tables of ``a=value`` rows."""
+    texts = ["a,real\n" + "".join(f"{k},{v}\n" for k, v in rows.items()) for rows in history]
+    snap = snapshot_with_forecast(current, texts, window=window)
+    _, f = snap.leaf_values()
+    return {snap.binding_of(i).bindings["a"]: f[i] for i in range(snap.n_leaves)}
 
 
 class TestMovingAverage:
     def test_plain_mean(self):
-        hist = [_hist({("x",): v}) for v in (1.0, 2.0, 3.0)]
-        assert moving_average(hist, [("x",)], window=3)[0] == 2.0
+        hist = [{"x": v} for v in (1.0, 2.0, 3.0)]
+        assert forecast_of(hist, window=3)["x"] == 2.0
 
     def test_absent_counts_as_zero(self):
         # present in 3 of 10 recent tables with value 10: average is 3
-        hist = [_hist({("x",): 10.0}) for _ in range(3)] + [_hist({})] * 7
-        assert moving_average(hist, [("x",)], window=10)[0] == pytest.approx(3.0)
+        hist = [{"x": 10.0}] * 3 + [{"y": 1.0}] * 7
+        assert forecast_of(hist, window=10)["x"] == pytest.approx(3.0)
 
     def test_window_uses_most_recent(self):
-        hist = [_hist({("x",): 100.0})] + [_hist({("x",): 1.0})] * 2
-        assert moving_average(hist, [("x",)], window=2)[0] == 1.0
+        hist = [{"x": 100.0}] + [{"x": 1.0}] * 2
+        assert forecast_of(hist, window=2)["x"] == 1.0
 
     def test_window_validation(self):
         with pytest.raises(ValueError):
-            moving_average([_hist({})], [], window=0)
+            forecast_of([{"x": 1.0}], window=0)
         with pytest.raises(ValueError):
-            moving_average([], [("x",)], window=3)
+            forecast_of([], window=3)
 
 
 class TestSnapshotWithForecast:
@@ -54,6 +58,20 @@ class TestSnapshotWithForecast:
     def test_no_history(self):
         with pytest.raises(ValueError):
             snapshot_with_forecast("a,real\nx,1\n", [])
+
+    def test_duplicate_leaf_in_current_table(self):
+        with pytest.raises(ParseError, match="duplicate leaf {'a': 'x'} in snapshot"):
+            snapshot_with_forecast("a,real\nx,7\nx,3\n", ["a,real\nx,4\n"])
+
+    def test_duplicate_leaf_in_history_table(self):
+        hist = ["a,real\nx,1\n", "a,real\nx,4\ny,2\nx,100\n", "a,real\ny,1\n"]
+        with pytest.raises(ParseError, match="duplicate leaf {'a': 'x'} in history table 2"):
+            snapshot_with_forecast("a,real\nx,7\n", hist, window=2)
+
+    def test_attribute_mismatch_outside_window(self):
+        hist = ["b,real\nx,1\n", "a,real\nx,1\n"]
+        with pytest.raises(ParseError):
+            snapshot_with_forecast("a,real\nx,1\n", hist, window=1)
 
     def test_respects_window(self):
         current = "a,real\nx,0\n"

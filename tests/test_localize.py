@@ -23,14 +23,14 @@ from rootdrill import (
     synthetic_base,
 )
 from rootdrill.cluster import bin_of, cluster_distributions, leaf_distributions
-from rootdrill.data import Snapshot, cuboids_by_layer, drop_attributes
+from rootdrill.data import Cuboid, Snapshot, cuboids_by_layer, drop_attributes
 from rootdrill.forecast import render_table
 from rootdrill.ripple import UndefinedValueError, derived_value
 from rootdrill.localize import (
     _candidate_sort_key,
+    _member_ratio,
     _PrefixScorer,
     candidate_complexity,
-    descended_ratio,
     localize_cluster,
     tradeoff_weight,
 )
@@ -89,20 +89,24 @@ class TestCandidateComplexity:
         ) > candidate_complexity([combo(a="1", b="2"), combo(a="3")])
 
 
-class TestDescendedRatio:
-    def test_full_membership(self, province_snapshot):
-        p = np.ones(9)
-        assert descended_ratio(province_snapshot, combo(Province="Beijing"), p) == 1.0
-
-    def test_zero_membership(self, province_snapshot):
-        p = np.zeros(9)
-        assert descended_ratio(province_snapshot, combo(Province="Beijing"), p) == 0.0
-
-    def test_partial_membership(self, province_snapshot):
+@pytest.mark.parametrize(
+    "cuboid, target, members, want",
+    [
+        pytest.param(("Province",), combo(Province="Beijing"), {0: 1.0, 1: 1.0}, 1.0, id="full"),
+        pytest.param(("Province",), combo(Province="Beijing"), {}, 0.0, id="zero"),
         # China Mobile rows are 0, 3, 8: two half-members and one outsider
-        p = np.zeros(9)
-        p[0] = p[3] = 0.5
-        assert descended_ratio(province_snapshot, combo(ISP="China Mobile"), p) == 0.5
+        pytest.param(("ISP",), combo(ISP="China Mobile"), {0: 0.5, 3: 0.5}, 0.5, id="partial"),
+    ],
+)
+def test_member_ratio(province_snapshot, cuboid, target, members, want):
+    membership = np.zeros(9)
+    membership[list(members)] = list(members.values())
+    idx = province_snapshot.cuboid_index(Cuboid(cuboid))
+    member = np.bincount(idx.group_of, weights=membership, minlength=idx.n_groups)
+    outsider = np.bincount(idx.group_of, weights=membership == 0.0, minlength=idx.n_groups)
+    ratio = _member_ratio(member, outsider)
+    g = [idx.combination(g) for g in range(idx.n_groups)].index(target)
+    assert ratio[g] == want
 
 
 class TestExplanationScore:
@@ -387,26 +391,6 @@ class TestLocalizeReport:
             LocalizeConfig(delta=0.0)
         with pytest.raises(ValueError):
             LocalizeConfig(delta_exrc=1.5)
-        with pytest.raises(ValueError):
-            LocalizeConfig(max_layer=0)
-
-    def test_max_layer_caps_search(self):
-        base = synthetic_base(n_attrs=3, n_values=4, seed=6, family="none")
-        v = base.real["value"].astype(float).copy()
-        f = base.forecast["value"].astype(float)
-        target = combo(A="a00", B="b00")
-        mask = base.leaf_mask(target)
-        v[mask] = f[mask] * 0.2
-        snap = Snapshot(base.schema, base.codes, {"value": v}, {"value": f}, base.measure)
-        deep = localize(snap, LocalizeConfig())
-        shallow = localize(snap, LocalizeConfig(max_layer=1))
-        assert set(deep.root_causes[0]) == {target}
-        # capped search only sees single-attribute wrappers, which explain the
-        # fault poorly: kept per cluster, too weak for the headline list
-        best = shallow.per_cluster[0].candidate
-        assert all(len(c) == 1 for c in best.combinations)
-        assert best.gps < 0.8
-        assert shallow.root_causes == []
 
 
 class TestScoreHistogram:
@@ -452,8 +436,8 @@ class TestRowOrder:
     """Reordering the CSV rows, or renaming in order, must not change the verdict."""
 
     @staticmethod
-    def count_fault():
-        base = synthetic_base(n_attrs=3, n_values=6, seed=42, family="poisson")
+    def count_fault(family="poisson"):
+        base = synthetic_base(n_attrs=3, n_values=6, seed=42, family=family)
         params = SimulationParams(2, 1, base_noise_sigma=0.05, leaf_noise_sigma=0.05)
         return simulate_fault(base, params, np.random.default_rng(103))
 
@@ -525,3 +509,47 @@ class TestRowOrder:
             if a.candidate is not None:
                 assert a.candidate.combinations == rename(b.candidate.combinations)
                 assert a.candidate.gps == b.candidate.gps
+
+
+class TestScaling:
+    """Scaling every operand column by one positive constant keeps the verdict."""
+
+    @staticmethod
+    def scaled(snap, k):
+        def times(table):
+            return {c: table[c] * k for c in snap.measure.operands}
+
+        return Snapshot(snap.schema, snap.codes, times(snap.real), times(snap.forecast), snap.measure)
+
+    @staticmethod
+    def fault(make):
+        if make == "count_fault":
+            return TestRowOrder.count_fault("none").snapshot
+        return TestRowOrder.rate_fault().snapshot
+
+    @pytest.mark.parametrize("k", [0.125, 4.0, 1024.0])
+    @pytest.mark.parametrize("make", ["count_fault", "rate_fault"])
+    def test_power_of_two_gives_the_same_report(self, make, k):
+        snap = self.fault(make)
+        ref = localize(snap)
+        got = localize(self.scaled(snap, k))
+        assert ref.per_cluster
+        for field in ("root_causes", "per_cluster", "min_gps", "external_root_cause", "note"):
+            assert getattr(got, field) == getattr(ref, field)
+        assert np.array_equal(got.score_density, ref.score_density)
+
+    @pytest.mark.parametrize("k", [37.0, 0.3, 1e-3, 1e4])
+    @pytest.mark.parametrize("make", ["count_fault", "rate_fault"])
+    def test_other_scales_keep_the_verdict(self, make, k):
+        snap = self.fault(make)
+        ref = localize(snap)
+        got = localize(self.scaled(snap, k))
+        assert ref.per_cluster
+        assert got.root_causes == ref.root_causes
+        assert got.external_root_cause == ref.external_root_cause
+        assert [r.bounds for r in got.per_cluster] == [r.bounds for r in ref.per_cluster]
+        for a, b in zip(got.per_cluster, ref.per_cluster):
+            assert (a.candidate is None) == (b.candidate is None)
+            if a.candidate is not None:
+                assert a.candidate.combinations == b.candidate.combinations
+                assert a.candidate.gps == pytest.approx(b.candidate.gps, abs=1e-12)

@@ -375,8 +375,10 @@ def select_exrc_threshold(history: Sequence[float], default: float = 0.8) -> flo
     Healthy incidents produce high minimum explanation scores, externally
     caused ones low; with enough history the two form separate modes.  The
     values are binned on [0, 1], smoothed, and cut at density minima; the
-    returned threshold is the lower edge of the highest mode.  Under five
-    observations the default is returned unchanged.
+    returned threshold is the lower edge of the highest mode.  Above the
+    highest value the smoothed density only falls, so no minimum lies there
+    and the highest mode starts at the last minimum.  Under five observations
+    the default is returned unchanged.
     """
     vals = np.asarray(list(history), dtype=float)
     if vals.size < 5:
@@ -385,18 +387,4 @@ def select_exrc_threshold(history: Sequence[float], default: float = 0.8) -> flo
     hist = np.bincount(bins, minlength=_EXRC_BINS).astype(float)
     density = np.convolve(hist, np.ones(5) / 5.0, mode="same")
     mins = _interior_minima(density)
-    boundaries = [-1] + mins + [_EXRC_BINS]
-    best_center = -1
-    best_lower = 0.0
-    for k in range(len(boundaries) - 1):
-        lo = boundaries[k] + 1
-        hi = boundaries[k + 1] - 1
-        if lo > hi or hist[lo:hi + 1].sum() == 0.0:
-            continue
-        seg = density[lo:hi + 1]
-        peak = np.flatnonzero(seg == seg.max())
-        center = lo + (peak[0] + peak[-1]) // 2
-        if center > best_center:
-            best_center = center
-            best_lower = 0.0 if boundaries[k] < 0 else boundaries[k] * 0.01
-    return float(best_lower)
+    return mins[-1] * 0.01 if mins else 0.0

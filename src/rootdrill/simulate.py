@@ -22,12 +22,13 @@ import numpy as np
 from .cluster import knee_threshold
 from .data import (
     AttributeCombination,
+    AttributeSchema,
     Cuboid,
     MeasureSpec,
     Snapshot,
     cuboids_by_layer,
     drop_attributes,
-    snapshot_from_rows,
+    parse_snapshot,
 )
 from .forecast import render_table
 from .ripple import expected_abnormal_value, measure_values
@@ -74,15 +75,22 @@ class SimulationParams:
 
 @dataclass
 class SimulatedFault:
+    """A planted fault and its ground truth.
+
+    ``ground_truth`` lists the localizable root-cause combinations in planting
+    order, and ``magnitudes`` maps exactly those combinations, in the same
+    order, to the deviation score each was planted with.
+    """
+
     snapshot: Snapshot
-    ground_truth: tuple[tuple[AttributeCombination, ...], ...]
+    ground_truth: tuple[AttributeCombination, ...]
     params: SimulationParams
     magnitudes: dict[AttributeCombination, float] = field(default_factory=dict)
     external: bool = False
     dropped_attributes: tuple[str, ...] = ()
 
     def truth_combinations(self) -> set[AttributeCombination]:
-        return {c for group in self.ground_truth for c in group}
+        return set(self.ground_truth)
 
 
 # -- fault construction ----------------------------------------------------
@@ -114,19 +122,15 @@ def _pick_combinations(
             f"no layer-{params.cuboid_layer} cuboid on {base.schema.n_attributes} attributes"
         )
     picks: list[tuple[Cuboid, int, np.ndarray]] = []
-    taken: set[tuple[tuple[str, ...], int]] = set()
     affected = np.zeros(base.n_leaves, dtype=bool)
     for _ in range(params.n_element):
         for _attempt in range(100):
             cuboid = layer_cuboids[rng.integers(len(layer_cuboids))]
             idx = base.cuboid_index(cuboid)
             g = int(rng.integers(idx.n_groups))
-            if (cuboid.attrs, g) in taken:
-                continue
             leaves = idx.leaves_of(g)
             if affected[leaves].any():
                 continue  # overlapping causes would blur each other's ripple
-            taken.add((cuboid.attrs, g))
             affected[leaves] = True
             picks.append((cuboid, g, leaves))
             break
@@ -177,27 +181,8 @@ def simulate_fault(
         real = {m.operands[0]: v}
     forecast = {c: base.real[c].astype(float) for c in m.operands}
     snapshot = Snapshot(base.schema, base.codes, real, forecast, m)
-    combos = [base.cuboid_index(c).combination(g) for c, g, _ in picks]
-    return SimulatedFault(
-        snapshot,
-        _group_truth(combos, mags),
-        params,
-        dict(zip(combos, (float(d) for d in mags))),
-    )
-
-
-def _group_truth(
-    combos: Sequence[AttributeCombination], mags: np.ndarray
-) -> tuple[tuple[AttributeCombination, ...], ...]:
-    """Group planted combinations sharing an identical magnitude.
-
-    Combinations deviating by exactly the same score are indistinguishable on
-    the score axis, so they form one joint root cause.
-    """
-    groups: dict[float, list[AttributeCombination]] = {}
-    for c, m in zip(combos, mags):
-        groups.setdefault(float(m), []).append(c)
-    return tuple(tuple(sorted(g)) for g in groups.values())
+    combos = tuple(base.cuboid_index(c).combination(g) for c, g, _ in picks)
+    return SimulatedFault(snapshot, combos, params, dict(zip(combos, map(float, mags))))
 
 
 # -- validity --------------------------------------------------------------
@@ -212,8 +197,7 @@ def validity_check(fault: SimulatedFault) -> bool:
     abnormal total, so the fault is not cleanly separable from background.
     """
     snap = fault.snapshot
-    truth = fault.truth_combinations()
-    truth_masks = {c: snap.leaf_mask(c) for c in truth}
+    truth_masks = {c: snap.leaf_mask(c) for c in fault.ground_truth}
 
     for c, mask in truth_masks.items():
         t_idx = np.flatnonzero(mask)
@@ -284,27 +268,24 @@ def synthetic_base(
 
     Leaf sizes follow a lognormal law (median ``mean_rate``, log-sd
     ``rate_spread``), so slices differ in how much evidence they carry, as
-    real traffic does.  Real and forecast both hold the drawn truth.
+    real traffic does.  Real and forecast both hold the drawn truth.  Value
+    names carry zero-padded indices (at least two digits), so they sort like
+    their codes and a rendered table parses back to the same snapshot.
     """
     if n_attrs < 1 or n_values < 2:
         raise ValueError("need at least 1 attribute with 2 values")
     rng = np.random.default_rng(seed)
-    attrs = [chr(ord("A") + i) for i in range(n_attrs)]
-    domains = {a: tuple(f"{a.lower()}{j:02d}" for j in range(n_values)) for a in attrs}
+    attrs = tuple(chr(ord("A") + i) for i in range(n_attrs))
+    width = max(2, len(str(n_values - 1)))
+    domains = {a: tuple(f"{a.lower()}{j:0{width}d}" for j in range(n_values)) for a in attrs}
     n = n_values**n_attrs
     lam = rng.lognormal(np.log(mean_rate), rate_spread, size=n)
     counts = np.maximum(rng.poisson(lam), 1).astype(float)
-
-    grids = np.meshgrid(*[np.arange(n_values)] * n_attrs, indexing="ij")
-    codes = np.stack([g.ravel() for g in grids], axis=1).astype(np.int32)
-    rows = [
-        tuple(domains[a][codes[i, j]] for j, a in enumerate(attrs))
-        for i in range(n)
-    ]
+    # leaf i's codes are the base-n_values digits of i
+    codes = np.indices((n_values,) * n_attrs, dtype=np.int32).reshape(n_attrs, n).T
+    schema = AttributeSchema(attrs, domains)
     measure = MeasureSpec("fundamental", ("value",), family)
-    return snapshot_from_rows(
-        attrs, rows, {"value": counts}, {"value": counts.copy()}, measure
-    )
+    return Snapshot(schema, codes, {"value": counts}, {"value": counts.copy()}, measure)
 
 
 def eliminate_attributes(fault: SimulatedFault, attrs: Iterable[str]) -> SimulatedFault:
@@ -312,24 +293,17 @@ def eliminate_attributes(fault: SimulatedFault, attrs: Iterable[str]) -> Simulat
 
     Ground-truth combinations binding a dropped attribute cannot be expressed
     in the projected data any more; losing one marks the fault as externally
-    caused.  Surviving combinations stay the localizable truth.
+    caused.  Surviving combinations, in their planting order, stay the
+    localizable truth, and only their magnitudes are kept.
     """
     dropped = tuple(sorted(set(attrs)))
-    snapshot = drop_attributes(fault.snapshot, dropped)
-    kept_groups = []
-    lost = False
-    for group in fault.ground_truth:
-        kept = tuple(c for c in group if not set(c.attributes) & set(dropped))
-        if len(kept) < len(group):
-            lost = True
-        if kept:
-            kept_groups.append(kept)
+    kept = tuple(c for c in fault.ground_truth if not set(c.attributes) & set(dropped))
     return SimulatedFault(
-        snapshot,
-        tuple(kept_groups),
+        drop_attributes(fault.snapshot, dropped),
+        kept,
         fault.params,
-        {c: m for c, m in fault.magnitudes.items() if not set(c.attributes) & set(dropped)},
-        external=lost,
+        {c: fault.magnitudes[c] for c in kept},
+        external=len(kept) < len(fault.ground_truth),
         dropped_attributes=dropped,
     )
 
@@ -338,11 +312,17 @@ def eliminate_attributes(fault: SimulatedFault, attrs: Iterable[str]) -> Simulat
 
 
 def write_fault(fault: SimulatedFault, directory: str | Path) -> None:
-    """Serialize as snapshot.csv + truth.json + params.json."""
+    """Serialize as snapshot.csv + truth.json + params.json (version 1).
+
+    Version 1 stores the truth as a list of groups of combinations, each a
+    binding object; every cause is written as a group of its own, in
+    planting order.  ``params.json`` maps each truth combination's string
+    form to its magnitude.
+    """
     d = Path(directory)
     d.mkdir(parents=True, exist_ok=True)
     (d / "snapshot.csv").write_text(render_table(fault.snapshot))
-    truth = [[c.bindings for c in group] for group in fault.ground_truth]
+    truth = [[c.bindings] for c in fault.ground_truth]
     (d / "truth.json").write_text(json.dumps(truth, sort_keys=True, indent=1) + "\n")
     m = fault.snapshot.measure
     params = {
@@ -364,19 +344,18 @@ def write_fault(fault: SimulatedFault, directory: str | Path) -> None:
 
 
 def read_fault(directory: str | Path) -> SimulatedFault:
-    """Load a fault directory written by write_fault."""
-    from .data import parse_snapshot
+    """Load a fault directory written by write_fault.
 
+    The truth groups of a version-1 file are read as one flat truth, group
+    by group.
+    """
     d = Path(directory)
     params = json.loads((d / "params.json").read_text())
     m = params["measure"]
     measure = MeasureSpec(m["kind"], tuple(m["operands"]), m["family"])
     snapshot = parse_snapshot((d / "snapshot.csv").read_text(), measure)
     truth_raw = json.loads((d / "truth.json").read_text())
-    truth = tuple(
-        tuple(sorted(AttributeCombination.from_bindings(b) for b in group))
-        for group in truth_raw
-    )
+    truth = tuple(AttributeCombination.from_bindings(b) for group in truth_raw for b in group)
     sim = SimulationParams(
         n_element=params["n_element"],
         cuboid_layer=params["cuboid_layer"],
@@ -387,17 +366,11 @@ def read_fault(directory: str | Path) -> SimulatedFault:
         seed=params["seed"],
         measure_kind=params["measure_kind"],
     )
-    mags = {
-        AttributeCombination(
-            tuple(tuple(p.split("=", 1)) for p in key.split("&"))
-        ): val
-        for key, val in params["magnitudes"].items()
-    }
     return SimulatedFault(
         snapshot,
         truth,
         sim,
-        mags,
+        {c: params["magnitudes"][str(c)] for c in truth},
         external=params.get("external", False),
         dropped_attributes=tuple(params.get("dropped_attributes", ())),
     )

@@ -49,9 +49,8 @@ def _background_residual(fault) -> float:
     """Relative residual of the leaves the fault left untouched."""
     v, f = fault.snapshot.leaf_values()
     affected = np.zeros(fault.snapshot.n_leaves, dtype=bool)
-    for group in fault.ground_truth:
-        for c in group:
-            affected |= fault.snapshot.leaf_mask(c)
+    for c in fault.ground_truth:
+        affected |= fault.snapshot.leaf_mask(c)
     quiet = ~affected
     return float(np.abs(v[quiet] - f[quiet]).sum() / f[quiet].sum())
 
@@ -213,10 +212,7 @@ def test_criterion_6_external_root_cause():
                     300_000 + 101 * i + 17 * n_el + 3 * layer + k
                 )
                 fault = _simulate(base, n_el, layer, 0.05, rng)
-                truth_attrs = set()
-                for group in fault.ground_truth:
-                    for c in group:
-                        truth_attrs |= set(c.attributes)
+                truth_attrs = {a for c in fault.ground_truth for a in c.attributes}
                 others = [a for a in all_attrs if a not in truth_attrs]
                 if i % 2 == 0 and len(others) >= k:
                     victims = list(rng.choice(others, size=k, replace=False))

@@ -22,7 +22,7 @@ from rootdrill import (
     snapshot_from_rows,
     synthetic_base,
 )
-from rootdrill.cluster import bin_of, cluster_distributions, leaf_distributions
+from rootdrill.cluster import _interior_minima, bin_of, cluster_distributions, leaf_distributions
 from rootdrill.data import Cuboid, Snapshot, cuboids_by_layer, drop_attributes
 from rootdrill.forecast import render_table
 from rootdrill.ripple import UndefinedValueError, derived_value
@@ -412,7 +412,44 @@ class TestScoreHistogram:
         assert not hist.any()
 
 
+def reference_exrc_threshold(history, default=0.8):
+    """The threshold as the lower edge of the mode with the highest peak centre."""
+    vals = np.asarray(list(history), dtype=float)
+    if vals.size < 5:
+        return default
+    bins = np.clip(np.round(np.clip(vals, 0.0, 1.0) / 0.01).astype(int), 0, 100)
+    hist = np.bincount(bins, minlength=101).astype(float)
+    density = np.convolve(hist, np.ones(5) / 5.0, mode="same")
+    boundaries = [-1] + _interior_minima(density) + [101]
+    best_center = -1
+    best_lower = 0.0
+    for k in range(len(boundaries) - 1):
+        lo = boundaries[k] + 1
+        hi = boundaries[k + 1] - 1
+        if lo > hi or hist[lo:hi + 1].sum() == 0.0:
+            continue
+        seg = density[lo:hi + 1]
+        peak = np.flatnonzero(seg == seg.max())
+        center = lo + (peak[0] + peak[-1]) // 2
+        if center > best_center:
+            best_center = center
+            best_lower = 0.0 if boundaries[k] < 0 else boundaries[k] * 0.01
+    return float(best_lower)
+
+
+# scores on and off the 0.01 grid; drawing from a small pool repeats values
+_exrc_scores = st.floats(0.0, 1.0) | st.integers(0, 100).map(lambda k: k / 100)
+_exrc_histories = st.lists(_exrc_scores, min_size=1, max_size=10).flatmap(
+    lambda pool: st.lists(st.sampled_from(pool) | _exrc_scores, max_size=60)
+)
+
+
 class TestSelectExrcThreshold:
+    @settings(max_examples=500, deadline=None)
+    @given(_exrc_histories)
+    def test_matches_the_peak_centre_reference(self, history):
+        assert select_exrc_threshold(history) == reference_exrc_threshold(history)
+
     def test_two_modes(self):
         assert select_exrc_threshold([0.97, 0.98, 0.99, 0.55, 0.60]) == pytest.approx(0.78)
 

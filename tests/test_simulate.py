@@ -1,4 +1,5 @@
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ from rootdrill import (
     snapshot_from_rows,
     synthetic_base,
 )
+from rootdrill.data import parse_snapshot
+from rootdrill.evaluate import run_benchmark
 from rootdrill.forecast import render_table
 from rootdrill.simulate import (
     SimulatedFault,
@@ -102,12 +105,16 @@ class TestSimulateFault:
         with pytest.raises(ValueError):
             simulate_fault(base, params, np.random.default_rng(7))
 
-    def test_ground_truth_groups_by_magnitude(self, base):
+    def test_magnitudes_follow_the_truth(self, base):
+        # read_fault looks each magnitude up by its truth combination
         params = SimulationParams(n_element=3, cuboid_layer=1, seed=8)
         fault = simulate_fault(base, params, np.random.default_rng(8))
-        # distinct magnitudes (enforced by separation) mean singleton groups
-        assert all(len(g) == 1 for g in fault.ground_truth)
         assert len(fault.ground_truth) == 3
+        assert tuple(fault.magnitudes) == fault.ground_truth
+        for dropped in base.schema.attributes:
+            reduced = eliminate_attributes(fault, [dropped])
+            assert tuple(reduced.magnitudes) == reduced.ground_truth
+            assert reduced.external == (len(reduced.ground_truth) < 3)
 
 
 @pytest.fixture(scope="module")
@@ -215,9 +222,7 @@ class TestValidity:
             ("A", "B"), rows, {"value": v}, {"value": f}, MeasureSpec()
         )
         params = SimulationParams(n_element=1, cuboid_layer=1, seed=0)
-        fault = SimulatedFault(
-            snap, ((combo(A="a0"),),), params, {combo(A="a0"): 0.5}
-        )
+        fault = SimulatedFault(snap, (combo(A="a0"),), params, {combo(A="a0"): 0.5})
         assert not validity_check(fault)
 
     def test_background_shift_invalidates(self, base):
@@ -289,6 +294,13 @@ class TestSyntheticBase:
         b = synthetic_base(n_attrs=2, n_values=5, seed=21)
         assert np.array_equal(a.real["value"], b.real["value"])
 
+    def test_names_sort_like_codes_past_100_values(self):
+        b = synthetic_base(n_attrs=2, n_values=101, seed=22, family="none")
+        back = parse_snapshot(render_table(b), b.measure)
+        assert back.schema.domains == b.schema.domains
+        assert np.array_equal(back.codes, b.codes)
+        assert b.schema.domains["A"][-2:] == ("a099", "a100")
+
     def test_validation(self):
         with pytest.raises(ValueError):
             synthetic_base(n_attrs=0)
@@ -341,6 +353,31 @@ class TestRoundTrip:
         assert sorted(v1) == pytest.approx(sorted(v2))
         assert sorted(f1) == pytest.approx(sorted(f2))
 
+    def test_values_holding_the_separator(self, tmp_path):
+        rows = [(f"x&{i}", f"y&{j}") for i in range(4) for j in range(4)]
+        f = np.full(len(rows), 100.0)
+        snap = snapshot_from_rows(("A", "B"), rows, {"value": f}, {"value": f}, MeasureSpec())
+        params = SimulationParams(n_element=1, cuboid_layer=1, seed=25)
+        fault = simulate_fault(snap, params, np.random.default_rng(25))
+        write_fault(fault, tmp_path / "n1_l1" / "0000")
+        back = read_fault(tmp_path / "n1_l1" / "0000")
+        assert back.ground_truth == fault.ground_truth
+        assert back.magnitudes == fault.magnitudes
+        assert "&" in str(back.ground_truth[0])
+        report = run_benchmark(tmp_path)
+        assert (report.n_cases, report.skipped) == (1, 0)
+
+    def test_version_1_groups_read_flat(self, base, tmp_path):
+        params = SimulationParams(n_element=2, cuboid_layer=1, seed=26)
+        fault = simulate_fault(base, params, np.random.default_rng(26))
+        write_fault(fault, tmp_path)
+        # version 1 lets one group hold several combinations
+        joint = [[c.bindings for c in fault.ground_truth]]
+        (tmp_path / "truth.json").write_text(json.dumps(joint))
+        back = read_fault(tmp_path)
+        assert back.ground_truth == fault.ground_truth
+        assert back.magnitudes == fault.magnitudes
+
     def test_written_bytes_deterministic(self, base, tmp_path):
         grid = [SimulationParams(n_element=1, cuboid_layer=1, seed=24)]
         for run in ("a", "b"):
@@ -350,3 +387,29 @@ class TestRoundTrip:
             assert (tmp_path / "a" / name).read_bytes() == (
                 tmp_path / "b" / name
             ).read_bytes()
+
+    def test_written_bytes_pinned(self, tmp_path):
+        """The version-1 layout, byte for byte, of a planted fault and of its
+        external projection (every truth combination binds ``A``)."""
+        base = synthetic_base(n_attrs=3, n_values=6, seed=42, family="poisson")
+        params = SimulationParams(3, 2, base_noise_sigma=0.05, leaf_noise_sigma=0.05, seed=7)
+        fault = simulate_fault(base, params, np.random.default_rng(2024))
+        pinned = {
+            "planted": {
+                "snapshot.csv": "dc9337f991d9b027b95cf9de77ad3798b1908975d1a761ae22f586e604881c96",
+                "truth.json": "58472e1abacf1f01d1d395d6e40911abbbffdef5d3d68862b9a53561024f702e",
+                "params.json": "2212ca490460e20b30b15125e2a9e900f8e76df0d26dbeab430aad48e191df08",
+            },
+            "external": {
+                "snapshot.csv": "0d1656e9b28e22cafd91c44cb7ad40c0d1b1b3ec7f72941af40cc5e0113d16ee",
+                "truth.json": "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570",
+                "params.json": "fb288e2f1b544027c3dee131f439baceca1e57da9bcf5a20ed649e1fecd6a589",
+            },
+        }
+        for name, f in (("planted", fault), ("external", eliminate_attributes(fault, ["A"]))):
+            write_fault(f, tmp_path / name)
+            digests = {
+                n: hashlib.sha256((tmp_path / name / n).read_bytes()).hexdigest()
+                for n in pinned[name]
+            }
+            assert digests == pinned[name]

@@ -237,13 +237,14 @@ def _cmd_exrc_threshold(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="rootdrill", description="Multidimensional root cause localization.")
     sub = p.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    cfg = LocalizeConfig()  # the defaults of --delta and --delta-exrc
 
     lo = sub.add_parser("localize", help="localize root causes in one snapshot")
     lo.add_argument("--snapshot", required=True, help="snapshot CSV")
     lo.add_argument("--history", help="directory of historical CSVs for forecasting")
     lo.add_argument("--measure", default="fundamental:value", help="kind:op1[,op2][:family]")
-    lo.add_argument("--delta", type=float, default=0.9, help="early-stop score threshold")
-    lo.add_argument("--delta-exrc", type=float, default=0.8, help="external flag threshold")
+    lo.add_argument("--delta", type=float, default=cfg.delta, help="early-stop score threshold")
+    lo.add_argument("--delta-exrc", type=float, default=cfg.delta_exrc, help="external flag threshold")
     lo.add_argument("--hist-out", help="write the score histogram CSV here")
     lo.add_argument("--out", required=True, help="report JSON path")
     lo.set_defaults(func=_cmd_localize)
@@ -263,8 +264,8 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--dataset", required=True)
     ev.add_argument("--workers", type=int, default=1)
     ev.add_argument("--family", choices=["none", "poisson"], help="override distribution family")
-    ev.add_argument("--delta", type=float, default=0.9)
-    ev.add_argument("--delta-exrc", type=float, default=0.8)
+    ev.add_argument("--delta", type=float, default=cfg.delta)
+    ev.add_argument("--delta-exrc", type=float, default=cfg.delta_exrc)
     ev.add_argument("--out", required=True, help="report JSON path")
     ev.set_defaults(func=_cmd_evaluate)
 

@@ -90,17 +90,10 @@ def knee_threshold(residuals: np.ndarray) -> float:
     x = np.clip((vals - lo) / span, 0.0, 1.0)
     y = (frac - frac[0]) / (1.0 - frac[0]) if frac[0] > 0 else frac
     k = int(np.argmax(y - x))
-    full_span = vals[-1] - vals[0]
-    gaps = np.diff(vals)
-    mass_limit = cum[k] + KNEE_SNAP_MASS * n
-    best = k
-    for i in range(k, vals.size - 1):
-        if cum[i] > mass_limit:
-            break
-        if gaps[i] >= KNEE_GAP_FRAC * full_span:
-            best = i
-            break
-    return float(vals[best])
+    # the nudge: the first wide gap from the knee on, before the mass passes the limit
+    stop = np.searchsorted(cum, cum[k] + KNEE_SNAP_MASS * n, side="right")
+    wide = np.flatnonzero(np.diff(vals[k:stop + 1]) >= KNEE_GAP_FRAC * (vals[-1] - vals[0]))
+    return float(vals[k + wide[0]] if wide.size else vals[k])
 
 
 # -- score mass of the abnormal leaves -------------------------------------

@@ -198,9 +198,6 @@ class _CuboidIndex:
     def n_groups(self) -> int:
         return len(self.group_codes)
 
-    def leaves_of(self, g: int) -> np.ndarray:
-        return self.order[self.starts[g]:self.starts[g + 1]]
-
     def combination(self, g: int) -> AttributeCombination:
         """The attribute combination that group ``g`` stands for."""
         return AttributeCombination(
@@ -216,10 +213,9 @@ class Snapshot:
     Rows are leaves; ``codes[i, j]`` is the integer code of leaf i's value for
     attribute j.  Codes are dense, ``0 .. len(domain) - 1``, and assigned in
     sorted order of the domain, so every derived ordering is deterministic
-    and the integer keys that group leaves sort like the value names.  A
-    per-attribute inverted index (value name to boolean row mask) backs
-    ``leaf_mask``; intersecting masks answers descendant queries without
-    scanning rows.
+    and the integer keys that group leaves sort like the value names.
+    ``leaf_mask`` compares one code column per binding; ``cuboid_index``
+    groups the leaves of a cuboid once and keeps the grouping.
     """
 
     def __init__(
@@ -237,10 +233,6 @@ class Snapshot:
         self.measure = measure
         self._validate()
         self._attr_pos = {a: j for j, a in enumerate(schema.attributes)}
-        self._masks: dict[str, dict[str, np.ndarray]] = {
-            a: {v: self.codes[:, j] == c for c, v in enumerate(schema.domains[a])}
-            for j, a in enumerate(schema.attributes)
-        }
         self._cuboid_cache: dict[tuple[str, ...], _CuboidIndex] = {}
         self._leaf_vals: tuple[np.ndarray, np.ndarray] | None = None
 
@@ -290,15 +282,20 @@ class Snapshot:
         )
         return AttributeCombination(tuple(sorted(items)))
 
-    def leaf_mask(self, combination: AttributeCombination) -> np.ndarray:
-        """Boolean mask of leaves descended from ``combination``."""
-        mask = np.ones(self.n_leaves, dtype=bool)
-        for a, v in combination.items:
-            try:
-                mask &= self._masks[a][v]
-            except KeyError:
-                raise ValueError(f"unknown binding {a}={v}") from None
-        return mask
+    def leaf_mask(self, *combinations: AttributeCombination) -> np.ndarray:
+        """Boolean mask of leaves descended from any of ``combinations``.
+
+        Called with no combination it covers no leaf; an unknown binding raises ``ValueError``.
+        """
+        union = np.zeros(self.n_leaves, dtype=bool)
+        for combination in combinations:
+            mask = np.ones(self.n_leaves, dtype=bool)
+            for a, v in combination.items:
+                if v not in self.schema.domains.get(a, ()):
+                    raise ValueError(f"unknown binding {a}={v}")
+                mask &= self.codes[:, self._attr_pos[a]] == self.schema.domains[a].index(v)
+            union |= mask
+        return union
 
     def leaf_values(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-leaf (real, forecast) measure values.
@@ -489,9 +486,7 @@ def aggregate(
     combos = list(combinations)
     if not combos:
         raise ValueError("aggregate of an empty selection")
-    mask = np.zeros(snapshot.n_leaves, dtype=bool)
-    for c in combos:
-        mask |= snapshot.leaf_mask(c)
+    mask = snapshot.leaf_mask(*combos)
     m = snapshot.measure
     v_ops = [float(snapshot.real[c][mask].sum()) for c in m.operands]
     f_ops = [float(snapshot.forecast[c][mask].sum()) for c in m.operands]

@@ -93,22 +93,19 @@ def render_table(snapshot: Snapshot) -> str:
     """Serialize a snapshot back to CSV (attributes, then real/predict columns)."""
     m = snapshot.measure
     plain = m.kind == "fundamental" and m.operands == (DEFAULT_VALUE_COLUMN,)
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    header = list(snapshot.schema.attributes)
+    # one list per column, headed by its name
+    columns = [
+        [a, *map(snapshot.schema.domains[a].__getitem__, snapshot.codes[:, j].tolist())]
+        for j, a in enumerate(snapshot.schema.attributes)
+    ]
     for c in m.operands:
-        header += ["real", "predict"] if plain else [f"real_{c}", f"predict_{c}"]
-    w.writerow(header)
-    for i in range(snapshot.n_leaves):
-        rec = [
-            snapshot.schema.domains[a][snapshot.codes[i, j]]
-            for j, a in enumerate(snapshot.schema.attributes)
-        ]
-        for c in m.operands:
-            rec += [_fmt(snapshot.real[c][i]), _fmt(snapshot.forecast[c][i])]
-        w.writerow(rec)
+        names = ("real", "predict") if plain else (f"real_{c}", f"predict_{c}")
+        for name, table in zip(names, (snapshot.real, snapshot.forecast)):
+            columns.append([name, *map(_fmt, table[c].tolist())])
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(zip(*columns))
     return buf.getvalue()
 
 
 def _fmt(x: float) -> str:
-    return str(int(x)) if float(x).is_integer() else repr(float(x))
+    return str(int(x)) if x.is_integer() else repr(x)

@@ -113,7 +113,7 @@ def tradeoff_weight(num_cluster: int, num_attr: int, coverage: float) -> float:
 
 def _member_ratio(member: np.ndarray, nonmember: np.ndarray) -> np.ndarray:
     """Member mass against member mass plus outsider count (0 without members)."""
-    return np.divide(member, member + nonmember, out=np.zeros_like(member), where=member > 0.0)
+    return np.divide(member, member + nonmember, out=np.zeros(member.shape), where=member > 0.0)
 
 
 class _PrefixScorer:
@@ -179,15 +179,9 @@ def explanation_score(
     candidate's slice deviates exactly in proportion and the rest of the data
     is quiet.
     """
-    combos = list(combinations)
-    if not combos:
-        raise ValueError("empty candidate")
-    le = np.zeros(snapshot.n_leaves, dtype=bool)
-    for c in combos:
-        le |= snapshot.leaf_mask(c)
-    seq = np.flatnonzero(le)
+    seq = np.flatnonzero(snapshot.leaf_mask(*combinations))
     if not seq.size:
-        raise ValueError("candidate has no descended leaves")
+        raise ValueError("empty candidate, or one with no descended leaves")
     if exclude is None:
         exclude = np.zeros(snapshot.n_leaves, dtype=bool)
     return float(_PrefixScorer(snapshot, exclude).prefix_scores(seq, np.array([seq.size]))[0])
@@ -206,19 +200,22 @@ class _ClusterSearch(_PrefixScorer):
     def __init__(
         self,
         snapshot: Snapshot,
+        leaves: np.ndarray,
         membership: np.ndarray,
         exclude: np.ndarray,
     ) -> None:
         super().__init__(snapshot, exclude)
+        self.leaves = leaves
         self.membership = membership
-        self.outsider = (membership == 0.0).astype(float)
+        self.insiders = leaves[membership != 0.0]
 
     def search(self, cuboid: Cuboid) -> RootCauseCandidate | None:
         idx = self.snapshot.cuboid_index(cuboid)
         g = idx.n_groups
-        member = np.bincount(idx.group_of, weights=self.membership, minlength=g)
-        nonmember = np.bincount(idx.group_of, weights=self.outsider, minlength=g)
-        ratio = _member_ratio(member, nonmember)
+        member = np.bincount(idx.group_of[self.leaves], weights=self.membership, minlength=g)
+        sizes = np.diff(idx.starts)
+        outsiders = sizes - np.bincount(idx.group_of[self.insiders], minlength=g)
+        ratio = _member_ratio(member, outsiders)
         n_pos = int(np.count_nonzero(ratio > 0.0))
         if n_pos == 0:
             return None
@@ -227,9 +224,11 @@ class _ClusterSearch(_PrefixScorer):
         keys = [idx.group_codes[:, j] for j in range(idx.group_codes.shape[1] - 1, -1, -1)]
         order = np.lexsort(keys + [-member, -ratio])[:n_pos]
 
-        leaf_runs = [idx.leaves_of(gi) for gi in order]
-        cuts = np.cumsum([r.size for r in leaf_runs])
-        gps = self.prefix_scores(np.concatenate(leaf_runs), cuts)
+        # the ranked groups' runs of ``idx.order``, back to back
+        run = sizes[order]
+        cuts = np.cumsum(run)
+        at = np.arange(cuts[-1]) + np.repeat(idx.starts[order] - (cuts - run), run)
+        gps = self.prefix_scores(idx.order[at], cuts)
         best_k = int(np.argmax(gps))
         combos = tuple(idx.combination(gi) for gi in order[: best_k + 1])
         return RootCauseCandidate(tuple(sorted(combos)), float(gps[best_k]), cuboid)
@@ -243,13 +242,17 @@ def _candidate_sort_key(c: RootCauseCandidate, weight: float):
 
 def localize_cluster(
     snapshot: Snapshot,
+    leaves: np.ndarray,
     membership: np.ndarray,
     exclude: np.ndarray,
     weight: float,
     cfg: LocalizeConfig,
 ) -> RootCauseCandidate | None:
-    """Layered search over cuboids; argmax of score·weight − complexity."""
-    searcher = _ClusterSearch(snapshot, membership, exclude)
+    """Layered search over cuboids; argmax of score·weight − complexity.
+
+    ``membership`` is the cluster's mass on each of ``leaves`` (ascending); other leaves hold none.
+    """
+    searcher = _ClusterSearch(snapshot, leaves, membership, exclude)
     cuboids = cuboids_by_layer(snapshot.schema)
     candidates: list[RootCauseCandidate] = []
     for layer in range(1, snapshot.schema.n_attributes + 1):
@@ -327,28 +330,21 @@ def localize(snapshot: Snapshot, cfg: LocalizeConfig | None = None) -> Localizat
         return _no_cluster_report(v, f, threshold, density, t0)
 
     n = snapshot.n_leaves
-    memberships = []
-    for c in clusters:
-        p = np.zeros(n)
-        p[abnormal] = c.membership
-        memberships.append(p)
-
     num_cluster = len(clusters)
     num_attr = snapshot.schema.n_attributes
     results: list[ClusterResult] = []
-    min_gps: float | None = None
-    total_membership = np.sum(memberships, axis=0)
-    for i, c in enumerate(clusters):
+    total_membership = np.sum([c.membership for c in clusters], axis=0)
+    for c in clusters:
         # a leaf mostly explained by the other clusters combined leaves the
         # complement pool, even when no single cluster claims it outright
-        other = total_membership - memberships[i]
-        exclude = other > 0.5
+        exclude = np.zeros(n, dtype=bool)
+        exclude[abnormal] = total_membership - c.membership > 0.5
         weight = tradeoff_weight(num_cluster, num_attr, min(c.mass / n, 1.0))
-        cand = localize_cluster(snapshot, memberships[i], exclude, weight, cfg)
+        cand = localize_cluster(snapshot, abnormal, c.membership, exclude, weight, cfg)
         results.append(ClusterResult(c.bounds, cand))
-        if cand is not None:
-            min_gps = cand.gps if min_gps is None else min(min_gps, cand.gps)
 
+    found = [r.candidate.gps for r in results if r.candidate is not None]
+    min_gps = min(found) if found else None
     external = min_gps is not None and min_gps < cfg.delta_exrc
     # a cluster whose best candidate scores below delta_exrc is judged not
     # explainable by any combination; it raises the external flag instead of
@@ -369,7 +365,7 @@ def localize(snapshot: Snapshot, cfg: LocalizeConfig | None = None) -> Localizat
 _EXRC_BINS = 101  # [0, 1] at the same 0.01 step as the score grid
 
 
-def select_exrc_threshold(history: Sequence[float], default: float = 0.8) -> float:
+def select_exrc_threshold(history: Sequence[float]) -> float:
     """Data-driven flagging threshold from historical minimum scores.
 
     Healthy incidents produce high minimum explanation scores, externally
@@ -378,11 +374,11 @@ def select_exrc_threshold(history: Sequence[float], default: float = 0.8) -> flo
     returned threshold is the lower edge of the highest mode.  Above the
     highest value the smoothed density only falls, so no minimum lies there
     and the highest mode starts at the last minimum.  Under five observations
-    the default is returned unchanged.
+    the ``LocalizeConfig.delta_exrc`` default is returned.
     """
     vals = np.asarray(list(history), dtype=float)
     if vals.size < 5:
-        return default
+        return LocalizeConfig.delta_exrc
     bins = np.clip(np.round(np.clip(vals, 0.0, 1.0) / 0.01).astype(int), 0, _EXRC_BINS - 1)
     hist = np.bincount(bins, minlength=_EXRC_BINS).astype(float)
     density = np.convolve(hist, np.ones(5) / 5.0, mode="same")

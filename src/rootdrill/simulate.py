@@ -128,7 +128,7 @@ def _pick_combinations(
             cuboid = layer_cuboids[rng.integers(len(layer_cuboids))]
             idx = base.cuboid_index(cuboid)
             g = int(rng.integers(idx.n_groups))
-            leaves = idx.leaves_of(g)
+            leaves = idx.order[idx.starts[g]:idx.starts[g + 1]]
             if affected[leaves].any():
                 continue  # overlapping causes would blur each other's ripple
             affected[leaves] = True
@@ -197,10 +197,8 @@ def validity_check(fault: SimulatedFault) -> bool:
     abnormal total, so the fault is not cleanly separable from background.
     """
     snap = fault.snapshot
-    truth_masks = {c: snap.leaf_mask(c) for c in fault.ground_truth}
-
-    for c, mask in truth_masks.items():
-        t_idx = np.flatnonzero(mask)
+    for c in fault.ground_truth:
+        t_idx = np.flatnonzero(snap.leaf_mask(c))
         for cuboid in cuboids_by_layer(snap.schema):
             idx = snap.cuboid_index(cuboid)
             sizes = np.diff(idx.starts)
@@ -213,9 +211,7 @@ def validity_check(fault: SimulatedFault) -> bool:
             if np.any(jac >= JACCARD_CUTOFF):
                 return False
 
-    unaffected = np.ones(snap.n_leaves, dtype=bool)
-    for mask in truth_masks.values():
-        unaffected &= ~mask
+    unaffected = ~snap.leaf_mask(*fault.ground_truth)
     if not unaffected.any():
         return True
     v, f = snap.leaf_values()
@@ -228,6 +224,9 @@ def validity_check(fault: SimulatedFault) -> bool:
 
 
 # -- dataset generation ----------------------------------------------------
+
+# log-sd of the synthetic base's leaf sizes
+RATE_SPREAD = 0.5
 
 
 def generate_dataset(
@@ -260,14 +259,13 @@ def synthetic_base(
     n_attrs: int = 4,
     n_values: int = 10,
     mean_rate: float = 50.0,
-    rate_spread: float = 0.5,
     seed: int | None = None,
     family: str = "poisson",
 ) -> Snapshot:
     """Dense synthetic base: every value combination observed once.
 
     Leaf sizes follow a lognormal law (median ``mean_rate``, log-sd
-    ``rate_spread``), so slices differ in how much evidence they carry, as
+    ``RATE_SPREAD``), so slices differ in how much evidence they carry, as
     real traffic does.  Real and forecast both hold the drawn truth.  Value
     names carry zero-padded indices (at least two digits), so they sort like
     their codes and a rendered table parses back to the same snapshot.
@@ -279,7 +277,7 @@ def synthetic_base(
     width = max(2, len(str(n_values - 1)))
     domains = {a: tuple(f"{a.lower()}{j:0{width}d}" for j in range(n_values)) for a in attrs}
     n = n_values**n_attrs
-    lam = rng.lognormal(np.log(mean_rate), rate_spread, size=n)
+    lam = rng.lognormal(np.log(mean_rate), RATE_SPREAD, size=n)
     counts = np.maximum(rng.poisson(lam), 1).astype(float)
     # leaf i's codes are the base-n_values digits of i
     codes = np.indices((n_values,) * n_attrs, dtype=np.int32).reshape(n_attrs, n).T

@@ -1,3 +1,4 @@
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -37,7 +38,64 @@ class TestGrid:
             assert bin_of(float(bin_center(b))) == b
 
 
+def reference_knee_threshold(residuals):
+    """The knee threshold with its forward nudge as a step-by-step loop."""
+    r = np.asarray(residuals, dtype=float)
+    vals, counts = np.unique(r, return_counts=True)
+    n = r.size
+    if vals.size < 3:
+        return float(np.median(r))
+    cum = np.cumsum(counts)
+    frac = cum / n
+    if frac[0] >= 0.5:
+        return float(vals[0])
+    top = int(np.searchsorted(frac, cluster_mod.KNEE_WINSOR_Q, side="left"))
+    hi = vals[min(top, vals.size - 1)]
+    lo = vals[0]
+    span = hi - lo
+    if span <= 0:
+        return float(vals[0])
+    x = np.clip((vals - lo) / span, 0.0, 1.0)
+    y = (frac - frac[0]) / (1.0 - frac[0]) if frac[0] > 0 else frac
+    k = int(np.argmax(y - x))
+    full_span = vals[-1] - vals[0]
+    gaps = np.diff(vals)
+    mass_limit = cum[k] + cluster_mod.KNEE_SNAP_MASS * n
+    best = k
+    for i in range(k, vals.size - 1):
+        if cum[i] > mass_limit:
+            break
+        if gaps[i] >= cluster_mod.KNEE_GAP_FRAC * full_span:
+            best = i
+            break
+    return float(vals[best])
+
+
+# a bulk of small residuals, values off and on a coarse grid, and a few far ones
+_knee_residuals = st.tuples(
+    st.lists(st.floats(0.0, 1.0) | st.integers(0, 20).map(lambda k: k / 20), max_size=800),
+    st.lists(st.floats(1.0, 50.0), max_size=4),
+).map(lambda parts: np.array(parts[0] + parts[1], dtype=float))
+
+
 class TestKneeThreshold:
+    @settings(max_examples=300, deadline=None)
+    @given(_knee_residuals.filter(len))
+    # the knee two steps before a wide gap at the last index, where the
+    # 400 leaves' mass limit (2 leaves past the knee) is reached exactly
+    @example(np.concatenate([np.linspace(0.0, 0.01, 397), [0.5, 0.51, 20.0]]))
+    # the nudge runs out of mass in the 0.5-0.6 run, before the gap to 20
+    @example(np.concatenate([np.linspace(0.0, 0.01, 397), np.linspace(0.5, 0.6, 10), [20.0]]))
+    def test_matches_the_nudge_loop(self, residuals):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert knee_threshold(residuals) == reference_knee_threshold(residuals)
+
+    def test_nudge_examples(self):
+        bulk = np.linspace(0.0, 0.01, 397)
+        assert knee_threshold(np.concatenate([bulk, [0.5, 0.51, 20.0]])) == 0.51
+        assert knee_threshold(np.concatenate([bulk, np.linspace(0.5, 0.6, 10), [20.0]])) == 0.01
+
     def test_separates_two_populations(self):
         rng = np.random.default_rng(0)
         background = rng.uniform(0.0, 0.1, size=400)

@@ -163,6 +163,17 @@ class TestSnapshotOps:
         with pytest.raises(ValueError):
             province_snapshot.leaf_mask(combo(Province="Atlantis"))
 
+    def test_leaf_mask_unknown_attribute(self, province_snapshot):
+        with pytest.raises(ValueError, match="Planet=Mars"):
+            province_snapshot.leaf_mask(combo(Planet="Mars"))
+
+    def test_leaf_mask_union(self, province_snapshot):
+        both = province_snapshot.leaf_mask(combo(Province="Beijing"), combo(ISP="China Mobile"))
+        # Beijing rows {0,1} and China Mobile rows {0,3,8}
+        assert np.flatnonzero(both).tolist() == [0, 1, 3, 8]
+        assert not province_snapshot.leaf_mask().any()
+        assert province_snapshot.leaf_mask().shape == (9,)
+
     def test_aggregate_combination(self, province_snapshot):
         v, f = aggregate(province_snapshot, [combo(Province="Beijing")])
         assert (v, f) == (15.0, 30.0)
@@ -202,7 +213,8 @@ class TestSnapshotOps:
         assert len(combos) == 7
         for g, c in enumerate(combos):
             assert np.array_equal(
-                np.sort(idx.leaves_of(g)), np.flatnonzero(province_snapshot.leaf_mask(c))
+                np.sort(idx.order[idx.starts[g]:idx.starts[g + 1]]),
+                np.flatnonzero(province_snapshot.leaf_mask(c)),
             )
 
     def test_cuboids_by_layer(self):

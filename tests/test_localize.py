@@ -27,7 +27,9 @@ from rootdrill.data import Cuboid, Snapshot, cuboids_by_layer, drop_attributes
 from rootdrill.forecast import render_table
 from rootdrill.ripple import UndefinedValueError, derived_value
 from rootdrill.localize import (
+    RootCauseCandidate,
     _candidate_sort_key,
+    _ClusterSearch,
     _member_ratio,
     _PrefixScorer,
     candidate_complexity,
@@ -224,7 +226,7 @@ class TestGpsKernel:
         snap, cuboid, groups, exclude = case
         idx = snap.cuboid_index(cuboid)
         combos = [idx.combination(g) for g in groups]
-        runs = [idx.leaves_of(g) for g in groups]
+        runs = [idx.order[idx.starts[g]:idx.starts[g + 1]] for g in groups]
         scorer = _PrefixScorer(
             snap, np.zeros(snap.n_leaves, dtype=bool) if exclude is None else exclude
         )
@@ -237,7 +239,85 @@ class TestGpsKernel:
             )
 
 
+def reference_search(snapshot, membership, exclude, cuboid):
+    """One cuboid's search on a dense per-leaf membership, one slice per group.
+
+    Returns the ranked groups, the leaf sequence, the prefix cuts, their
+    scores and the candidate, or None when no group holds member mass.
+    """
+    idx = snapshot.cuboid_index(cuboid)
+    g = idx.n_groups
+    member = np.bincount(idx.group_of, weights=membership, minlength=g)
+    outsider = (membership == 0.0).astype(float)
+    nonmember = np.bincount(idx.group_of, weights=outsider, minlength=g)
+    ratio = _member_ratio(member, nonmember)
+    n_pos = int(np.count_nonzero(ratio > 0.0))
+    if n_pos == 0:
+        return None
+    keys = [idx.group_codes[:, j] for j in range(idx.group_codes.shape[1] - 1, -1, -1)]
+    order = np.lexsort(keys + [-member, -ratio])[:n_pos]
+    runs = [idx.order[idx.starts[gi]:idx.starts[gi + 1]] for gi in order]
+    cuts = np.cumsum([r.size for r in runs])
+    seq = np.concatenate(runs)
+    gps = _PrefixScorer(snapshot, exclude).prefix_scores(seq, cuts)
+    best = int(np.argmax(gps))
+    combos = tuple(sorted(idx.combination(gi) for gi in order[: best + 1]))
+    return order, seq, cuts, gps, RootCauseCandidate(combos, float(gps[best]), cuboid)
+
+
+class _RecordingSearch(_ClusterSearch):
+    """The search, keeping the last leaf sequence, cuts and scores it ranked."""
+
+    def prefix_scores(self, seq, cuts):
+        self.seen = (seq, cuts, super().prefix_scores(seq, cuts))
+        return self.seen[2]
+
+
+@st.composite
+def cluster_cases(draw):
+    """A small snapshot, a cluster's membership on an ascending subset of its
+    leaves (exact zeros included) and a mask of leaves claimed elsewhere.
+    Leaves are a subset of the A x B grid, so groups differ in size, and in
+    the A x B cuboid every group is a single leaf."""
+    grid = [(f"a{i}", f"b{j}") for i in range(4) for j in range(4)]
+    rows = draw(st.lists(st.sampled_from(grid), min_size=1, unique=True))
+    n = len(rows)
+    column = st.lists(st.integers(0, 20), min_size=n, max_size=n).map(
+        lambda xs: np.array(xs, dtype=float)
+    )
+    snap = snapshot_from_rows(
+        ("A", "B"), rows, {"value": draw(column)}, {"value": draw(column)}, MeasureSpec()
+    )
+    leaves = np.array(sorted(draw(st.sets(st.integers(0, n - 1)))), dtype=np.int64)
+    mass = st.just(0.0) | st.floats(0.0, 1.0) | st.sampled_from([0.25, 0.5, 1.0])
+    membership = np.array(draw(st.lists(mass, min_size=leaves.size, max_size=leaves.size)))
+    exclude = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
+    return snap, leaves, membership, exclude
+
+
 class TestSearch:
+    @settings(max_examples=300, deadline=None)
+    @given(cluster_cases())
+    def test_sparse_tallies_match_the_dense_reference(self, case):
+        snap, leaves, membership, exclude = case
+        dense = np.zeros(snap.n_leaves)
+        dense[leaves] = membership
+        for cuboid in cuboids_by_layer(snap.schema):
+            want = reference_search(snap, dense, exclude, cuboid)
+            searcher = _RecordingSearch(snap, leaves, membership, exclude)
+            got = searcher.search(cuboid)
+            if want is None:
+                assert got is None
+                continue
+            order, seq, cuts, gps, cand = want
+            got_seq, got_cuts, got_gps = searcher.seen
+            heads = got_seq[got_cuts - np.diff(got_cuts, prepend=0)]
+            assert np.array_equal(snap.cuboid_index(cuboid).group_of[heads], order)
+            assert np.array_equal(got_seq, seq)
+            assert np.array_equal(got_cuts, cuts)
+            assert np.array_equal(got_gps, gps)
+            assert got == cand
+
     def test_prefix_search_matches_exhaustive(self):
         snap = planted_snapshot(n_values=3, d=0.5, quiet_noise=0.002, seed=1)
         v, f = snap.leaf_values()
@@ -247,12 +327,12 @@ class TestSearch:
         dists = leaf_distributions(v[abnormal], f[abnormal], "none")
         clusters = cluster_distributions(dists)
         assert len(clusters) == 1
-        membership = np.zeros(snap.n_leaves)
-        membership[abnormal] = clusters[0].membership
         weight = tradeoff_weight(1, 2, min(clusters[0].mass / snap.n_leaves, 1.0))
         exclude = np.zeros(snap.n_leaves, dtype=bool)
 
-        got = localize_cluster(snap, membership, exclude, weight, LocalizeConfig(delta=1.0))
+        got = localize_cluster(
+            snap, abnormal, clusters[0].membership, exclude, weight, LocalizeConfig(delta=1.0)
+        )
 
         best_score, best = -np.inf, None
         for cuboid in cuboids_by_layer(snap.schema):
@@ -271,10 +351,11 @@ class TestSearch:
 
     def test_search_cuboid_none_when_cluster_untouched(self):
         snap = planted_snapshot()
+        leaves = np.arange(snap.n_leaves)
         membership = np.zeros(snap.n_leaves)
         exclude = np.zeros(snap.n_leaves, dtype=bool)
         # no cuboid holds a member leaf, so no layer yields a candidate
-        assert localize_cluster(snap, membership, exclude, 1.0, LocalizeConfig()) is None
+        assert localize_cluster(snap, leaves, membership, exclude, 1.0, LocalizeConfig()) is None
 
     def test_two_sibling_faults_need_both_combos(self):
         rng = np.random.default_rng(2)
@@ -455,7 +536,6 @@ class TestSelectExrcThreshold:
 
     def test_short_history_uses_default(self):
         assert select_exrc_threshold([0.9, 0.1]) == 0.8
-        assert select_exrc_threshold([0.9, 0.1], default=0.6) == 0.6
         assert select_exrc_threshold([]) == 0.8
 
     def test_single_mode_never_flags(self):

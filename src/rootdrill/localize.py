@@ -14,12 +14,13 @@ from __future__ import annotations
 import time
 import warnings
 from dataclasses import dataclass, field
-from math import log
+from math import isqrt, log
 from typing import Sequence
 
 import numpy as np
 
 from .cluster import (
+    BLOCK_TERMS,
     N_BINS,
     _interior_minima,
     cluster_distributions,
@@ -116,6 +117,104 @@ def _member_ratio(member: np.ndarray, nonmember: np.ndarray) -> np.ndarray:
     return np.divide(member, member + nonmember, out=np.zeros(member.shape), where=member > 0.0)
 
 
+def _runs(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """Indices of the runs ``[starts[i], starts[i] + lens[i])``, back to back."""
+    ends = np.cumsum(lens)
+    return np.arange(ends[-1]) + np.repeat(starts - (ends - lens), lens)
+
+
+class _SnapshotArrays:
+    """Per-leaf arrays of the explanation score, built once per snapshot.
+
+    For f ≠ 0, |v − r·f| = a·|q − r| with q = v/f and a = |f|; b = a·q is
+    sign(f)·v.  A leaf with f = 0 misfits by |v| whatever r is: it takes
+    a = 0, b = |v| and q = +∞, so it always ranks above r.  Leaves are
+    ranked on q once, here.
+    """
+
+    def __init__(self, snapshot: Snapshot) -> None:
+        self.snapshot = snapshot
+        v, f = snapshot.leaf_values()
+        self.absres = np.abs(v - f)
+        m = snapshot.measure
+        self.op_real = [snapshot.real[c] for c in m.operands]
+        self.op_fcst = [snapshot.forecast[c] for c in m.operands]
+        flat = f == 0.0
+        self.a = np.abs(f)
+        self.b = np.where(flat, np.abs(v), np.sign(f) * v)
+        q = np.divide(v, f, out=np.full(v.size, np.inf), where=~flat)
+        self.by_rank = np.argsort(q)
+        self.q_sorted = q[self.by_rank]
+        self.rank = np.empty(v.size, dtype=np.intp)
+        self.rank[self.by_rank] = np.arange(v.size)
+
+    def misfits(self, seq: np.ndarray, cuts: np.ndarray, r: np.ndarray) -> np.ndarray:
+        """Σ |v − r_k·f| over the leaves ``seq[:cuts[k]]``, for ascending ``cuts``.
+
+        Over a prefix, Σ a·|q − r| = (B − 2·B≤) − r·(A − 2·A≤): A and B sum a
+        and b, A≤ and B≤ sum them over the leaves with q ≤ r.  The f = 0
+        leaves, above every r, bring their |v| into B.
+
+        A table of (position block × rank block) cells, cumulated both ways,
+        gives these sums over whole blocks.  Position blocks end at cuts, one
+        at or past each multiple of ``side``; rank blocks hold ``side``
+        ranks.  The rest is gathered leaf by leaf, in chunks of at most
+        ``BLOCK_TERMS`` leaves: the prefix's positions past its last block
+        end, and the leaves of r's partial rank block that lie before that
+        end.  ``side`` balances the table's N·L/side² cells (N positions, L
+        leaves) against the K·side leaves that K cuts gather, and keeps the
+        table within ``BLOCK_TERMS`` cells.
+        """
+        seq = seq[: cuts[-1]]
+        n_leaves = self.rank.size
+        span = seq.size * n_leaves
+        side = max(1, round((span / cuts.size) ** (1 / 3)), isqrt(span // BLOCK_TERMS))
+        n_rank = -(-n_leaves // side)
+        at_side = cuts[np.searchsorted(cuts, np.arange(0, seq.size, side))]
+        ends = np.unique(np.concatenate(([0], at_side, [seq.size])))
+        n_pos = ends.size - 1
+        cell = np.repeat(np.arange(n_pos) * n_rank, np.diff(ends)) + self.rank[seq] // side
+        table = np.zeros((2, n_pos + 1, n_rank + 1))
+        for i, w in enumerate((self.a, self.b)):
+            per_cell = np.bincount(cell, weights=w[seq], minlength=n_pos * n_rank)
+            table[i, 1:, 1:] = per_cell.reshape(n_pos, n_rank)
+        np.cumsum(table, axis=1, out=table)
+        np.cumsum(table, axis=2, out=table)
+
+        # leaves with q ≤ r are exactly those ranked below t
+        t = np.searchsorted(self.q_sorted, r, "right")
+        row = np.searchsorted(ends, cuts, "right") - 1
+        col = t // side
+        # signed sums, + above r and − at or below it: A − 2·A≤ and B − 2·B≤
+        sa, sb = table[:, row, n_rank] - 2.0 * table[:, row, col]
+
+        end = ends[row]
+        pos = np.full(n_leaves, seq.size)  # past every prefix when absent
+        pos[seq] = np.arange(seq.size)
+        tail = cuts - end  # positions [end, cut), any rank
+        head = t - col * side  # ranks [col·side, t), at positions before end
+        gathered = tail + head
+        terms = np.cumsum(gathered)
+        lo = 0
+        while lo < cuts.size:
+            # whole cuts within the term budget, and at least one cut
+            budget = terms[lo] - gathered[lo] + BLOCK_TERMS
+            hi = max(lo + 1, int(np.searchsorted(terms, budget, "right")))
+            k = np.arange(hi - lo)
+            kt = np.repeat(k, tail[lo:hi])
+            leaf = seq[_runs(end[lo:hi], tail[lo:hi])]
+            coef = np.where(self.rank[leaf] < t[lo:hi][kt], -1.0, 1.0)
+            sa[lo:hi] += np.bincount(kt, weights=coef * self.a[leaf], minlength=k.size)
+            sb[lo:hi] += np.bincount(kt, weights=coef * self.b[leaf], minlength=k.size)
+            kh = np.repeat(k, head[lo:hi])
+            leaf = self.by_rank[_runs(col[lo:hi] * side, head[lo:hi])]
+            coef = np.where(pos[leaf] < end[lo:hi][kh], -2.0, 0.0)
+            sa[lo:hi] += np.bincount(kh, weights=coef * self.a[leaf], minlength=k.size)
+            sb[lo:hi] += np.bincount(kh, weights=coef * self.b[leaf], minlength=k.size)
+            lo = hi
+        return sb - r * sa
+
+
 class _PrefixScorer:
     """Explanation scores of leaf-sequence prefixes, on per-snapshot arrays.
 
@@ -123,16 +222,12 @@ class _PrefixScorer:
     the complement pool a candidate is compared against.
     """
 
-    def __init__(self, snapshot: Snapshot, exclude: np.ndarray) -> None:
-        self.snapshot = snapshot
-        self.v, self.f = snapshot.leaf_values()
-        self.absres = np.abs(self.v - self.f)
+    def __init__(self, arrays: _SnapshotArrays, exclude: np.ndarray) -> None:
+        self.arrays = arrays
+        self.snapshot = arrays.snapshot
         self.pool = ~exclude
-        self.pool_res = float(self.absres[self.pool].sum())
+        self.pool_res = float(arrays.absres[self.pool].sum())
         self.pool_n = int(np.count_nonzero(self.pool))
-        m = snapshot.measure
-        self.op_real = [snapshot.real[c] for c in m.operands]
-        self.op_fcst = [snapshot.forecast[c] for c in m.operands]
 
     def prefix_scores(self, seq: np.ndarray, cuts: np.ndarray) -> np.ndarray:
         """:func:`explanation_score` of candidate ``seq[:cut]`` for each of ``cuts``.
@@ -140,26 +235,37 @@ class _PrefixScorer:
         ``d_va`` compares the candidate's leaves against the values the ripple
         pattern implies for them, ``d_vf`` against their forecasts, and
         ``d_pf`` compares every other pooled leaf against its forecast.
+        ``d_va`` is the mean of |v − r·f| over the prefix, r being its ripple
+        ratio v_s/f_s.  For f ≠ 0, |v − r·f| = |f|·|q − r| with q = v/f, so the
+        prefix's sum is B − 2·B≤ − r·(A − 2·A≤) + Z: A and B sum |f| and
+        |f|·q over the prefix, A≤ and B≤ over its leaves with q ≤ r, and Z
+        sums |v| over its leaves with f = 0.  :meth:`_SnapshotArrays.misfits`
+        takes these sums for every cut at once from one ranking of q.
         """
-        last = cuts - 1
-        absres = self.absres[seq]
-        d_vf = np.cumsum(absres)[last] / cuts
+        arr = self.arrays
+        seq = seq[: cuts[-1]]
+        starts = cuts - np.diff(cuts, prepend=0)
+
+        def upto(x):  # x summed over seq[:cut], for each cut
+            return np.add.reduceat(x, starts).cumsum()
+
+        absres = arr.absres[seq]
+        d_vf = upto(absres) / cuts
         in_pool = self.pool[seq]
-        pool_res = self.pool_res - np.cumsum(absres * in_pool)[last]
-        pool_n = self.pool_n - np.cumsum(in_pool)[last]
+        pool_res = self.pool_res - upto(absres * in_pool)
+        pool_n = self.pool_n - upto(in_pool)
         d_pf = np.divide(pool_res, pool_n, out=np.zeros(cuts.size), where=pool_n > 0)
 
         kind = self.snapshot.measure.kind
-        v_s = measure_values(kind, [np.cumsum(c[seq])[last] for c in self.op_real])
-        f_s = measure_values(kind, [np.cumsum(c[seq])[last] for c in self.op_fcst])
+        v_s = measure_values(kind, [upto(c[seq]) for c in arr.op_real])
+        f_s = measure_values(kind, [upto(c[seq]) for c in arr.op_fcst])
         # without forecast mass the ripple ratio is undefined: the slice is
         # taken as-is.  A zero real denominator needs no case of its own,
         # since every leaf rate under it is 0 as well.
-        v, f = self.v[seq], self.f[seq]
         d_va = np.zeros(cuts.size)
-        for k in np.flatnonzero(f_s > 0.0):
-            n = cuts[k]
-            d_va[k] = np.abs(v[:n] - f[:n] * (v_s[k] / f_s[k])).mean()
+        fit = np.flatnonzero(f_s > 0.0)
+        if fit.size:
+            d_va[fit] = arr.misfits(seq, cuts[fit], v_s[fit] / f_s[fit]) / cuts[fit]
 
         denom = d_vf + d_pf
         gps = 1.0 - (d_va + d_pf) / np.where(denom > 0.0, denom, 1.0)
@@ -184,7 +290,8 @@ def explanation_score(
         raise ValueError("empty candidate, or one with no descended leaves")
     if exclude is None:
         exclude = np.zeros(snapshot.n_leaves, dtype=bool)
-    return float(_PrefixScorer(snapshot, exclude).prefix_scores(seq, np.array([seq.size]))[0])
+    scorer = _PrefixScorer(_SnapshotArrays(snapshot), exclude)
+    return float(scorer.prefix_scores(seq, np.array([seq.size]))[0])
 
 
 # -- per-cluster search ----------------------------------------------------
@@ -199,12 +306,12 @@ class _ClusterSearch(_PrefixScorer):
 
     def __init__(
         self,
-        snapshot: Snapshot,
+        arrays: _SnapshotArrays,
         leaves: np.ndarray,
         membership: np.ndarray,
         exclude: np.ndarray,
     ) -> None:
-        super().__init__(snapshot, exclude)
+        super().__init__(arrays, exclude)
         self.leaves = leaves
         self.membership = membership
         self.insiders = leaves[membership != 0.0]
@@ -226,22 +333,22 @@ class _ClusterSearch(_PrefixScorer):
 
         # the ranked groups' runs of ``idx.order``, back to back
         run = sizes[order]
-        cuts = np.cumsum(run)
-        at = np.arange(cuts[-1]) + np.repeat(idx.starts[order] - (cuts - run), run)
-        gps = self.prefix_scores(idx.order[at], cuts)
+        gps = self.prefix_scores(idx.order[_runs(idx.starts[order], run)], np.cumsum(run))
         best_k = int(np.argmax(gps))
         combos = tuple(idx.combination(gi) for gi in order[: best_k + 1])
         return RootCauseCandidate(tuple(sorted(combos)), float(gps[best_k]), cuboid)
 
 
 def _candidate_sort_key(c: RootCauseCandidate, weight: float):
-    score = c.gps * weight - candidate_complexity(c.combinations)
+    # at the verdict's precision, so that exact ties in the last bit fall
+    # through to the names
+    score = round(c.gps * weight - candidate_complexity(c.combinations), 9)
     lex = tuple(e.items for e in c.combinations)
-    return (-score, -c.gps, candidate_complexity(c.combinations), lex)
+    return (-score, -round(c.gps, 9), candidate_complexity(c.combinations), lex)
 
 
 def localize_cluster(
-    snapshot: Snapshot,
+    arrays: _SnapshotArrays,
     leaves: np.ndarray,
     membership: np.ndarray,
     exclude: np.ndarray,
@@ -251,11 +358,13 @@ def localize_cluster(
     """Layered search over cuboids; argmax of score·weight − complexity.
 
     ``membership`` is the cluster's mass on each of ``leaves`` (ascending); other leaves hold none.
+    ``arrays`` are the snapshot's, shared by every cluster of one verdict.
     """
-    searcher = _ClusterSearch(snapshot, leaves, membership, exclude)
-    cuboids = cuboids_by_layer(snapshot.schema)
+    searcher = _ClusterSearch(arrays, leaves, membership, exclude)
+    schema = arrays.snapshot.schema
+    cuboids = cuboids_by_layer(schema)
     candidates: list[RootCauseCandidate] = []
-    for layer in range(1, snapshot.schema.n_attributes + 1):
+    for layer in range(1, schema.n_attributes + 1):
         layer_cands = [
             c
             for cuboid in cuboids
@@ -332,6 +441,7 @@ def localize(snapshot: Snapshot, cfg: LocalizeConfig | None = None) -> Localizat
     n = snapshot.n_leaves
     num_cluster = len(clusters)
     num_attr = snapshot.schema.n_attributes
+    arrays = _SnapshotArrays(snapshot)
     results: list[ClusterResult] = []
     total_membership = np.sum([c.membership for c in clusters], axis=0)
     for c in clusters:
@@ -340,7 +450,7 @@ def localize(snapshot: Snapshot, cfg: LocalizeConfig | None = None) -> Localizat
         exclude = np.zeros(n, dtype=bool)
         exclude[abnormal] = total_membership - c.membership > 0.5
         weight = tradeoff_weight(num_cluster, num_attr, min(c.mass / n, 1.0))
-        cand = localize_cluster(snapshot, abnormal, c.membership, exclude, weight, cfg)
+        cand = localize_cluster(arrays, abnormal, c.membership, exclude, weight, cfg)
         results.append(ClusterResult(c.bounds, cand))
 
     found = [r.candidate.gps for r in results if r.candidate is not None]

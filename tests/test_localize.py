@@ -1,5 +1,6 @@
 import importlib
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,13 +26,14 @@ from rootdrill import (
 from rootdrill.cluster import _interior_minima, bin_of, cluster_distributions, leaf_distributions
 from rootdrill.data import Cuboid, Snapshot, cuboids_by_layer, drop_attributes
 from rootdrill.forecast import render_table
-from rootdrill.ripple import UndefinedValueError, derived_value
+from rootdrill.ripple import UndefinedValueError, derived_value, measure_values
 from rootdrill.localize import (
     RootCauseCandidate,
     _candidate_sort_key,
     _ClusterSearch,
     _member_ratio,
     _PrefixScorer,
+    _SnapshotArrays,
     candidate_complexity,
     localize_cluster,
     tradeoff_weight,
@@ -219,6 +221,68 @@ def scored_candidates(draw):
     return snap, cuboid, groups, exclude
 
 
+class _LeafValues:
+    """Stand-in for a fundamental-measure snapshot with the given leaf values.
+
+    Unlike a ``Snapshot`` it takes negative values, which the GPS kernel
+    handles through the sign of f.
+    """
+
+    def __init__(self, v, f):
+        self.real, self.forecast = {"value": v}, {"value": f}
+        self.measure = MeasureSpec()
+
+    def leaf_values(self):
+        return self.real["value"], self.forecast["value"]
+
+
+def per_cut_prefix_scores(scorer, seq, cuts):
+    """``prefix_scores`` with d_va taken by one pass over the prefix per cut."""
+    arr = scorer.arrays
+    last = cuts - 1
+    absres = arr.absres[seq]
+    d_vf = np.cumsum(absres)[last] / cuts
+    in_pool = scorer.pool[seq]
+    pool_res = scorer.pool_res - np.cumsum(absres * in_pool)[last]
+    pool_n = scorer.pool_n - np.cumsum(in_pool)[last]
+    d_pf = np.divide(pool_res, pool_n, out=np.zeros(cuts.size), where=pool_n > 0)
+    kind = arr.snapshot.measure.kind
+    v_s = measure_values(kind, [np.cumsum(c[seq])[last] for c in arr.op_real])
+    f_s = measure_values(kind, [np.cumsum(c[seq])[last] for c in arr.op_fcst])
+    v, f = (x[seq] for x in arr.snapshot.leaf_values())
+    d_va = np.zeros(cuts.size)
+    for k in np.flatnonzero(f_s > 0.0):
+        n = cuts[k]
+        d_va[k] = np.abs(v[:n] - f[:n] * (v_s[k] / f_s[k])).mean()
+    denom = d_vf + d_pf
+    gps = 1.0 - (d_va + d_pf) / np.where(denom > 0.0, denom, 1.0)
+    return np.where(denom > 0.0, gps, 0.0)
+
+
+@st.composite
+def prefix_cases(draw):
+    """Leaf values with zero and negative forecasts and repeated ratios v/f, a
+    reordered subset of the leaves as the sequence, ascending cuts (single-leaf
+    runs and a first cut of 1 included), a ripple ratio per cut that may equal
+    a leaf's v/f or lie below or above every one, a mask of leaves claimed
+    elsewhere and a gather budget down to one leaf."""
+    n = draw(st.integers(1, 40))
+    value = st.integers(-4, 4).map(float)
+    v = np.array(draw(st.lists(value, min_size=n, max_size=n)))
+    f = np.array(draw(st.lists(value, min_size=n, max_size=n)))
+    perm = draw(st.permutations(range(n)))
+    seq = np.array(perm[: draw(st.integers(1, n))], dtype=np.intp)
+    cuts = np.array(sorted(draw(st.sets(st.integers(1, seq.size), min_size=1))))
+    q = v[f != 0.0] / f[f != 0.0]
+    ratio = st.floats(-5.0, 5.0)
+    if q.size:
+        ratio |= st.sampled_from(sorted(set(q))) | st.sampled_from([q.min() - 1.0, q.max() + 1.0])
+    r = np.array(draw(st.lists(ratio, min_size=cuts.size, max_size=cuts.size)))
+    exclude = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    budget = draw(st.sampled_from([1, 7, localize_mod.BLOCK_TERMS]))
+    return _LeafValues(v, f), seq, cuts, r, exclude, budget
+
+
 class TestGpsKernel:
     @settings(max_examples=300, deadline=None)
     @given(scored_candidates())
@@ -228,7 +292,8 @@ class TestGpsKernel:
         combos = [idx.combination(g) for g in groups]
         runs = [idx.order[idx.starts[g]:idx.starts[g + 1]] for g in groups]
         scorer = _PrefixScorer(
-            snap, np.zeros(snap.n_leaves, dtype=bool) if exclude is None else exclude
+            _SnapshotArrays(snap),
+            np.zeros(snap.n_leaves, dtype=bool) if exclude is None else exclude,
         )
         got = scorer.prefix_scores(np.concatenate(runs), np.cumsum([r.size for r in runs]))
         for k in range(len(combos)):
@@ -237,6 +302,29 @@ class TestGpsKernel:
             assert explanation_score(snap, combos[: k + 1], exclude) == pytest.approx(
                 want, abs=1e-12
             )
+
+    @settings(max_examples=500, deadline=None)
+    @given(prefix_cases())
+    def test_misfits_match_the_per_cut_sum(self, case):
+        values, seq, cuts, r, _, budget = case
+        v, f = values.leaf_values()
+        with mock.patch.object(localize_mod, "BLOCK_TERMS", budget):
+            got = _SnapshotArrays(values).misfits(seq, cuts, r)
+        for k, (n, rk) in enumerate(zip(cuts, r)):
+            terms = np.abs(v[seq[:n]] - f[seq[:n]] * rk)
+            scale = float(np.sum(np.abs(v[seq[:n]]) + np.abs(f[seq[:n]] * rk)))
+            assert abs(got[k] - terms.sum()) <= 1e-12 * scale
+
+    @settings(max_examples=500, deadline=None)
+    @given(prefix_cases())
+    def test_prefix_scores_match_the_per_cut_loop(self, case):
+        values, seq, cuts, _, exclude, budget = case
+        scorer = _PrefixScorer(_SnapshotArrays(values), exclude)
+        with mock.patch.object(localize_mod, "BLOCK_TERMS", budget):
+            got = scorer.prefix_scores(seq, cuts)
+        want = per_cut_prefix_scores(scorer, seq, cuts)
+        # cuts without forecast mass take the slice as-is in both
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 def reference_search(snapshot, membership, exclude, cuboid):
@@ -259,7 +347,7 @@ def reference_search(snapshot, membership, exclude, cuboid):
     runs = [idx.order[idx.starts[gi]:idx.starts[gi + 1]] for gi in order]
     cuts = np.cumsum([r.size for r in runs])
     seq = np.concatenate(runs)
-    gps = _PrefixScorer(snapshot, exclude).prefix_scores(seq, cuts)
+    gps = _PrefixScorer(_SnapshotArrays(snapshot), exclude).prefix_scores(seq, cuts)
     best = int(np.argmax(gps))
     combos = tuple(sorted(idx.combination(gi) for gi in order[: best + 1]))
     return order, seq, cuts, gps, RootCauseCandidate(combos, float(gps[best]), cuboid)
@@ -304,7 +392,7 @@ class TestSearch:
         dense[leaves] = membership
         for cuboid in cuboids_by_layer(snap.schema):
             want = reference_search(snap, dense, exclude, cuboid)
-            searcher = _RecordingSearch(snap, leaves, membership, exclude)
+            searcher = _RecordingSearch(_SnapshotArrays(snap), leaves, membership, exclude)
             got = searcher.search(cuboid)
             if want is None:
                 assert got is None
@@ -331,7 +419,12 @@ class TestSearch:
         exclude = np.zeros(snap.n_leaves, dtype=bool)
 
         got = localize_cluster(
-            snap, abnormal, clusters[0].membership, exclude, weight, LocalizeConfig(delta=1.0)
+            _SnapshotArrays(snap),
+            abnormal,
+            clusters[0].membership,
+            exclude,
+            weight,
+            LocalizeConfig(delta=1.0),
         )
 
         best_score, best = -np.inf, None
@@ -355,7 +448,8 @@ class TestSearch:
         membership = np.zeros(snap.n_leaves)
         exclude = np.zeros(snap.n_leaves, dtype=bool)
         # no cuboid holds a member leaf, so no layer yields a candidate
-        assert localize_cluster(snap, leaves, membership, exclude, 1.0, LocalizeConfig()) is None
+        arrays = _SnapshotArrays(snap)
+        assert localize_cluster(arrays, leaves, membership, exclude, 1.0, LocalizeConfig()) is None
 
     def test_two_sibling_faults_need_both_combos(self):
         rng = np.random.default_rng(2)
@@ -398,6 +492,13 @@ class TestSearch:
         assert _candidate_sort_key(a, 10.0) < _candidate_sort_key(b, 10.0)
         c = RootCauseCandidate((combo(x="2"),), gps=0.9, cuboid=Cuboid(("x",)))
         assert _candidate_sort_key(a, 10.0) < _candidate_sort_key(c, 10.0)  # lexicographic
+
+    def test_sort_key_ties_below_the_verdict_precision_fall_to_the_names(self):
+        a = RootCauseCandidate((combo(x="1"),), gps=0.9, cuboid=Cuboid(("x",)))
+        b = RootCauseCandidate((combo(x="2"),), gps=0.9 + 1e-15, cuboid=Cuboid(("x",)))
+        assert b.gps > a.gps
+        assert _candidate_sort_key(a, 10.0) < _candidate_sort_key(b, 10.0)
+        assert min([b, a], key=lambda c: _candidate_sort_key(c, 10.0)) is a
 
 
 class TestLocalizeReport:

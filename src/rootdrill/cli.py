@@ -60,8 +60,10 @@ def parse_measure(text: str) -> MeasureSpec:
 
 def _parse_range(text: str) -> list[int]:
     if "-" in text:
-        lo, hi = text.split("-", 1)
-        return list(range(int(lo), int(hi) + 1))
+        lo, hi = (int(x) for x in text.split("-", 1))
+        if hi < lo:
+            raise ValueError(f"range {text!r} ends below its start")
+        return list(range(lo, hi + 1))
     return [int(text)]
 
 
@@ -227,7 +229,8 @@ def _cmd_exrc_threshold(args) -> int:
             isinstance(x, (int, float)) for x in values
         ):
             raise ValueError("history file must hold a JSON array of numbers")
-    print(f"{select_exrc_threshold(values):.4f}")
+        threshold = select_exrc_threshold(values)
+    print(f"{threshold:.4f}")
     return 0
 
 

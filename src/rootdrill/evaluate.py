@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -69,23 +69,25 @@ def exrc_f1(cases: Sequence[EvalCase]) -> float:
 # -- benchmark orchestration -----------------------------------------------
 
 
+def _with_family(snap: Snapshot, family: str | None) -> Snapshot:
+    """``snap`` with its measure's distribution family replaced by ``family``.
+
+    Raises ``ValueError`` when the measure or the values cannot take it.
+    """
+    m = snap.measure
+    if family is None or family == m.distribution_family:
+        return snap
+    measure = MeasureSpec(m.kind, m.operands, family)
+    return Snapshot(snap.schema, snap.codes, snap.real, snap.forecast, measure)
+
+
 def evaluate_fault(
     fault: SimulatedFault,
     cfg: LocalizeConfig | None = None,
     family_override: str | None = None,
 ) -> EvalCase:
     """Localize one fault and compare against its ground truth."""
-    snap = fault.snapshot
-    if family_override is not None and family_override != snap.measure.distribution_family:
-        m = snap.measure
-        snap = Snapshot(
-            snap.schema,
-            snap.codes,
-            snap.real,
-            snap.forecast,
-            MeasureSpec(m.kind, m.operands, family_override),
-        )
-    report = localize(snap, cfg)
+    report = localize(_with_family(fault.snapshot, family_override), cfg)
     predicted = {c for combos in report.root_causes for c in combos}
     return EvalCase(
         predicted=predicted,
@@ -99,14 +101,16 @@ def evaluate_fault(
 def _eval_dir(
     args: tuple[str, LocalizeConfig, str | None]
 ) -> tuple[tuple[int, int], EvalCase] | str:
-    """Setting key and evaluated case, or why the directory could not be read."""
+    """Setting key and evaluated case, or why the directory could not be read
+    (or its measure cannot take the ``family`` override)."""
     path, cfg, family = args
     try:
         fault = read_fault(path)
+        fault = replace(fault, snapshot=_with_family(fault.snapshot, family))
     except (OSError, ValueError, KeyError, TypeError) as exc:
         return f"{type(exc).__name__}: {exc}"
     key = (fault.params.n_element, fault.params.cuboid_layer)
-    return key, evaluate_fault(fault, cfg, family)
+    return key, evaluate_fault(fault, cfg)
 
 
 def find_fault_dirs(dataset_dir: str | Path) -> list[Path]:
@@ -122,10 +126,11 @@ def run_benchmark(
 ) -> BenchmarkReport:
     """Evaluate every fault directory under ``dataset_dir``.
 
-    Directories that cannot be read as faults are skipped with a warning
-    naming the reason, and counted; an error raised while localizing a fault
-    propagates.  Results are aggregated in directory order, so reports are
-    reproducible regardless of worker count.
+    Directories that cannot be read as faults, or whose measure cannot take
+    ``family_override``, are skipped with a warning naming the reason, and
+    counted; an error raised while localizing a fault propagates.  Results
+    are aggregated in directory order, so reports are reproducible
+    regardless of worker count.
     """
     cfg = cfg or LocalizeConfig()
     dirs = find_fault_dirs(dataset_dir)

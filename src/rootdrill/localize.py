@@ -14,7 +14,9 @@ from __future__ import annotations
 import time
 import warnings
 from dataclasses import dataclass, field
+from itertools import groupby
 from math import isqrt, log
+from operator import attrgetter
 from typing import Sequence
 
 import numpy as np
@@ -28,7 +30,7 @@ from .cluster import (
     leaf_distributions,
     weighted_quantile,
 )
-from .data import AttributeCombination, Cuboid, Snapshot, cuboids_by_layer
+from .data import AttributeCombination, Cuboid, Snapshot, _CuboidIndex, cuboids_by_layer
 from .ripple import deviation_score, measure_values
 
 
@@ -297,54 +299,43 @@ def explanation_score(
 # -- per-cluster search ----------------------------------------------------
 
 
-class _ClusterSearch(_PrefixScorer):
-    """Candidate search within one cluster, sharing per-snapshot arrays.
+def _best_prefix(
+    scorer: _PrefixScorer, idx: _CuboidIndex, leaves: np.ndarray, membership: np.ndarray
+) -> tuple[float, np.ndarray] | None:
+    """Score and group ids of the best prefix of one cuboid's ranked groups.
 
-    All hot-path work happens on the cuboid group tables.  Combination objects
-    are only materialized for the winning prefix.
+    Groups rank by the share of their leaves the cluster holds, then by its
+    mass on them, then by their values.  The ids come ascending, which is
+    the sorted order of their combinations.  None without member mass.
     """
+    g = idx.n_groups
+    member = np.bincount(idx.group_of[leaves], weights=membership, minlength=g)
+    sizes = np.diff(idx.starts)
+    insiders = idx.group_of[leaves[membership != 0.0]]
+    ratio = _member_ratio(member, sizes - np.bincount(insiders, minlength=g))
+    n_pos = int(np.count_nonzero(ratio > 0.0))
+    if n_pos == 0:
+        return None
 
-    def __init__(
-        self,
-        arrays: _SnapshotArrays,
-        leaves: np.ndarray,
-        membership: np.ndarray,
-        exclude: np.ndarray,
-    ) -> None:
-        super().__init__(arrays, exclude)
-        self.leaves = leaves
-        self.membership = membership
-        self.insiders = leaves[membership != 0.0]
+    keys = [idx.group_codes[:, j] for j in range(idx.group_codes.shape[1] - 1, -1, -1)]
+    order = np.lexsort(keys + [-member, -ratio])[:n_pos]
 
-    def search(self, cuboid: Cuboid) -> RootCauseCandidate | None:
-        idx = self.snapshot.cuboid_index(cuboid)
-        g = idx.n_groups
-        member = np.bincount(idx.group_of[self.leaves], weights=self.membership, minlength=g)
-        sizes = np.diff(idx.starts)
-        outsiders = sizes - np.bincount(idx.group_of[self.insiders], minlength=g)
-        ratio = _member_ratio(member, outsiders)
-        n_pos = int(np.count_nonzero(ratio > 0.0))
-        if n_pos == 0:
-            return None
+    # the ranked groups' runs of ``idx.order``, back to back
+    run = sizes[order]
+    gps = scorer.prefix_scores(idx.order[_runs(idx.starts[order], run)], np.cumsum(run))
+    best = int(np.argmax(gps))
+    return float(gps[best]), np.sort(order[: best + 1])
 
-        # rank: ratio desc, membership mass desc, then the combination's values
-        keys = [idx.group_codes[:, j] for j in range(idx.group_codes.shape[1] - 1, -1, -1)]
-        order = np.lexsort(keys + [-member, -ratio])[:n_pos]
 
-        # the ranked groups' runs of ``idx.order``, back to back
-        run = sizes[order]
-        gps = self.prefix_scores(idx.order[_runs(idx.starts[order], run)], np.cumsum(run))
-        best_k = int(np.argmax(gps))
-        combos = tuple(idx.combination(gi) for gi in order[: best_k + 1])
-        return RootCauseCandidate(tuple(sorted(combos)), float(gps[best_k]), cuboid)
+def _rank_key(gps: float, complexity: int, weight: float) -> tuple[float, float, int]:
+    # at the verdict's precision, so that exact ties in the last bit fall
+    # through to the names
+    return (-round(gps * weight - complexity, 9), -round(gps, 9), complexity)
 
 
 def _candidate_sort_key(c: RootCauseCandidate, weight: float):
-    # at the verdict's precision, so that exact ties in the last bit fall
-    # through to the names
-    score = round(c.gps * weight - candidate_complexity(c.combinations), 9)
     lex = tuple(e.items for e in c.combinations)
-    return (-score, -round(c.gps, 9), candidate_complexity(c.combinations), lex)
+    return (*_rank_key(c.gps, candidate_complexity(c.combinations), weight), lex)
 
 
 def localize_cluster(
@@ -359,25 +350,33 @@ def localize_cluster(
 
     ``membership`` is the cluster's mass on each of ``leaves`` (ascending); other leaves hold none.
     ``arrays`` are the snapshot's, shared by every cluster of one verdict.
+    Cuboid winners are ranked on their numbers alone; only the winners tied
+    at the top are decoded into combinations, whose names break the tie.
     """
-    searcher = _ClusterSearch(arrays, leaves, membership, exclude)
-    schema = arrays.snapshot.schema
-    cuboids = cuboids_by_layer(schema)
-    candidates: list[RootCauseCandidate] = []
-    for layer in range(1, schema.n_attributes + 1):
-        layer_cands = [
-            c
-            for cuboid in cuboids
-            if cuboid.layer == layer
-            for c in [searcher.search(cuboid)]
-            if c is not None
-        ]
-        candidates.extend(layer_cands)
-        if any(c.gps >= cfg.delta for c in layer_cands):
+    scorer = _PrefixScorer(arrays, exclude)
+    snapshot = arrays.snapshot
+    found = []  # (rank key, cuboid, its index, gps, ascending group ids)
+    for layer, cuboids in groupby(cuboids_by_layer(snapshot.schema), attrgetter("layer")):
+        stop = False
+        for cuboid in cuboids:
+            idx = snapshot.cuboid_index(cuboid)
+            best = _best_prefix(scorer, idx, leaves, membership)
+            if best is not None:
+                gps, groups = best
+                key = _rank_key(gps, groups.size * layer**2, weight)
+                found.append((key, cuboid, idx, gps, groups))
+                stop |= gps >= cfg.delta
+        if stop:
             break
-    if not candidates:
+    if not found:
         return None
-    return min(candidates, key=lambda c: _candidate_sort_key(c, weight))
+    top = min(f[0] for f in found)
+    tied = [
+        RootCauseCandidate(tuple(idx.combination(g) for g in groups), gps, cuboid)
+        for key, cuboid, idx, gps, groups in found
+        if key == top
+    ]
+    return min(tied, key=lambda c: _candidate_sort_key(c, weight))
 
 
 # -- full pipeline ---------------------------------------------------------
@@ -484,9 +483,12 @@ def select_exrc_threshold(history: Sequence[float]) -> float:
     returned threshold is the lower edge of the highest mode.  Above the
     highest value the smoothed density only falls, so no minimum lies there
     and the highest mode starts at the last minimum.  Under five observations
-    the ``LocalizeConfig.delta_exrc`` default is returned.
+    the ``LocalizeConfig.delta_exrc`` default is returned.  A NaN or infinite
+    value raises ``ValueError``.
     """
     vals = np.asarray(list(history), dtype=float)
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("history values must be finite")
     if vals.size < 5:
         return LocalizeConfig.delta_exrc
     bins = np.clip(np.round(np.clip(vals, 0.0, 1.0) / 0.01).astype(int), 0, _EXRC_BINS - 1)

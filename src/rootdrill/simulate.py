@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -325,14 +325,7 @@ def write_fault(fault: SimulatedFault, directory: str | Path) -> None:
     m = fault.snapshot.measure
     params = {
         "version": "1",
-        "n_element": fault.params.n_element,
-        "cuboid_layer": fault.params.cuboid_layer,
-        "base_noise_sigma": fault.params.base_noise_sigma,
-        "leaf_noise_sigma": fault.params.leaf_noise_sigma,
-        "magnitude_range": list(fault.params.magnitude_range),
-        "min_score_separation": fault.params.min_score_separation,
-        "seed": fault.params.seed,
-        "measure_kind": fault.params.measure_kind,
+        **asdict(fault.params),
         "measure": {"kind": m.kind, "operands": list(m.operands), "family": m.distribution_family},
         "magnitudes": {str(c): m_ for c, m_ in sorted(fault.magnitudes.items())},
         "external": fault.external,
@@ -354,16 +347,9 @@ def read_fault(directory: str | Path) -> SimulatedFault:
     snapshot = parse_snapshot((d / "snapshot.csv").read_text(), measure)
     truth_raw = json.loads((d / "truth.json").read_text())
     truth = tuple(AttributeCombination.from_bindings(b) for group in truth_raw for b in group)
-    sim = SimulationParams(
-        n_element=params["n_element"],
-        cuboid_layer=params["cuboid_layer"],
-        base_noise_sigma=params["base_noise_sigma"],
-        leaf_noise_sigma=params["leaf_noise_sigma"],
-        magnitude_range=tuple(params["magnitude_range"]),
-        min_score_separation=params["min_score_separation"],
-        seed=params["seed"],
-        measure_kind=params["measure_kind"],
-    )
+    sim_fields = {f.name: params[f.name] for f in fields(SimulationParams)}
+    sim_fields["magnitude_range"] = tuple(sim_fields["magnitude_range"])
+    sim = SimulationParams(**sim_fields)
     return SimulatedFault(
         snapshot,
         truth,

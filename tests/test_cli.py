@@ -3,9 +3,12 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+from rootdrill import MeasureSpec, SimulationParams, simulate_fault, snapshot_from_rows
 from rootdrill.cli import main, parse_grid, parse_measure
+from rootdrill.simulate import write_fault
 
 localize_mod = importlib.import_module("rootdrill.localize")
 evaluate_mod = importlib.import_module("rootdrill.evaluate")
@@ -239,6 +242,41 @@ class TestSimulateEvaluateCommands:
         )
         assert rc == 1
 
+    def test_reversed_grid_range_is_input_error(self, tmp_path):
+        ds = tmp_path / "ds"
+        rc = main(
+            [
+                "simulate",
+                "--base", "synthetic:2x4",
+                "--grid", "3-1x1",
+                "--per-cell", "1",
+                "--out", str(ds),
+            ]
+        )
+        assert rc == 1
+        assert not ds.exists()
+
+    def test_family_the_measure_cannot_take_is_skipped(self, tmp_path):
+        ds = tmp_path / "ds"
+        base = ["--base", "synthetic:2x4", "--grid", "1x1", "--per-cell", "1"]
+        assert main(["simulate", *base, "--out", str(ds)]) == 0
+        rng = np.random.default_rng(5)
+        rows = [(f"a{i}", f"b{j}") for i in range(4) for j in range(4)]
+        values = {"total": rng.integers(200, 500, len(rows)).astype(float)}
+        values["succ"] = np.round(values["total"] * 0.95)
+        rates = snapshot_from_rows(
+            ("A", "B"), rows, values, dict(values), MeasureSpec("quotient", ("succ", "total"))
+        )
+        params = SimulationParams(1, 1, measure_kind="success_rate")
+        write_fault(simulate_fault(rates, params, rng), ds / "rate" / "0000")
+
+        out = tmp_path / "e.json"
+        with pytest.warns(UserWarning, match="poisson family applies"):
+            rc = main(["evaluate", "--dataset", str(ds), "--family", "poisson", "--out", str(out)])
+        assert rc == 0
+        report = json.loads(out.read_text())
+        assert (report["n_cases"], report["skipped"]) == (1, 1)
+
     def test_pipeline_value_error_is_internal(self, tmp_path, monkeypatch, capsys):
         ds = tmp_path / "ds"
         base = ["--base", "synthetic:2x4", "--grid", "1x1", "--per-cell", "1"]
@@ -281,6 +319,13 @@ class TestExrcThresholdCommand:
         hist.write_text("[0.9, 0.2]")
         assert main(["exrc-threshold", "--history", str(hist)]) == 0
         assert capsys.readouterr().out.strip() == "0.8000"
+
+    @pytest.mark.parametrize("extra", ["NaN,NaN,NaN", "-Infinity,-Infinity", "Infinity"])
+    def test_non_finite_history_is_input_error(self, tmp_path, capsys, extra):
+        hist = tmp_path / "hist.json"
+        hist.write_text(f"[0.9,0.9,0.9,0.9,0.9,{extra}]")
+        assert main(["exrc-threshold", "--history", str(hist)]) == 1
+        assert capsys.readouterr().out == ""
 
     def test_non_numeric_history(self, tmp_path):
         hist = tmp_path / "hist.json"

@@ -24,13 +24,13 @@ from rootdrill import (
     synthetic_base,
 )
 from rootdrill.cluster import _interior_minima, bin_of, cluster_distributions, leaf_distributions
-from rootdrill.data import Cuboid, Snapshot, cuboids_by_layer, drop_attributes
+from rootdrill.data import Cuboid, Snapshot, _CuboidIndex, cuboids_by_layer, drop_attributes
 from rootdrill.forecast import render_table
 from rootdrill.ripple import UndefinedValueError, derived_value, measure_values
 from rootdrill.localize import (
     RootCauseCandidate,
+    _best_prefix,
     _candidate_sort_key,
-    _ClusterSearch,
     _member_ratio,
     _PrefixScorer,
     _SnapshotArrays,
@@ -353,12 +353,34 @@ def reference_search(snapshot, membership, exclude, cuboid):
     return order, seq, cuts, gps, RootCauseCandidate(combos, float(gps[best]), cuboid)
 
 
-class _RecordingSearch(_ClusterSearch):
-    """The search, keeping the last leaf sequence, cuts and scores it ranked."""
+class _RecordingScorer(_PrefixScorer):
+    """The scorer, keeping the last leaf sequence, cuts and scores it ranked."""
 
     def prefix_scores(self, seq, cuts):
         self.seen = (seq, cuts, super().prefix_scores(seq, cuts))
         return self.seen[2]
+
+
+def reference_localize_cluster(snapshot, leaves, membership, exclude, weight, cfg):
+    """The selection that decodes and sorts every cuboid's winner, then takes
+    the least by ``_candidate_sort_key``; layers stop as in the search."""
+    dense = np.zeros(snapshot.n_leaves)
+    dense[leaves] = membership
+    candidates = []
+    for layer in range(1, snapshot.schema.n_attributes + 1):
+        found = [
+            res[4]
+            for cuboid in cuboids_by_layer(snapshot.schema)
+            if cuboid.layer == layer
+            for res in [reference_search(snapshot, dense, exclude, cuboid)]
+            if res is not None
+        ]
+        candidates += found
+        if any(c.gps >= cfg.delta for c in found):
+            break
+    if not candidates:
+        return None
+    return min(candidates, key=lambda c: _candidate_sort_key(c, weight))
 
 
 @st.composite
@@ -383,6 +405,26 @@ def cluster_cases(draw):
     return snap, leaves, membership, exclude
 
 
+@st.composite
+def twin_cluster_cases(draw):
+    """Like ``cluster_cases``, plus a twin of A: an attribute named to sort
+    before, between or after A and B, whose values name A's in reverse order.
+    The twin's cuboids group the leaves exactly as A's do, so their winners
+    can tie with A's to the last bit and leave the names to decide."""
+    snap, leaves, membership, exclude = draw(cluster_cases())
+    twin = draw(st.sampled_from(["0", "AB", "Z"]))
+    a, b = snap.schema.attributes
+    rows = [
+        (snap.schema.domains[a][i], snap.schema.domains[b][j], f"t{3 - int(i)}")
+        for i, j in snap.codes
+    ]
+    v, f = snap.real["value"], snap.forecast["value"]
+    snap = snapshot_from_rows(("A", "B", twin), rows, {"value": v}, {"value": f}, MeasureSpec())
+    weight = draw(st.sampled_from([0.5, 1.0, 3.0, 10.0]))
+    delta = draw(st.sampled_from([0.5, 0.9, 1.0]))
+    return snap, leaves, membership, exclude, weight, LocalizeConfig(delta=delta)
+
+
 class TestSearch:
     @settings(max_examples=300, deadline=None)
     @given(cluster_cases())
@@ -392,19 +434,53 @@ class TestSearch:
         dense[leaves] = membership
         for cuboid in cuboids_by_layer(snap.schema):
             want = reference_search(snap, dense, exclude, cuboid)
-            searcher = _RecordingSearch(_SnapshotArrays(snap), leaves, membership, exclude)
-            got = searcher.search(cuboid)
+            idx = snap.cuboid_index(cuboid)
+            scorer = _RecordingScorer(_SnapshotArrays(snap), exclude)
+            got = _best_prefix(scorer, idx, leaves, membership)
             if want is None:
                 assert got is None
                 continue
             order, seq, cuts, gps, cand = want
-            got_seq, got_cuts, got_gps = searcher.seen
+            got_seq, got_cuts, got_gps = scorer.seen
             heads = got_seq[got_cuts - np.diff(got_cuts, prepend=0)]
-            assert np.array_equal(snap.cuboid_index(cuboid).group_of[heads], order)
+            assert np.array_equal(idx.group_of[heads], order)
             assert np.array_equal(got_seq, seq)
             assert np.array_equal(got_cuts, cuts)
             assert np.array_equal(got_gps, gps)
-            assert got == cand
+            best_gps, groups = got
+            decoded = tuple(idx.combination(g) for g in groups)
+            assert RootCauseCandidate(decoded, best_gps, cuboid) == cand
+
+    @settings(max_examples=300, deadline=None)
+    @given(twin_cluster_cases())
+    def test_search_matches_the_decode_everything_selection(self, case):
+        snap, leaves, membership, exclude, weight, cfg = case
+        args = (leaves, membership, exclude, weight, cfg)
+        got = localize_cluster(_SnapshotArrays(snap), *args)
+        assert got == reference_localize_cluster(snap, *args)
+
+    def test_only_the_winner_is_decoded(self, monkeypatch):
+        snap = planted_snapshot(n_values=4, d=0.5, quiet_noise=0.01, seed=4)
+        v, f = snap.leaf_values()
+        abnormal = np.flatnonzero(np.abs(v - f) > knee_threshold(np.abs(v - f)))
+        membership = np.ones(abnormal.size)
+        exclude = np.zeros(snap.n_leaves, dtype=bool)
+        arrays = _SnapshotArrays(snap)
+        cfg = LocalizeConfig(delta=1.0)  # every layer is searched
+        want = reference_localize_cluster(snap, abnormal, membership, exclude, 5.0, cfg)
+        assert want.combinations == (combo(A="a0"),)
+
+        decoded = []
+        orig = _CuboidIndex.combination
+
+        def spy(self, g):
+            decoded.append(g)
+            return orig(self, g)
+
+        monkeypatch.setattr(_CuboidIndex, "combination", spy)
+        got = localize_cluster(arrays, abnormal, membership, exclude, 5.0, cfg)
+        assert got == want
+        assert len(decoded) == 1
 
     def test_prefix_search_matches_exhaustive(self):
         snap = planted_snapshot(n_values=3, d=0.5, quiet_noise=0.002, seed=1)
@@ -467,13 +543,13 @@ class TestSearch:
     def test_early_stop_skips_deep_layers(self, monkeypatch):
         snap = planted_snapshot(n_values=4, d=0.5, quiet_noise=0.01, seed=4)
         seen = []
-        orig = localize_mod._ClusterSearch.search
+        orig = localize_mod._best_prefix
 
-        def spy(self, cuboid):
-            seen.append(cuboid.layer)
-            return orig(self, cuboid)
+        def spy(scorer, idx, leaves, membership):
+            seen.append(len(idx.attrs))
+            return orig(scorer, idx, leaves, membership)
 
-        monkeypatch.setattr(localize_mod._ClusterSearch, "search", spy)
+        monkeypatch.setattr(localize_mod, "_best_prefix", spy)
         localize(snap, LocalizeConfig(delta=0.9))
         stopped = list(seen)
         seen.clear()
@@ -638,6 +714,11 @@ class TestSelectExrcThreshold:
     def test_short_history_uses_default(self):
         assert select_exrc_threshold([0.9, 0.1]) == 0.8
         assert select_exrc_threshold([]) == 0.8
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values_raise(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            select_exrc_threshold([0.9] * 5 + [bad])
 
     def test_single_mode_never_flags(self):
         assert select_exrc_threshold([0.9] * 10) == 0.0

@@ -166,7 +166,8 @@ def _load_base(spec: str, measure_text: str, seed: int):
 
 def _cmd_simulate(args) -> int:
     # a ValueError while simulating means an argument does not fit the base
-    # (a layer deeper than its attributes, --per-cell 0)
+    # (a layer deeper than its attributes, more causes than it can hold
+    # apart, --per-cell 0)
     with _reading_input():
         base = _load_base(args.base, args.measure, args.seed)
         cells = parse_grid(args.grid)

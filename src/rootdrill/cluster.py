@@ -11,7 +11,6 @@ agree end up in the same cluster and are explained together.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,7 +62,7 @@ def knee_threshold(residuals: np.ndarray) -> float:
     cannot flatten the whole curve.  A wide gap spans at least
     ``KNEE_GAP_FRAC`` of the full range, and the forward nudge gives up after
     ``KNEE_SNAP_MASS`` additional mass.  Degenerate inputs (under three
-    distinct values) fall back to the median with a warning.
+    distinct values) have no knee and fall back to the median.
     """
     r = np.asarray(residuals, dtype=float)
     if r.size == 0:
@@ -71,10 +70,6 @@ def knee_threshold(residuals: np.ndarray) -> float:
     vals, counts = np.unique(r, return_counts=True)
     n = r.size
     if vals.size < 3:
-        warnings.warn(
-            "fewer than 3 distinct residual values; knee undefined, using median",
-            stacklevel=2,
-        )
         return float(np.median(r))
     cum = np.cumsum(counts)
     frac = cum / n

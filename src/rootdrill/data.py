@@ -159,6 +159,8 @@ def _group_rows(
     Returns ``(group_codes, group_of, order, starts)``: each distinct row
     once in lexicographic order, every row's group id, the row indices
     sorted stably by group, and the (G+1,) group bounds into that order.
+    Group ids follow the lexicographic order of the code rows; the search
+    breaks its ranking ties on them.
     Each row gets one integer key, ``key * sizes[j] + codes[:, j]`` over the
     columns, so key order is the rows' lexicographic order.  Before the key
     would pass ``_KEY_LIMIT`` it is replaced by its dense rank, which keeps
@@ -185,7 +187,8 @@ def _group_rows(
 
 @dataclass
 class _CuboidIndex:
-    """Per-cuboid grouping of leaves by their projected attribute values."""
+    """Per-cuboid grouping of leaves by their projected attribute values; group
+    ids follow the lexicographic order of the groups' code rows (``_group_rows``)."""
 
     attrs: tuple[str, ...]       # the cuboid's attributes, sorted
     domains: tuple[tuple[str, ...], ...]  # value names of each attribute

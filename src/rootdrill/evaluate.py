@@ -101,14 +101,17 @@ def evaluate_fault(
 def _eval_dir(
     args: tuple[str, LocalizeConfig, str | None]
 ) -> tuple[tuple[int, int], EvalCase] | str:
-    """Setting key and evaluated case, or why the directory could not be read
-    (or its measure cannot take the ``family`` override)."""
+    """Setting key and evaluated case, or why the directory is skipped: it
+    could not be read, or its measure cannot take the ``family`` override."""
     path, cfg, family = args
     try:
         fault = read_fault(path)
-        fault = replace(fault, snapshot=_with_family(fault.snapshot, family))
     except (OSError, ValueError, KeyError, TypeError) as exc:
-        return f"{type(exc).__name__}: {exc}"
+        return f"unreadable fault directory {path}: {type(exc).__name__}: {exc}"
+    try:
+        fault = replace(fault, snapshot=_with_family(fault.snapshot, family))
+    except ValueError as exc:
+        return f"fault directory {path} whose measure cannot take family {family}: {exc}"
     key = (fault.params.n_element, fault.params.cuboid_layer)
     return key, evaluate_fault(fault, cfg)
 
@@ -144,9 +147,9 @@ def run_benchmark(
     cases_by_setting: dict[tuple[int, int], list[EvalCase]] = {}
     all_cases: list[EvalCase] = []
     skipped = 0
-    for d, res in zip(dirs, results):
+    for res in results:
         if isinstance(res, str):
-            warnings.warn(f"skipping unreadable fault directory {d}: {res}")
+            warnings.warn(f"skipping {res}")
             skipped += 1
             continue
         key, case = res

@@ -16,6 +16,7 @@ import numpy as np
 
 from .data import (
     DEFAULT_VALUE_COLUMN,
+    AttributeSchema,
     MeasureSpec,
     ParseError,
     Snapshot,
@@ -60,22 +61,12 @@ def snapshot_with_forecast(
             raise ParseError(
                 f"history attributes {h_attrs} do not match snapshot attributes {attrs}"
             )
-    del tables[1:-window]
+    if len(tables) > window + 1:
+        _stack(attrs, tables, len(history_texts))  # checked, not averaged
+        del tables[1:-window]
     n_hist = len(tables) - 1
-
-    # one encoding and one grouping of all rows, stacked in table order
-    columns = [[v for _, cols, _, _ in tables for v in cols[j]] for j in range(len(attrs))]
-    schema, codes = _encode(attrs, columns)
-    sizes = [len(schema.domains[a]) for a in attrs]
-    leaf_codes, leaf_of, _, _ = _group_rows(codes, sizes)
+    schema, leaf_codes, leaf_of, table_of = _stack(attrs, tables, len(history_texts))
     n_leaves = len(leaf_codes)
-    table_of = np.repeat(np.arange(len(tables)), [len(cols[0]) for _, cols, _, _ in tables])
-    pairs = np.bincount(leaf_of * len(tables) + table_of)
-    if pairs.max() > 1:
-        leaf, t = divmod(int(np.argmax(pairs)), len(tables))
-        names = {a: schema.domains[a][c] for a, c in zip(attrs, leaf_codes[leaf])}
-        where = "snapshot" if t == 0 else f"history table {len(history_texts) - n_hist + t}"
-        raise ParseError(f"duplicate leaf {names} in {where}")
 
     # rows are summed in table order, absent leaves adding nothing
     current = table_of == 0
@@ -109,3 +100,24 @@ def render_table(snapshot: Snapshot) -> str:
 
 def _fmt(x: float) -> str:
     return str(int(x)) if x.is_integer() else repr(x)
+
+
+def _stack(
+    attrs: Sequence[str], tables: list, n_history: int
+) -> tuple[AttributeSchema, np.ndarray, np.ndarray, np.ndarray]:
+    """Schema, leaf codes, and each row's leaf and table: one encoding and one
+    grouping of the rows of ``tables`` (the snapshot's, then the last of
+    ``n_history`` history tables) in order.  A leaf named twice in one table
+    raises ``ParseError``."""
+    columns = [[v for _, cols, _, _ in tables for v in cols[j]] for j in range(len(attrs))]
+    schema, codes = _encode(attrs, columns)
+    sizes = [len(schema.domains[a]) for a in attrs]
+    leaf_codes, leaf_of, _, _ = _group_rows(codes, sizes)
+    table_of = np.repeat(np.arange(len(tables)), [len(cols[0]) for _, cols, _, _ in tables])
+    pairs = np.bincount(leaf_of * len(tables) + table_of)
+    if pairs.max() > 1:
+        leaf, t = divmod(int(np.argmax(pairs)), len(tables))
+        names = {a: schema.domains[a][c] for a, c in zip(attrs, leaf_codes[leaf])}
+        where = "snapshot" if t == 0 else f"history table {n_history - len(tables) + 1 + t}"
+        raise ParseError(f"duplicate leaf {names} in {where}")
+    return schema, leaf_codes, leaf_of, table_of

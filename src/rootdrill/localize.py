@@ -12,7 +12,6 @@ against the verbosity of the candidate.
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass, field
 from itertools import groupby
 from math import isqrt, log
@@ -89,15 +88,6 @@ class LocalizationReport:
 # -- scoring primitives ----------------------------------------------------
 
 
-def candidate_complexity(combinations: Sequence[AttributeCombination]) -> int:
-    """Verbosity cost of a candidate: squared size of each combination, summed.
-
-    Quadratic so that two 2-attribute combinations (cost 8) read as worse than
-    one 2-attribute combination plus context (cost 4 + 1).
-    """
-    return sum(len(e) ** 2 for e in combinations)
-
-
 def tradeoff_weight(num_cluster: int, num_attr: int, coverage: float) -> float:
     """Weight of the explanation score against candidate complexity.
 
@@ -112,11 +102,6 @@ def tradeoff_weight(num_cluster: int, num_attr: int, coverage: float) -> float:
         raise ValueError("coverage must lie in (0, 1]")
     coverage = min(coverage, 1.0 - 1e-9)
     return (log(num_cluster + 1) / num_cluster) * (num_attr / log(num_attr + 1)) * (-log(coverage))
-
-
-def _member_ratio(member: np.ndarray, nonmember: np.ndarray) -> np.ndarray:
-    """Member mass against member mass plus outsider count (0 without members)."""
-    return np.divide(member, member + nonmember, out=np.zeros(member.shape), where=member > 0.0)
 
 
 def _runs(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
@@ -301,24 +286,23 @@ def explanation_score(
 
 def _best_prefix(
     scorer: _PrefixScorer, idx: _CuboidIndex, leaves: np.ndarray, membership: np.ndarray
-) -> tuple[float, np.ndarray] | None:
+) -> tuple[float, np.ndarray]:
     """Score and group ids of the best prefix of one cuboid's ranked groups.
 
-    Groups rank by the share of their leaves the cluster holds, then by its
-    mass on them, then by their values.  The ids come ascending, which is
-    the sorted order of their combinations.  None without member mass.
+    ``leaves`` is not empty and ``membership`` is nonzero on each of them.
+    The groups holding them rank by the share of their leaves the cluster
+    holds, then by its mass on them, then by id, which is the order of their
+    value names.  The ids come ascending, the sorted order of their combinations.
     """
-    g = idx.n_groups
-    member = np.bincount(idx.group_of[leaves], weights=membership, minlength=g)
+    of = idx.group_of[leaves]
+    member = np.bincount(of, weights=membership, minlength=idx.n_groups)
+    inside = np.bincount(of, minlength=idx.n_groups)
+    held = np.flatnonzero(inside)
+    member, inside = member[held], inside[held]
     sizes = np.diff(idx.starts)
-    insiders = idx.group_of[leaves[membership != 0.0]]
-    ratio = _member_ratio(member, sizes - np.bincount(insiders, minlength=g))
-    n_pos = int(np.count_nonzero(ratio > 0.0))
-    if n_pos == 0:
-        return None
-
-    keys = [idx.group_codes[:, j] for j in range(idx.group_codes.shape[1] - 1, -1, -1)]
-    order = np.lexsort(keys + [-member, -ratio])[:n_pos]
+    ratio = member / (member + (sizes[held] - inside))
+    # stable, and the held ids ascend: ties fall to the group id
+    order = held[np.lexsort((-member, -ratio))]
 
     # the ranked groups' runs of ``idx.order``, back to back
     run = sizes[order]
@@ -331,11 +315,6 @@ def _rank_key(gps: float, complexity: int, weight: float) -> tuple[float, float,
     # at the verdict's precision, so that exact ties in the last bit fall
     # through to the names
     return (-round(gps * weight - complexity, 9), -round(gps, 9), complexity)
-
-
-def _candidate_sort_key(c: RootCauseCandidate, weight: float):
-    lex = tuple(e.items for e in c.combinations)
-    return (*_rank_key(c.gps, candidate_complexity(c.combinations), weight), lex)
 
 
 def localize_cluster(
@@ -353,6 +332,10 @@ def localize_cluster(
     Cuboid winners are ranked on their numbers alone; only the winners tied
     at the top are decoded into combinations, whose names break the tie.
     """
+    held = membership != 0.0
+    if not held.any():
+        return None
+    leaves, membership = leaves[held], membership[held]
     scorer = _PrefixScorer(arrays, exclude)
     snapshot = arrays.snapshot
     found = []  # (rank key, cuboid, its index, gps, ascending group ids)
@@ -360,23 +343,21 @@ def localize_cluster(
         stop = False
         for cuboid in cuboids:
             idx = snapshot.cuboid_index(cuboid)
-            best = _best_prefix(scorer, idx, leaves, membership)
-            if best is not None:
-                gps, groups = best
-                key = _rank_key(gps, groups.size * layer**2, weight)
-                found.append((key, cuboid, idx, gps, groups))
-                stop |= gps >= cfg.delta
+            gps, groups = _best_prefix(scorer, idx, leaves, membership)
+            # complexity sums each combination's squared size, so that two
+            # 2-attribute combinations (8) read as worse than one plus context (4 + 1)
+            key = _rank_key(gps, groups.size * layer**2, weight)
+            found.append((key, cuboid, idx, gps, groups))
+            stop |= gps >= cfg.delta
         if stop:
             break
-    if not found:
-        return None
     top = min(f[0] for f in found)
     tied = [
         RootCauseCandidate(tuple(idx.combination(g) for g in groups), gps, cuboid)
         for key, cuboid, idx, gps, groups in found
         if key == top
     ]
-    return min(tied, key=lambda c: _candidate_sort_key(c, weight))
+    return min(tied, key=lambda c: tuple(e.items for e in c.combinations))
 
 
 # -- full pipeline ---------------------------------------------------------
@@ -414,9 +395,7 @@ def localize(snapshot: Snapshot, cfg: LocalizeConfig | None = None) -> Localizat
     t0 = time.perf_counter()
     v, f = snapshot.leaf_values()
     resid = np.abs(v - f)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        threshold = knee_threshold(resid)
+    threshold = knee_threshold(resid)
     abnormal = np.flatnonzero(resid > threshold)
     if abnormal.size == 0:
         return _no_cluster_report(v, f, threshold, np.zeros(N_BINS), t0)

@@ -12,7 +12,6 @@ detected and discarded.
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -105,7 +104,7 @@ def _draw_magnitudes(params: SimulationParams, rng: np.random.Generator) -> np.n
         gaps = np.diff(np.sort(m))
         if gaps.min() >= params.min_score_separation:
             return m
-    raise RuntimeError(
+    raise ValueError(
         f"could not draw {params.n_element} magnitudes {params.min_score_separation} "
         f"apart within {params.magnitude_range}"
     )
@@ -135,7 +134,7 @@ def _pick_combinations(
             picks.append((cuboid, g, leaves))
             break
         else:
-            raise RuntimeError(
+            raise ValueError(
                 "could not place non-overlapping root causes after 100 attempts"
             )
     return picks
@@ -216,9 +215,7 @@ def validity_check(fault: SimulatedFault) -> bool:
         return True
     v, f = snap.leaf_values()
     resid = np.abs(v - f)[unaffected]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        t = knee_threshold(resid)
+    t = knee_threshold(resid)
     total_dev = abs(float((v - f)[unaffected].sum()))
     return total_dev <= t * np.sqrt(unaffected.sum())
 
@@ -243,7 +240,7 @@ def generate_dataset(
         while accepted < per_cell:
             attempts += 1
             if attempts > 200 and accepted / attempts < 0.01:
-                raise RuntimeError(
+                raise ValueError(
                     f"cell (n_element={params.n_element}, layer={params.cuboid_layer}): "
                     f"{accepted}/{attempts} faults valid, acceptance below 1%"
                 )

@@ -256,6 +256,20 @@ class TestSimulateEvaluateCommands:
         assert rc == 1
         assert not ds.exists()
 
+    def test_grid_the_base_cannot_hold_is_input_error(self, tmp_path, capsys):
+        # 20 disjoint layer-1 causes on a base with 4 values per attribute
+        rc = main(
+            [
+                "simulate",
+                "--base", "synthetic:3x4",
+                "--grid", "20x1",
+                "--per-cell", "1",
+                "--out", str(tmp_path / "ds"),
+            ]
+        )
+        assert rc == 1
+        assert "non-overlapping" in capsys.readouterr().err
+
     def test_family_the_measure_cannot_take_is_skipped(self, tmp_path):
         ds = tmp_path / "ds"
         base = ["--base", "synthetic:2x4", "--grid", "1x1", "--per-cell", "1"]
@@ -271,9 +285,12 @@ class TestSimulateEvaluateCommands:
         write_fault(simulate_fault(rates, params, rng), ds / "rate" / "0000")
 
         out = tmp_path / "e.json"
-        with pytest.warns(UserWarning, match="poisson family applies"):
+        with pytest.warns(UserWarning, match="poisson family applies") as caught:
             rc = main(["evaluate", "--dataset", str(ds), "--family", "poisson", "--out", str(out)])
         assert rc == 0
+        # the directory was read; only the family does not fit its measure
+        (skip,) = [str(w.message) for w in caught if "skipping" in str(w.message)]
+        assert "cannot take family poisson" in skip and "unreadable" not in skip
         report = json.loads(out.read_text())
         assert (report["n_cases"], report["skipped"]) == (1, 1)
 

@@ -87,9 +87,7 @@ class TestKneeThreshold:
     # the nudge runs out of mass in the 0.5-0.6 run, before the gap to 20
     @example(np.concatenate([np.linspace(0.0, 0.01, 397), np.linspace(0.5, 0.6, 10), [20.0]]))
     def test_matches_the_nudge_loop(self, residuals):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            assert knee_threshold(residuals) == reference_knee_threshold(residuals)
+        assert knee_threshold(residuals) == reference_knee_threshold(residuals)
 
     def test_nudge_examples(self):
         bulk = np.linspace(0.0, 0.01, 397)
@@ -104,13 +102,11 @@ class TestKneeThreshold:
         t = knee_threshold(r)
         assert background.max() <= t < tail.min()
 
-    def test_degenerate_warns_and_uses_median(self):
-        with pytest.warns(UserWarning):
-            t = knee_threshold(np.full(10, 2.0))
-        assert t == 2.0
-        with pytest.warns(UserWarning):
-            t = knee_threshold(np.array([1.0, 3.0, 3.0]))
-        assert t == 3.0
+    def test_degenerate_uses_median_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert knee_threshold(np.full(10, 2.0)) == 2.0
+            assert knee_threshold(np.array([1.0, 3.0, 3.0])) == 3.0
 
     def test_majority_at_smallest_value(self):
         r = np.concatenate([np.zeros(60), np.arange(1, 41, dtype=float)])

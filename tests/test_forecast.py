@@ -68,6 +68,11 @@ class TestSnapshotWithForecast:
         with pytest.raises(ParseError, match="duplicate leaf {'a': 'x'} in history table 2"):
             snapshot_with_forecast("a,real\nx,7\n", hist, window=2)
 
+    def test_duplicate_leaf_outside_window(self):
+        hist = ["a,real\nx,4\nx,100\n", "a,real\nx,2\n", "a,real\nx,3\n"]
+        with pytest.raises(ParseError, match="duplicate leaf {'a': 'x'} in history table 1"):
+            snapshot_with_forecast("a,real\nx,1\n", hist, window=2)
+
     def test_attribute_mismatch_outside_window(self):
         hist = ["b,real\nx,1\n", "a,real\nx,1\n"]
         with pytest.raises(ParseError):

@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 localize_mod = importlib.import_module("rootdrill.localize")
@@ -30,11 +30,9 @@ from rootdrill.ripple import UndefinedValueError, derived_value, measure_values
 from rootdrill.localize import (
     RootCauseCandidate,
     _best_prefix,
-    _candidate_sort_key,
-    _member_ratio,
     _PrefixScorer,
+    _rank_key,
     _SnapshotArrays,
-    candidate_complexity,
     localize_cluster,
     tradeoff_weight,
 )
@@ -82,15 +80,44 @@ class TestTradeoffWeight:
             tradeoff_weight(1, 2, 1.1)
 
 
+# -- the search's rules, written out for the references below ----------------
+
+
+def candidate_complexity(combinations):
+    """Verbosity cost of a candidate: squared size of each combination, summed."""
+    return sum(len(e) ** 2 for e in combinations)
+
+
+def member_ratio(member, nonmember):
+    """Member mass against member mass plus outsider count (0 without members)."""
+    return np.divide(member, member + nonmember, out=np.zeros(member.shape), where=member > 0.0)
+
+
+def candidate_sort_key(c, weight):
+    """Score·weight − complexity, then gps, both at 9 digits, then complexity
+    and the combinations' names."""
+    complexity = candidate_complexity(c.combinations)
+    return (
+        -round(c.gps * weight - complexity, 9),
+        -round(c.gps, 9),
+        complexity,
+        tuple(e.items for e in c.combinations),
+    )
+
+
 class TestCandidateComplexity:
     def test_values(self):
         assert candidate_complexity([]) == 0
         assert candidate_complexity([combo(a="1")]) == 1
         assert candidate_complexity([combo(a="1", b="2"), combo(a="3", b="4")]) == 8
-        # quadratic: a second deep combination costs more than a shallow one
-        assert candidate_complexity(
-            [combo(a="1", b="2"), combo(a="3", b="4")]
-        ) > candidate_complexity([combo(a="1", b="2"), combo(a="3")])
+        # the search's size·layer² on candidates of one cuboid
+        for layer in (1, 2, 3):
+            for size in (1, 2, 5):
+                combos = [combo(**{f"a{j}": str(i) for j in range(layer)}) for i in range(size)]
+                assert candidate_complexity(combos) == size * layer**2
+        # quadratic: at equal gps, two 1-attribute combinations (2) rank
+        # above one 2-attribute combination (4)
+        assert _rank_key(0.9, 2 * 1**2, 10.0) < _rank_key(0.9, 1 * 2**2, 10.0)
 
 
 @pytest.mark.parametrize(
@@ -108,9 +135,16 @@ def test_member_ratio(province_snapshot, cuboid, target, members, want):
     idx = province_snapshot.cuboid_index(Cuboid(cuboid))
     member = np.bincount(idx.group_of, weights=membership, minlength=idx.n_groups)
     outsider = np.bincount(idx.group_of, weights=membership == 0.0, minlength=idx.n_groups)
-    ratio = _member_ratio(member, outsider)
+    ratio = member_ratio(member, outsider)
     g = [idx.combination(g) for g in range(idx.n_groups)].index(target)
     assert ratio[g] == want
+    # the search ranks the held groups alone, the target first here
+    if members:
+        leaves = np.array(sorted(members))
+        scorer = _RecordingScorer(_SnapshotArrays(province_snapshot), np.zeros(9, dtype=bool))
+        _best_prefix(scorer, idx, leaves, membership[leaves])
+        seq, cuts, _ = scorer.seen
+        assert idx.group_of[seq[0]] == g and cuts.size == 1
 
 
 class TestExplanationScore:
@@ -338,7 +372,7 @@ def reference_search(snapshot, membership, exclude, cuboid):
     member = np.bincount(idx.group_of, weights=membership, minlength=g)
     outsider = (membership == 0.0).astype(float)
     nonmember = np.bincount(idx.group_of, weights=outsider, minlength=g)
-    ratio = _member_ratio(member, nonmember)
+    ratio = member_ratio(member, nonmember)
     n_pos = int(np.count_nonzero(ratio > 0.0))
     if n_pos == 0:
         return None
@@ -363,7 +397,7 @@ class _RecordingScorer(_PrefixScorer):
 
 def reference_localize_cluster(snapshot, leaves, membership, exclude, weight, cfg):
     """The selection that decodes and sorts every cuboid's winner, then takes
-    the least by ``_candidate_sort_key``; layers stop as in the search."""
+    the least by ``candidate_sort_key``; layers stop as in the search."""
     dense = np.zeros(snapshot.n_leaves)
     dense[leaves] = membership
     candidates = []
@@ -380,7 +414,7 @@ def reference_localize_cluster(snapshot, leaves, membership, exclude, weight, cf
             break
     if not candidates:
         return None
-    return min(candidates, key=lambda c: _candidate_sort_key(c, weight))
+    return min(candidates, key=lambda c: candidate_sort_key(c, weight))
 
 
 @st.composite
@@ -425,9 +459,36 @@ def twin_cluster_cases(draw):
     return snap, leaves, membership, exclude, weight, LocalizeConfig(delta=delta)
 
 
+def example_cluster_case(attrs, rows, v, f, leaves, membership, exclude):
+    """A ``cluster_cases`` draw written out."""
+    values = ({"value": np.array(x, dtype=float)} for x in (v, f))
+    snap = snapshot_from_rows(attrs, rows, *values, MeasureSpec())
+    return snap, np.array(leaves), np.array(membership), np.array(exclude, dtype=bool)
+
+
+_GRID_3X3 = [(f"a{i}", f"b{j}") for i in range(3) for j in range(3)]
+
+
 class TestSearch:
     @settings(max_examples=300, deadline=None)
     @given(cluster_cases())
+    # single-leaf groups tied at ratio 1 with equal mass, the criterion-6
+    # shape: only the group ids order them
+    @example(
+        example_cluster_case(
+            ("A", "B"), _GRID_3X3, [5, 10, 10, 10, 5, 10, 10, 10, 5], [10] * 9,
+            [0, 4, 8], [1.0, 1.0, 1.0], [False] * 9,
+        )
+    )
+    # schema columns out of name order: the (A, B) cuboid's codes are the
+    # schema's columns swapped
+    @example(
+        example_cluster_case(
+            ("B", "A"), [("b1", "a0"), ("b0", "a1"), ("b0", "a0"), ("b1", "a1"), ("b2", "a0")],
+            [3, 12, 4, 4, 9], [6, 10, 8, 8, 9],
+            [0, 2, 3, 4], [0.5, 1.0, 0.0, 0.25], [False, True, False, False, False],
+        )
+    )
     def test_sparse_tallies_match_the_dense_reference(self, case):
         snap, leaves, membership, exclude = case
         dense = np.zeros(snap.n_leaves)
@@ -436,10 +497,13 @@ class TestSearch:
             want = reference_search(snap, dense, exclude, cuboid)
             idx = snap.cuboid_index(cuboid)
             scorer = _RecordingScorer(_SnapshotArrays(snap), exclude)
-            got = _best_prefix(scorer, idx, leaves, membership)
+            # as ``localize_cluster`` passes them: the leaves with member mass,
+            # and only when there are some
+            held = membership != 0.0
             if want is None:
-                assert got is None
+                assert not held.any()
                 continue
+            got = _best_prefix(scorer, idx, leaves[held], membership[held])
             order, seq, cuts, gps, cand = want
             got_seq, got_cuts, got_gps = scorer.seen
             heads = got_seq[got_cuts - np.diff(got_cuts, prepend=0)]
@@ -560,21 +624,17 @@ class TestSearch:
         assert 2 in exhaustive
 
     def test_sort_key_prefers_score_then_simplicity(self):
-        from rootdrill import Cuboid
-        from rootdrill.localize import RootCauseCandidate
-
-        a = RootCauseCandidate((combo(x="1"),), gps=0.9, cuboid=Cuboid(("x",)))
-        b = RootCauseCandidate((combo(x="1", y="2"),), gps=0.9, cuboid=Cuboid(("x", "y")))
-        assert _candidate_sort_key(a, 10.0) < _candidate_sort_key(b, 10.0)
-        c = RootCauseCandidate((combo(x="2"),), gps=0.9, cuboid=Cuboid(("x",)))
-        assert _candidate_sort_key(a, 10.0) < _candidate_sort_key(c, 10.0)  # lexicographic
+        # one 1-attribute combination (1) before one 2-attribute one (4)
+        assert _rank_key(0.9, 1, 10.0) < _rank_key(0.9, 4, 10.0)
+        # score·weight − complexity first: 0.95·100 − 4 beats 0.9·100 − 1
+        assert _rank_key(0.95, 4, 100.0) < _rank_key(0.9, 1, 100.0)
+        # then gps, when score·weight − complexity ties
+        assert _rank_key(0.9, 1, 10.0) < _rank_key(0.8, 0, 10.0)
 
     def test_sort_key_ties_below_the_verdict_precision_fall_to_the_names(self):
-        a = RootCauseCandidate((combo(x="1"),), gps=0.9, cuboid=Cuboid(("x",)))
-        b = RootCauseCandidate((combo(x="2"),), gps=0.9 + 1e-15, cuboid=Cuboid(("x",)))
-        assert b.gps > a.gps
-        assert _candidate_sort_key(a, 10.0) < _candidate_sort_key(b, 10.0)
-        assert min([b, a], key=lambda c: _candidate_sort_key(c, 10.0)) is a
+        # equal keys leave the choice to the combinations' names
+        assert 0.9 + 1e-15 > 0.9
+        assert _rank_key(0.9, 1, 10.0) == _rank_key(0.9 + 1e-15, 1, 10.0)
 
 
 class TestLocalizeReport:

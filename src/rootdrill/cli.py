@@ -26,14 +26,6 @@ from .simulate import SimulationParams, generate_dataset, synthetic_base, write_
 SCHEMA_VERSION = "1"
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse with usage errors reported as input errors (exit 1)."""
-
-    def error(self, message: str):
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
-
-
 class _InputError(Exception):
     """Bad arguments or unreadable input (exit 1)."""
 
@@ -171,8 +163,7 @@ def _cmd_simulate(args) -> int:
     with _reading_input():
         base = _load_base(args.base, args.measure, args.seed)
         cells = parse_grid(args.grid)
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+        out = Path(args.out)  # made with the first fault written
         for n, layer in cells:
             params = SimulationParams(
                 n_element=n,
@@ -227,7 +218,7 @@ def _cmd_exrc_threshold(args) -> int:
     with _reading_input():
         values = json.loads(Path(args.history).read_text())
         if not isinstance(values, list) or not all(
-            isinstance(x, (int, float)) for x in values
+            isinstance(x, (int, float)) and not isinstance(x, bool) for x in values
         ):
             raise ValueError("history file must hold a JSON array of numbers")
         threshold = select_exrc_threshold(values)
@@ -239,8 +230,10 @@ def _cmd_exrc_threshold(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    p = _Parser(prog="rootdrill", description="Multidimensional root cause localization.")
-    sub = p.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    p = argparse.ArgumentParser(
+        prog="rootdrill", description="Multidimensional root cause localization."
+    )
+    sub = p.add_subparsers(dest="command", required=True)
     cfg = LocalizeConfig()  # the defaults of --delta and --delta-exrc
 
     lo = sub.add_parser("localize", help="localize root causes in one snapshot")
@@ -284,6 +277,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as e:
+        # argparse exits 2 on a usage error, which is bad input
         return 0 if e.code in (0, None) else 1
     try:
         return args.func(args)

@@ -77,13 +77,11 @@ def knee_threshold(residuals: np.ndarray) -> float:
         # majority of leaves already sit at the smallest residual: everything
         # above it is tail
         return float(vals[0])
+    # frac[0] < 0.5, so hi lies above lo
     hi = vals[min(int(np.searchsorted(frac, KNEE_WINSOR_Q, side="left")), vals.size - 1)]
     lo = vals[0]
-    span = hi - lo
-    if span <= 0:
-        return float(vals[0])
-    x = np.clip((vals - lo) / span, 0.0, 1.0)
-    y = (frac - frac[0]) / (1.0 - frac[0]) if frac[0] > 0 else frac
+    x = np.clip((vals - lo) / (hi - lo), 0.0, 1.0)
+    y = (frac - frac[0]) / (1.0 - frac[0])
     k = int(np.argmax(y - x))
     # the nudge: the first wide gap from the knee on, before the mass passes the limit
     stop = np.searchsorted(cum, cum[k] + KNEE_SNAP_MASS * n, side="right")
@@ -92,6 +90,13 @@ def knee_threshold(residuals: np.ndarray) -> float:
 
 
 # -- score mass of the abnormal leaves -------------------------------------
+
+
+def _runs(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """Indices of the runs ``[starts[i], starts[i] + lens[i])``, back to back."""
+    ends = np.cumsum(lens)
+    return np.arange(ends[-1]) + np.repeat(starts - (ends - lens), lens)
+
 
 # candidate-rate terms evaluated at once: bounds the temporaries of stage 2
 BLOCK_TERMS = 1 << 16
@@ -154,7 +159,7 @@ def leaf_distributions(v: np.ndarray, f: np.ndarray, family: str) -> ScoreMass:
         e = max(s + 1, int(np.searchsorted(ends, ends[s] - n_rates[s] + BLOCK_TERMS, "right")))
         n = n_rates[s:e]
         leaf = np.repeat(np.arange(e - s), n)
-        a = lo[s:e][leaf] + (np.arange(leaf.size) - np.repeat(np.cumsum(n) - n, n))
+        a = _runs(lo[s:e], n)
         w = np.exp(xlogy(v[s:e][leaf], a) - gammaln(v[s:e] + 1.0)[leaf] - a)
         keep = w >= PMF_CUTOFF
         leaf, a, w = leaf[keep], a[keep], w[keep]
@@ -216,18 +221,16 @@ def _interior_minima(d: np.ndarray) -> list[int]:
     Runs touching either end of the grid never count: the boundary gives no
     evidence the density rises again beyond it.
     """
-    runs: list[tuple[int, int, float]] = []
-    s = 0
-    for i in range(1, len(d) + 1):
-        if i == len(d) or d[i] != d[s]:
-            runs.append((s, i - 1, d[s]))
-            s = i
-    mins = []
-    for j in range(1, len(runs) - 1):
-        a, b, val = runs[j]
-        if runs[j - 1][2] > val and runs[j + 1][2] > val:
-            mins.append((a + b) // 2)
-    return mins
+    starts = np.flatnonzero(np.concatenate(([True], d[1:] != d[:-1])))
+    ends = np.append(starts[1:], d.size) - 1
+    val = d[starts]
+    j = 1 + np.flatnonzero((val[:-2] > val[1:-1]) & (val[2:] > val[1:-1]))
+    return ((starts[j] + ends[j]) // 2).tolist()
+
+
+def _smoothed(hist: np.ndarray) -> np.ndarray:
+    """Moving average of ``SMOOTHING_WIDTH`` bins, the same length as ``hist``."""
+    return np.convolve(hist, np.ones(SMOOTHING_WIDTH) / SMOOTHING_WIDTH, mode="same")
 
 
 def cluster_distributions(scores: ScoreMass) -> list[ScoreCluster]:
@@ -243,16 +246,14 @@ def cluster_distributions(scores: ScoreMass) -> list[ScoreCluster]:
     hist = scores.histogram()
     if hist.sum() == 0.0:
         return []
-    density = hist
-    if np.count_nonzero(hist) > SPARSE_BINS:
-        kernel = np.ones(SMOOTHING_WIDTH) / SMOOTHING_WIDTH
-        density = np.convolve(hist, kernel, mode="same")
+    density = _smoothed(hist) if np.count_nonzero(hist) > SPARSE_BINS else hist
 
+    # minima are interior and at least two bins apart: every run holds a bin
     boundaries = [-1] + _interior_minima(density) + [N_BINS]
     cut = []  # (left, right) separating bins of each kept run
     run_of_bin = np.full(N_BINS, -1)
     for left, right in zip(boundaries[:-1], boundaries[1:]):
-        if left + 1 < right and hist[left + 1:right].sum() >= MIN_CLUSTER_MASS:
+        if hist[left + 1:right].sum() >= MIN_CLUSTER_MASS:
             run_of_bin[left + 1:right] = len(cut)
             cut.append((left, right))
     n = len(scores)

@@ -345,8 +345,9 @@ def parse_snapshot(text: str, measure: MeasureSpec | None = None) -> Snapshot:
 
     Value columns are ``real_<col>``/``predict_<col>`` per operand column; a
     single-operand measure may instead use plain ``real``/``predict`` columns,
-    which map to the operand name "value".  Every other column is an attribute.
-    Attribute matching is exact and case-sensitive.
+    which map to the operand name "value".  A column named like either form
+    is a value column even when no operand uses it; every other column is an
+    attribute.  Attribute matching is exact and case-sensitive.
     """
     measure = measure or MeasureSpec()
     attrs, columns, real, forecast = _parse_table(text, measure.operands, need_forecast=True)
@@ -373,7 +374,6 @@ def _parse_table(
     header = [h.strip() for h in header]
 
     value_cols: dict[str, tuple[int, int]] = {}
-    consumed: set[int] = set()
     for col in operands:
         names = [f"real_{col}", f"predict_{col}"]
         if col == DEFAULT_VALUE_COLUMN and len(operands) == 1 and "real" in header:
@@ -385,17 +385,12 @@ def _parse_table(
             missing = names[0] if names[0] not in header else names[1]
             raise ParseError(f"missing value column {missing!r}") from None
         value_cols[col] = (ri, pi)
-        consumed.add(ri)
-        if pi >= 0:
-            consumed.add(pi)
-    # tolerate predict columns present but unused (history files)
-    for j, h in enumerate(header):
-        if j in consumed:
-            continue
-        if h in ("real", "predict") or h.startswith(("real_", "predict_")):
-            consumed.add(j)
-
-    attr_idx = [j for j in range(len(header)) if j not in consumed]
+    # a value column is no attribute even when unused: history files carry
+    # predict columns that nobody reads
+    attr_idx = [
+        j for j, h in enumerate(header)
+        if h not in ("real", "predict") and not h.startswith(("real_", "predict_"))
+    ]
     attrs = [header[j] for j in attr_idx]
     if not attrs:
         raise ParseError("no attribute columns")

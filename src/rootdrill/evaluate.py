@@ -118,6 +118,8 @@ def _eval_dir(
 
 def find_fault_dirs(dataset_dir: str | Path) -> list[Path]:
     root = Path(dataset_dir)
+    if not root.is_dir():
+        raise NotADirectoryError(f"no dataset directory {str(root)!r}")
     return sorted(p.parent for p in root.rglob("truth.json"))
 
 

@@ -23,7 +23,10 @@ import numpy as np
 from .cluster import (
     BLOCK_TERMS,
     N_BINS,
+    SCORE_STEP,
     _interior_minima,
+    _runs,
+    _smoothed,
     cluster_distributions,
     knee_threshold,
     leaf_distributions,
@@ -104,19 +107,14 @@ def tradeoff_weight(num_cluster: int, num_attr: int, coverage: float) -> float:
     return (log(num_cluster + 1) / num_cluster) * (num_attr / log(num_attr + 1)) * (-log(coverage))
 
 
-def _runs(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
-    """Indices of the runs ``[starts[i], starts[i] + lens[i])``, back to back."""
-    ends = np.cumsum(lens)
-    return np.arange(ends[-1]) + np.repeat(starts - (ends - lens), lens)
-
-
 class _SnapshotArrays:
     """Per-leaf arrays of the explanation score, built once per snapshot.
 
-    For f ≠ 0, |v − r·f| = a·|q − r| with q = v/f and a = |f|; b = a·q is
-    sign(f)·v.  A leaf with f = 0 misfits by |v| whatever r is: it takes
-    a = 0, b = |v| and q = +∞, so it always ranks above r.  Leaves are
-    ranked on q once, here.
+    Values are non-negative (``Snapshot`` rejects negative ones).  For
+    f > 0, |v − r·f| = f·|q − r| with q = v/f, so the leaf takes a = f and
+    b = v = a·q.  A leaf with f = 0 misfits by v whatever r is: it takes the
+    same a and b, and q = +∞, so it always ranks above r.  Leaves are ranked
+    on q once, here.
     """
 
     def __init__(self, snapshot: Snapshot) -> None:
@@ -126,10 +124,8 @@ class _SnapshotArrays:
         m = snapshot.measure
         self.op_real = [snapshot.real[c] for c in m.operands]
         self.op_fcst = [snapshot.forecast[c] for c in m.operands]
-        flat = f == 0.0
-        self.a = np.abs(f)
-        self.b = np.where(flat, np.abs(v), np.sign(f) * v)
-        q = np.divide(v, f, out=np.full(v.size, np.inf), where=~flat)
+        self.a, self.b = f, v
+        q = np.divide(v, f, out=np.full(v.size, np.inf), where=f > 0.0)
         self.by_rank = np.argsort(q)
         self.q_sorted = q[self.by_rank]
         self.rank = np.empty(v.size, dtype=np.intp)
@@ -138,9 +134,9 @@ class _SnapshotArrays:
     def misfits(self, seq: np.ndarray, cuts: np.ndarray, r: np.ndarray) -> np.ndarray:
         """Σ |v − r_k·f| over the leaves ``seq[:cuts[k]]``, for ascending ``cuts``.
 
-        Over a prefix, Σ a·|q − r| = (B − 2·B≤) − r·(A − 2·A≤): A and B sum a
-        and b, A≤ and B≤ sum them over the leaves with q ≤ r.  The f = 0
-        leaves, above every r, bring their |v| into B.
+        Over a prefix, Σ |v − r·f| = (V − 2·V≤) − r·(F − 2·F≤): V and F sum
+        v and f, V≤ and F≤ sum them over the leaves with q ≤ r.  The f = 0
+        leaves, above every r, bring their v into V.
 
         A table of (position block × rank block) cells, cumulated both ways,
         gives these sums over whole blocks.  Position blocks end at cuts, one
@@ -223,10 +219,10 @@ class _PrefixScorer:
         pattern implies for them, ``d_vf`` against their forecasts, and
         ``d_pf`` compares every other pooled leaf against its forecast.
         ``d_va`` is the mean of |v − r·f| over the prefix, r being its ripple
-        ratio v_s/f_s.  For f ≠ 0, |v − r·f| = |f|·|q − r| with q = v/f, so the
-        prefix's sum is B − 2·B≤ − r·(A − 2·A≤) + Z: A and B sum |f| and
-        |f|·q over the prefix, A≤ and B≤ over its leaves with q ≤ r, and Z
-        sums |v| over its leaves with f = 0.  :meth:`_SnapshotArrays.misfits`
+        ratio v_s/f_s.  With f ≥ 0, a leaf's term is v − r·f when q = v/f lies
+        above r (always when f = 0) and r·f − v otherwise, so the prefix's sum
+        is (V − 2·V≤) − r·(F − 2·F≤): V and F sum v and f over the prefix, V≤
+        and F≤ over its leaves with q ≤ r.  :meth:`_SnapshotArrays.misfits`
         takes these sums for every cut at once from one ranking of q.
         """
         arr = self.arrays
@@ -405,13 +401,13 @@ def localize(snapshot: Snapshot, cfg: LocalizeConfig | None = None) -> Localizat
     clusters = cluster_distributions(scores)
 
     # clusters whose score is within the normal leaves' own deviation range
-    # carry no signal; their leaves stay in the complement pool
+    # carry no signal; their leaves stay in the complement pool.  The knee
+    # is never below the smallest residual, so some leaf is normal.
     normal = resid <= threshold
-    if normal.any():
-        normal_scores = np.abs(deviation_score(v[normal], f[normal]))
-        wts = snapshot.leaf_weights()[normal]
-        band = weighted_quantile(normal_scores, wts, NOISE_BAND_QUANTILE)
-        clusters = [c for c in clusters if abs(c.center) > band]
+    normal_scores = np.abs(deviation_score(v[normal], f[normal]))
+    wts = snapshot.leaf_weights()[normal]
+    band = weighted_quantile(normal_scores, wts, NOISE_BAND_QUANTILE)
+    clusters = [c for c in clusters if abs(c.center) > band]
 
     if not clusters:
         return _no_cluster_report(v, f, threshold, density, t0)
@@ -450,7 +446,7 @@ def localize(snapshot: Snapshot, cfg: LocalizeConfig | None = None) -> Localizat
 
 # -- external-root-cause threshold from history ----------------------------
 
-_EXRC_BINS = 101  # [0, 1] at the same 0.01 step as the score grid
+_EXRC_BINS = 101  # [0, 1] at the step of the score grid
 
 
 def select_exrc_threshold(history: Sequence[float]) -> float:
@@ -470,8 +466,7 @@ def select_exrc_threshold(history: Sequence[float]) -> float:
         raise ValueError("history values must be finite")
     if vals.size < 5:
         return LocalizeConfig.delta_exrc
-    bins = np.clip(np.round(np.clip(vals, 0.0, 1.0) / 0.01).astype(int), 0, _EXRC_BINS - 1)
+    bins = np.round(np.clip(vals, 0.0, 1.0) / SCORE_STEP).astype(int)  # 0 .. _EXRC_BINS - 1
     hist = np.bincount(bins, minlength=_EXRC_BINS).astype(float)
-    density = np.convolve(hist, np.ones(5) / 5.0, mode="same")
-    mins = _interior_minima(density)
-    return mins[-1] * 0.01 if mins else 0.0
+    mins = _interior_minima(_smoothed(hist))
+    return mins[-1] * SCORE_STEP if mins else 0.0

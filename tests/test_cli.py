@@ -269,6 +269,7 @@ class TestSimulateEvaluateCommands:
         )
         assert rc == 1
         assert "non-overlapping" in capsys.readouterr().err
+        assert not (tmp_path / "ds").exists()
 
     def test_family_the_measure_cannot_take_is_skipped(self, tmp_path):
         ds = tmp_path / "ds"
@@ -306,6 +307,13 @@ class TestSimulateEvaluateCommands:
         rc = main(["evaluate", "--dataset", str(ds), "--out", str(tmp_path / "e.json")])
         assert rc == 2
         assert "internal bug in the pipeline" in capsys.readouterr().err
+
+    def test_missing_dataset_is_input_error(self, tmp_path, capsys):
+        out = tmp_path / "e.json"
+        rc = main(["evaluate", "--dataset", str(tmp_path / "nope"), "--out", str(out)])
+        assert rc == 1
+        assert "nope" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_delta_is_input_error(self, tmp_path):
         rc = main(["evaluate", "--dataset", str(tmp_path), "--delta", "0", "--out", "e.json"])
@@ -348,6 +356,12 @@ class TestExrcThresholdCommand:
         hist = tmp_path / "hist.json"
         hist.write_text('{"min_gps": 0.9}')
         assert main(["exrc-threshold", "--history", str(hist)]) == 1
+
+    def test_boolean_history_is_input_error(self, tmp_path, capsys):
+        hist = tmp_path / "hist.json"
+        hist.write_text("[true, false, true, true, true, true]")
+        assert main(["exrc-threshold", "--history", str(hist)]) == 1
+        assert capsys.readouterr().out == ""
 
 
 class TestExitCodes:

@@ -275,6 +275,32 @@ def test_snapshot_rejects_nan():
         )
 
 
+def test_snapshot_rejects_negative_value():
+    with pytest.raises(ParseError, match="negative real value in column 'x'"):
+        snapshot_from_rows(
+            ("a",),
+            [("u",), ("w",)],
+            {"x": [1.0, -2.0]},
+            {"x": [1.0, 1.0]},
+            MeasureSpec(operands=("x",)),
+        )
+
+
+def test_snapshot_rejects_short_forecast_column():
+    with pytest.raises(ValueError, match="misaligned predict column 'value'"):
+        snapshot_from_rows(
+            ("a",), [("u",), ("w",)], {"value": [1.0, 2.0]}, {"value": [1.0]}, MeasureSpec()
+        )
+
+
+def test_unused_value_columns_are_no_attributes():
+    snap = parse_snapshot(
+        "a,real,predict,real_other,predict_other\nx,1,2,3,4\ny,5,6,7,8\n"
+    )
+    assert snap.schema.attributes == ("a",)
+    assert list(snap.real) == ["value"]
+
+
 @pytest.mark.parametrize("bad", [2, -1])
 def test_snapshot_rejects_code_outside_domain(bad):
     schema = AttributeSchema(("a", "b"), {"a": ("x",), "b": ("u", "w")})

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import shutil
 import sys
+import tempfile
 import traceback
 from contextlib import contextmanager
 from pathlib import Path
@@ -163,29 +165,45 @@ def _cmd_simulate(args) -> int:
     with _reading_input():
         base = _load_base(args.base, args.measure, args.seed)
         cells = parse_grid(args.grid)
-        out = Path(args.out)  # made with the first fault written
-        for n, layer in cells:
-            params = SimulationParams(
-                n_element=n,
-                cuboid_layer=layer,
-                base_noise_sigma=args.noise,
-                leaf_noise_sigma=args.leaf_noise,
-                seed=args.seed * 1000003 + n * 1009 + layer,
-            )
-            faults = generate_dataset(base, [params], args.per_cell)
-            for i, fault in enumerate(faults):
-                write_fault(fault, out / f"n{n}_l{layer}" / f"{i:04d}")
-            print(f"cell ({n},{layer}): wrote {len(faults)} faults")
-    manifest = {
-        "version": SCHEMA_VERSION,
-        "base": args.base,
-        "grid": args.grid,
-        "per_cell": args.per_cell,
-        "seed": args.seed,
-        "noise": args.noise,
-        "leaf_noise": args.leaf_noise,
-    }
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=1, sort_keys=True) + "\n")
+    out = Path(args.out)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    # cells are written beside --out and moved in once the last one is done,
+    # so a failed run leaves no partial dataset for evaluate to score
+    staging = Path(tempfile.mkdtemp(prefix=f".{out.name}-", dir=out.parent))
+    try:
+        with _reading_input():
+            for n, layer in cells:
+                params = SimulationParams(
+                    n_element=n,
+                    cuboid_layer=layer,
+                    base_noise_sigma=args.noise,
+                    leaf_noise_sigma=args.leaf_noise,
+                    seed=args.seed * 1000003 + n * 1009 + layer,
+                )
+                faults = generate_dataset(base, [params], args.per_cell)
+                for i, fault in enumerate(faults):
+                    write_fault(fault, staging / f"n{n}_l{layer}" / f"{i:04d}")
+                print(f"cell ({n},{layer}): wrote {len(faults)} faults")
+        manifest = {
+            "version": SCHEMA_VERSION,
+            "base": args.base,
+            "grid": args.grid,
+            "per_cell": args.per_cell,
+            "seed": args.seed,
+            "noise": args.noise,
+            "leaf_noise": args.leaf_noise,
+        }
+        (staging / "manifest.json").write_text(
+            json.dumps(manifest, indent=1, sort_keys=True) + "\n"
+        )
+        out.mkdir(exist_ok=True)
+        for entry in sorted(staging.iterdir()):
+            # a cell written again replaces the old one whole
+            if (out / entry.name).is_dir():
+                shutil.rmtree(out / entry.name)
+            entry.replace(out / entry.name)
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
     return 0
 
 

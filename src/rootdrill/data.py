@@ -359,12 +359,14 @@ def _parse_table(
     text: str,
     operands: Sequence[str],
     need_forecast: bool,
-) -> tuple[list[str], list[tuple[str, ...]], dict[str, np.ndarray], dict[str, np.ndarray]]:
+) -> tuple[list[str], list[Sequence[str]], dict[str, np.ndarray], dict[str, np.ndarray]]:
     """Read a CSV table column by column.
 
     Returns the attribute names, one column of strings per attribute, and
     the real and (when ``need_forecast``) forecast values per operand.  Rows
-    with no fields or only blank fields are skipped.
+    with no fields or only blank fields are skipped.  ``csv.reader`` reads
+    only the header of a text ``_plain_columns`` can split; the rest it
+    reads row by row.
     """
     reader = csv.reader(io.StringIO(text))
     try:
@@ -395,24 +397,67 @@ def _parse_table(
     if not attrs:
         raise ParseError("no attribute columns")
 
-    records = [rec for rec in reader if any(map(str.strip, rec))]
-    if not records:
-        raise ParseError("snapshot holds no leaves")
     value_idx = [j for pair in value_cols.values() for j in pair if j >= 0]
-    if set(map(len, records)) != {len(header)}:
-        _raise_row_error(text, header, value_idx)
-    n = len(records)
-    columns = list(zip(*records))
-    del records  # the columns now hold the only references to the field strings
-    try:
-        values = {j: np.fromiter(map(float, columns[j]), float, n) for j in value_idx}
-    except ValueError:
-        _raise_row_error(text, header, value_idx)
+    columns = _plain_columns(text, len(header))
+    values = None if columns is None else _floats(columns, value_idx)
+    if values is None:
+        records = [rec for rec in reader if any(map(str.strip, rec))]
+        if not records:
+            raise ParseError("snapshot holds no leaves")
+        if set(map(len, records)) != {len(header)}:
+            _raise_row_error(text, header, value_idx)
+        columns = list(zip(*records))
+        del records  # the columns now hold the only references to the field strings
+        values = _floats(columns, value_idx)
+        if values is None:
+            _raise_row_error(text, header, value_idx)
     if any(np.any(v < 0) for v in values.values()):
         _raise_row_error(text, header, value_idx)
     real = {col: values[ri] for col, (ri, _) in value_cols.items()}
     forecast = {col: values[pi] for col, (_, pi) in value_cols.items() if pi >= 0}
     return attrs, [columns[j] for j in attr_idx], real, forecast
+
+
+def _plain_columns(text: str, width: int) -> list[list[str]] | None:
+    """The columns of the rows below the header, or None unless ``text`` holds
+    no quote and no carriage return and every line holds ``width`` fields.
+
+    Without quotes every ``,`` and line end separates two fields, so the text
+    splits into one flat list with no list per row.  Lines end at ``\\n``
+    only, as ``csv.reader`` over ``io.StringIO`` ends them.  A blank line has
+    too few fields and a blank full-width row fails ``float``, which leaves
+    both to ``csv.reader`` and its caller's blank-row skip.
+    """
+    if '"' in text or "\r" in text:
+        return None
+    if text.endswith("\n"):
+        text = text[:-1]  # the final line end closes the last row
+    # "," and "\n" never occur inside a multi-byte UTF-8 sequence, nor inside
+    # the three bytes a lone surrogate passes as
+    seps = np.frombuffer(text.encode("utf-8", "surrogatepass"), np.uint8)
+    seps = seps[(seps == ord(",")) | (seps == ord("\n"))]
+    # the header and at least one row, each line end after width - 1 commas
+    if (
+        len(seps) < 2 * width - 1
+        or len(seps) % width != width - 1
+        or not np.array_equal(
+            np.flatnonzero(seps == ord("\n")), np.arange(width - 1, len(seps), width)
+        )
+    ):
+        return None
+    fields = text.replace("\n", ",").split(",")
+    return [fields[j::width] for j in range(width, 2 * width)]
+
+
+def _floats(
+    columns: Sequence[Sequence[str]], value_idx: Sequence[int]
+) -> dict[int, np.ndarray] | None:
+    """The value columns as float arrays, or None if a field is no number."""
+    n = len(columns[0])
+    try:
+        return {j: np.fromiter(map(float, columns[j]), float, n) for j in value_idx}
+    except ValueError:
+        return None
 
 
 def _raise_row_error(text: str, header: Sequence[str], value_idx: Sequence[int]) -> NoReturn:

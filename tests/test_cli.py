@@ -271,6 +271,20 @@ class TestSimulateEvaluateCommands:
         assert "non-overlapping" in capsys.readouterr().err
         assert not (tmp_path / "ds").exists()
 
+    def test_failed_grid_leaves_no_partial_dataset(self, tmp_path):
+        # cells (1,1)..(4,1) fit the base, (5,1) does not
+        failing = ["simulate", "--base", "synthetic:3x4", "--grid", "1-20x1", "--per-cell", "1"]
+        assert main([*failing, "--out", str(tmp_path / "ds")]) == 1
+        assert not (tmp_path / "ds").exists()
+
+        ds = tmp_path / "old"
+        old = ["simulate", "--base", "synthetic:2x4", "--grid", "1x1", "--per-cell", "1"]
+        assert main([*old, "--out", str(ds)]) == 0
+        before = {p: p.read_bytes() for p in ds.rglob("*") if p.is_file()}
+        assert main([*failing, "--out", str(ds)]) == 1
+        assert {p: p.read_bytes() for p in ds.rglob("*") if p.is_file()} == before
+        assert [p.name for p in tmp_path.iterdir()] == ["old"]  # no staging left
+
     def test_family_the_measure_cannot_take_is_skipped(self, tmp_path):
         ds = tmp_path / "ds"
         base = ["--base", "synthetic:2x4", "--grid", "1x1", "--per-cell", "1"]

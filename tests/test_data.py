@@ -1,7 +1,10 @@
 import csv
+import gc
 import io
 import math
 import re
+from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,6 +21,8 @@ from rootdrill import (
     snapshot_from_rows,
 )
 from rootdrill.data import AttributeSchema, Snapshot, cuboids_by_layer, drop_attributes
+from rootdrill.forecast import render_table
+from rootdrill.simulate import synthetic_base
 
 
 def combo(**bindings):
@@ -480,6 +485,9 @@ def outcome(parse, text, measure):
 
 # attribute values: non-ASCII, embedded commas and quotes, inner spaces
 ATTR_VALUES = ["x", "y10", "y9", "Zürich", "北京", "a,b", 'say "hi"', "two words", "é"]
+# values a table without quotes holds; csv.reader over io.StringIO breaks
+# rows at "\n" only, not at the other line boundaries of str.splitlines
+PLAIN_VALUES = ["x", "y10", "Zürich", "北京", "x y", "x\x0by", "x\x1cy", "x\u2028y"]
 BLANK_LINES = ["", "   ", " , ", ",,,,,", "\t"]
 MEASURES = [
     (MeasureSpec(), ["real", "predict"]),
@@ -489,18 +497,26 @@ MEASURES = [
 ]
 
 
+def blank_lines(width):
+    """Lines csv.reader's caller skips, two of them ``width`` fields wide."""
+    return BLANK_LINES + ["," * (width - 1), ",".join([" "] * width)]
+
+
 def number_text(x, style):
     return [repr(x), f" {x!r} ", f"{x:e}", f"{x:E}", f"+{x!r}", f"+{x:.3e} "][style]
 
 
 @st.composite
 def snapshot_tables(draw):
-    """A snapshot CSV as lines, its measure, and its header."""
+    """A snapshot CSV as lines, its measure, its header, its final line end,
+    and whether it is plain: no quote, no carriage return, no blank line.
+    The other tables may end their lines in "\r\n"."""
     measure, value_names = draw(st.sampled_from(MEASURES))
     n_attrs = draw(st.integers(1, 3))
     attr_names = ["host", "région", "dc"][:n_attrs]
     header = draw(st.permutations(attr_names + value_names))
-    leaf = st.tuples(*[st.sampled_from(ATTR_VALUES)] * n_attrs)
+    plain = draw(st.booleans())
+    leaf = st.tuples(*[st.sampled_from(PLAIN_VALUES if plain else ATTR_VALUES)] * n_attrs)
     leaves = draw(st.lists(leaf, min_size=1, max_size=12, unique=True))
     number = st.builds(
         number_text,
@@ -513,29 +529,53 @@ def snapshot_tables(draw):
     for values in leaves:
         by_name = dict(zip(attr_names, values))
         w.writerow([by_name[h] if h in by_name else draw(number) for h in header])
-    lines = buf.getvalue().splitlines()
-    for _ in range(draw(st.integers(0, 4))):
-        lines.insert(draw(st.integers(1, len(lines))), draw(st.sampled_from(BLANK_LINES)))
-    return lines, measure, header
+    lines = buf.getvalue().split("\n")[:-1]
+    if not plain and draw(st.booleans()):
+        lines = [line + "\r" for line in lines]  # "\r\n" line ends
+    for _ in range(0 if plain else draw(st.integers(0, 4))):
+        lines.insert(
+            draw(st.integers(1, len(lines))), draw(st.sampled_from(blank_lines(len(header))))
+        )
+    return lines, measure, header, draw(st.sampled_from(["\n", ""])), plain
+
+
+@contextmanager
+def csv_rows_read():
+    """The rows every ``csv.reader`` made inside the block yields, as a list."""
+    rows = []
+    reader = csv.reader
+
+    def spy(*args, **kwargs):
+        for rec in reader(*args, **kwargs):
+            rows.append(rec)
+            yield rec
+
+    with mock.patch("rootdrill.data.csv.reader", spy):
+        yield rows
 
 
 class TestParseReference:
     @settings(max_examples=200, deadline=None)
     @given(snapshot_tables())
     def test_same_snapshot_as_row_wise_reader(self, table):
-        lines, measure, _ = table
-        text = "\n".join(lines) + "\n"
+        lines, measure, _, end, plain = table
+        text = "\n".join(lines) + end
         want = outcome(reference_parse, text, measure)
         assert not isinstance(want, str)
-        assert outcome(parse_snapshot, text, measure) == want
+        with csv_rows_read() as rows:
+            assert outcome(parse_snapshot, text, measure) == want
+        if plain:
+            assert len(rows) == 1  # the header; the body was split without csv.reader
 
     @settings(max_examples=200, deadline=None)
     @given(snapshot_tables(), st.data())
     def test_same_error_as_row_wise_reader(self, table, data):
-        lines, measure, header = table
-        bad = data.draw(st.sampled_from(["oops", "-3", "1e", "-0.5e1", "short"]))
+        lines, measure, header, end, _ = table
+        bad = data.draw(st.sampled_from(["oops", "-3", "1e", "-0.5e1", "short", "long"]))
         if bad == "short":
             row = ",".join(["1"] * data.draw(st.integers(1, len(header) - 1)))
+        elif bad == "long":
+            row = ",".join(["1"] * 2 * len(header))  # two rows run together
         else:
             # one or more bad fields: the first one in column order is named
             fields = ["1"] * len(header)
@@ -544,8 +584,26 @@ class TestParseReference:
                 fields[j] = bad
             row = ",".join(fields)
         at = data.draw(st.integers(1, len(lines)))
-        blanks = data.draw(st.lists(st.sampled_from(BLANK_LINES), max_size=3))
-        text = "\n".join(lines[:at] + blanks + [row] + lines[at:]) + "\n"
+        blanks = data.draw(st.lists(st.sampled_from(blank_lines(len(header))), max_size=3))
+        text = "\n".join(lines[:at] + blanks + [row] + lines[at:]) + end
         want = outcome(reference_parse, text, measure)
         assert isinstance(want, str) and want.startswith("row ")
         assert outcome(parse_snapshot, text, measure) == want
+
+
+def test_plain_table_body_is_not_read_by_csv_reader():
+    text = render_table(synthetic_base(n_attrs=3, n_values=4, seed=3))
+    with csv_rows_read() as rows:
+        snap = parse_snapshot(text)
+    assert rows == [["A", "B", "C", "real", "predict"]]
+    assert snap.n_leaves == 64
+
+
+def test_plain_parse_runs_no_collection():
+    # a list per row would start the cyclic garbage collector many times over
+    text = render_table(synthetic_base(n_attrs=4, n_values=12, seed=3))
+    gc.collect()
+    before = gc.get_stats()[0]["collections"]
+    snap = parse_snapshot(text)
+    assert gc.get_stats()[0]["collections"] == before
+    assert snap.n_leaves == 20_736

@@ -2,6 +2,7 @@ import pytest
 
 from rootdrill import MeasureSpec, ParseError, parse_snapshot
 from rootdrill.forecast import render_table, snapshot_with_forecast
+from rootdrill.simulate import synthetic_base
 
 
 def forecast_of(history, window, current="a,real\nx,0\n"):
@@ -84,6 +85,20 @@ class TestSnapshotWithForecast:
         snap = snapshot_with_forecast(current, hist, window=2)
         _, f = snap.leaf_values()
         assert f[0] == 10.0
+
+    def test_quoted_history_table_reads_like_plain(self):
+        # history tables carry predict columns nobody reads; a quote sends a
+        # table to csv.reader, its plain twin is split without one
+        current = render_table(synthetic_base(n_attrs=3, n_values=4, seed=1))
+        plain = render_table(synthetic_base(n_attrs=3, n_values=4, seed=2))
+        quoted = plain.replace("\na01,", '\n"a01",', 1)
+        assert quoted != plain
+        snaps = [snapshot_with_forecast(current, [t]) for t in (plain, quoted)]
+        got = [
+            (s.schema, s.codes.tobytes(), s.real["value"].tobytes(), s.forecast["value"].tobytes())
+            for s in snaps
+        ]
+        assert got[0] == got[1]
 
 
 class TestRenderTable:

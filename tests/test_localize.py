@@ -374,7 +374,8 @@ def reference_search(snapshot, membership, exclude, cuboid):
     outsider = (membership == 0.0).astype(float)
     nonmember = np.bincount(idx.group_of, weights=outsider, minlength=g)
     ratio = member_ratio(member, nonmember)
-    n_pos = int(np.count_nonzero(ratio > 0.0))
+    # held means member mass, as in the search: a subnormal mass can have ratio 0
+    n_pos = int(np.count_nonzero(member > 0.0))
     if n_pos == 0:
         return None
     keys = [idx.group_codes[:, j] for j in range(idx.group_codes.shape[1] - 1, -1, -1)]
@@ -518,6 +519,18 @@ class TestSearch:
 
     @settings(max_examples=300, deadline=None)
     @given(twin_cluster_cases())
+    # a member mass whose ratio underflows to 0 (5e-324 / 2): the groups
+    # holding it are still searched
+    @example(
+        (
+            *example_cluster_case(
+                ("A", "B", "0"), [("a0", "b0", "t3"), ("a0", "b1", "t3"), ("a0", "b2", "t3")],
+                [0, 0, 0], [0, 0, 0], [0], [5e-324], [False] * 3,
+            ),
+            0.5,
+            LocalizeConfig(delta=0.5),
+        )
+    )
     def test_search_matches_the_decode_everything_selection(self, case):
         snap, leaves, membership, exclude, weight, cfg = case
         args = (leaves, membership, exclude, weight, cfg)

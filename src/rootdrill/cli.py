@@ -21,7 +21,7 @@ from pathlib import Path
 from .cluster import N_BINS, bin_center
 from .data import MeasureSpec, parse_snapshot
 from .evaluate import run_benchmark
-from .forecast import DEFAULT_WINDOW, snapshot_with_forecast
+from .forecast import snapshot_with_forecast
 from .localize import LocalizationReport, LocalizeConfig, localize, select_exrc_threshold
 from .simulate import SimulationParams, generate_dataset, synthetic_base, write_fault
 
@@ -85,10 +85,8 @@ def report_json(report: LocalizationReport) -> dict:
         "per_cluster": [
             {
                 "bounds": [round(float(r.bounds[0]), 6), round(float(r.bounds[1]), 6)],
-                "gps": None if r.candidate is None else r.candidate.gps,
-                "root_cause": []
-                if r.candidate is None
-                else [_combo_json(c) for c in r.candidate.combinations],
+                "gps": r.candidate.gps,
+                "root_cause": [_combo_json(c) for c in r.candidate.combinations],
             }
             for r in report.per_cluster
         ],
@@ -116,9 +114,7 @@ def _cmd_localize(args) -> int:
                 files = files[: names.index(snapshot_path.name)]
             if not files:
                 raise ValueError(f"no history CSVs usable in {hist_dir}")
-            snapshot = snapshot_with_forecast(
-                text, [p.read_text() for p in files], measure, window=DEFAULT_WINDOW
-            )
+            snapshot = snapshot_with_forecast(text, [p.read_text() for p in files], measure)
         else:
             snapshot = parse_snapshot(text, measure)
         cfg = LocalizeConfig(delta=args.delta, delta_exrc=args.delta_exrc)

@@ -244,8 +244,6 @@ def cluster_distributions(scores: ScoreMass) -> list[ScoreCluster]:
     than ``MIN_CLUSTER_MASS`` leaf-equivalents of mass are discarded.
     """
     hist = scores.histogram()
-    if hist.sum() == 0.0:
-        return []
     density = _smoothed(hist) if np.count_nonzero(hist) > SPARSE_BINS else hist
 
     # minima are interior and at least two bins apart: every run holds a bin
@@ -286,14 +284,11 @@ def cluster_distributions(scores: ScoreMass) -> list[ScoreCluster]:
 def weighted_quantile(values: np.ndarray, weights: np.ndarray, q: float) -> float:
     """Quantile of ``values`` under non-negative ``weights``.
 
-    Smallest value v with cumulative weight fraction at or above ``q``.
+    Smallest value v with cumulative weight fraction at or above ``q``, for
+    ``q`` in [0, 1] and at least one value.
     """
-    if not 0.0 <= q <= 1.0:
-        raise ValueError("quantile must lie in [0, 1]")
     v = np.asarray(values, float)
     w = np.asarray(weights, float)
-    if v.size == 0:
-        raise ValueError("no values")
     order = np.argsort(v, kind="stable")
     v, w = v[order], w[order]
     total = w.sum()

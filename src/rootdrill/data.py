@@ -256,6 +256,15 @@ class Snapshot:
                     raise ParseError(f"negative {side} value in column {col!r}")
                 if not np.all(np.isfinite(arr)):
                     raise ParseError(f"non-finite {side} value in column {col!r}")
+        kind, ops = self.measure.kind, self.measure.operands
+        # the search sums values over slices; the measure values are not kept
+        with np.errstate(over="ignore"):
+            totals = {f"column {c!r}": self.real[c].sum() + self.forecast[c].sum() for c in ops}
+            v, f = (measure_values(kind, [t[c] for c in ops]) for t in (self.real, self.forecast))
+            totals[f"the measure of columns {ops}"] = v.sum() + f.sum()
+        for name, total in totals.items():
+            if not np.isfinite(total):
+                raise ParseError(f"{name} totals beyond the float range")
         if self.measure.distribution_family == "poisson":
             v = self.real[self.measure.operands[0]]
             if np.any(np.abs(v - np.round(v)) > 1e-9):
@@ -373,6 +382,8 @@ def _parse_table(
         header = next(reader)
     except StopIteration:
         raise ParseError("empty CSV") from None
+    except csv.Error as e:
+        raise ParseError(f"row 1: {e}") from None
     header = [h.strip() for h in header]
 
     value_cols: dict[str, tuple[int, int]] = {}
@@ -401,7 +412,10 @@ def _parse_table(
     columns = _plain_columns(text, len(header))
     values = None if columns is None else _floats(columns, value_idx)
     if values is None:
-        records = [rec for rec in reader if any(map(str.strip, rec))]
+        try:
+            records = [rec for rec in reader if any(map(str.strip, rec))]
+        except csv.Error:
+            _raise_row_error(text, header, value_idx)
         if not records:
             raise ParseError("snapshot holds no leaves")
         if set(map(len, records)) != {len(header)}:
@@ -464,18 +478,22 @@ def _raise_row_error(text: str, header: Sequence[str], value_idx: Sequence[int])
     """Raise the ``ParseError`` of the first malformed row, checked row by row."""
     reader = csv.reader(io.StringIO(text))
     next(reader)
-    for lineno, rec in enumerate(reader, start=2):
-        if not any(map(str.strip, rec)):
-            continue
-        if len(rec) != len(header):
-            raise ParseError(f"row {lineno}: expected {len(header)} fields, got {len(rec)}")
-        for j in value_idx:
-            try:
-                x = float(rec[j])
-            except ValueError:
-                raise ParseError(f"row {lineno}: non-numeric {header[j]}={rec[j]!r}") from None
-            if x < 0:
-                raise ParseError(f"row {lineno}: negative {header[j]}={x}")
+    lineno = 1
+    try:
+        for lineno, rec in enumerate(reader, start=2):
+            if not any(map(str.strip, rec)):
+                continue
+            if len(rec) != len(header):
+                raise ParseError(f"row {lineno}: expected {len(header)} fields, got {len(rec)}")
+            for j in value_idx:
+                try:
+                    x = float(rec[j])
+                except ValueError:
+                    raise ParseError(f"row {lineno}: non-numeric {header[j]}={rec[j]!r}") from None
+                if x < 0:
+                    raise ParseError(f"row {lineno}: negative {header[j]}={x}")
+    except csv.Error as e:  # raised reading the row after ``lineno``
+        raise ParseError(f"row {lineno + 1}: {e}") from None
     raise AssertionError("no malformed row found")
 
 

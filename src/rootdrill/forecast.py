@@ -25,19 +25,19 @@ from .data import (
     _parse_table,
 )
 
-DEFAULT_WINDOW = 10
+# history tables averaged into the forecast, the most recent ones
+WINDOW = 10
 
 
 def snapshot_with_forecast(
     current_text: str,
     history_texts: Sequence[str],
     measure: MeasureSpec | None = None,
-    window: int = DEFAULT_WINDOW,
 ) -> Snapshot:
     """Assemble a snapshot whose forecast is a moving average of history.
 
     The forecast of a leaf is the mean of its real values over the last
-    ``window`` history tables, a table that lacks the leaf counting as 0: a
+    ``WINDOW`` history tables, a table that lacks the leaf counting as 0: a
     leaf that drops out of the data still existed, and treating the gap as a
     zero observation keeps the baseline honest about disappearances.  The
     leaf set is the union of the current table and the averaged history:
@@ -47,8 +47,6 @@ def snapshot_with_forecast(
     may name a leaf twice.
     """
     measure = measure or MeasureSpec()
-    if window < 1:
-        raise ValueError("window must be positive")
     tables = [
         _parse_table(t, measure.operands, need_forecast=False)
         for t in [current_text, *history_texts]
@@ -61,9 +59,9 @@ def snapshot_with_forecast(
             raise ParseError(
                 f"history attributes {h_attrs} do not match snapshot attributes {attrs}"
             )
-    if len(tables) > window + 1:
+    if len(tables) > WINDOW + 1:
         _stack(attrs, tables, len(history_texts))  # checked, not averaged
-        del tables[1:-window]
+        del tables[1:-WINDOW]
     n_hist = len(tables) - 1
     schema, leaf_codes, leaf_of, table_of = _stack(attrs, tables, len(history_texts))
     n_leaves = len(leaf_codes)

@@ -68,7 +68,7 @@ class RootCauseCandidate:
 @dataclass
 class ClusterResult:
     bounds: tuple[float, float]
-    candidate: RootCauseCandidate | None
+    candidate: RootCauseCandidate
 
 
 @dataclass
@@ -99,10 +99,6 @@ def tradeoff_weight(num_cluster: int, num_attr: int, coverage: float) -> float:
     matters more than a short one.  ``coverage`` is clamped below 1 so the
     weight stays positive.
     """
-    if num_cluster < 1 or num_attr < 1:
-        raise ValueError("counts must be at least 1")
-    if not 0.0 < coverage <= 1.0:
-        raise ValueError("coverage must lie in (0, 1]")
     coverage = min(coverage, 1.0 - 1e-9)
     return (log(num_cluster + 1) / num_cluster) * (num_attr / log(num_attr + 1)) * (-log(coverage))
 
@@ -320,17 +316,16 @@ def localize_cluster(
     exclude: np.ndarray,
     weight: float,
     cfg: LocalizeConfig,
-) -> RootCauseCandidate | None:
+) -> RootCauseCandidate:
     """Layered search over cuboids; argmax of score·weight − complexity.
 
     ``membership`` is the cluster's mass on each of ``leaves`` (ascending); other leaves hold none.
+    It is nonzero on at least one leaf, so every cuboid has a winner.
     ``arrays`` are the snapshot's, shared by every cluster of one verdict.
     Cuboid winners are ranked on their numbers alone; only the winners tied
     at the top are decoded into combinations, whose names break the tie.
     """
     held = membership != 0.0
-    if not held.any():
-        return None
     leaves, membership = leaves[held], membership[held]
     scorer = _PrefixScorer(arrays, exclude)
     snapshot = arrays.snapshot
@@ -418,6 +413,8 @@ def localize(snapshot: Snapshot, cfg: LocalizeConfig | None = None) -> Localizat
     arrays = _SnapshotArrays(snapshot)
     results: list[ClusterResult] = []
     total_membership = np.sum([c.membership for c in clusters], axis=0)
+    # a kept cluster holds at least MIN_CLUSTER_MASS, so some leaf has member
+    # mass and the search always finds a candidate
     for c in clusters:
         # a leaf mostly explained by the other clusters combined leaves the
         # complement pool, even when no single cluster claims it outright
@@ -427,17 +424,12 @@ def localize(snapshot: Snapshot, cfg: LocalizeConfig | None = None) -> Localizat
         cand = localize_cluster(arrays, abnormal, c.membership, exclude, weight, cfg)
         results.append(ClusterResult(c.bounds, cand))
 
-    found = [r.candidate.gps for r in results if r.candidate is not None]
-    min_gps = min(found) if found else None
-    external = min_gps is not None and min_gps < cfg.delta_exrc
+    min_gps = min(r.candidate.gps for r in results)
+    external = min_gps < cfg.delta_exrc
     # a cluster whose best candidate scores below delta_exrc is judged not
     # explainable by any combination; it raises the external flag instead of
     # contributing a poorly supported prediction
-    root_causes = [
-        r.candidate.combinations
-        for r in results
-        if r.candidate is not None and r.candidate.gps >= cfg.delta_exrc
-    ]
+    root_causes = [r.candidate.combinations for r in results if r.candidate.gps >= cfg.delta_exrc]
     return LocalizationReport(
         root_causes, results, min_gps, external, time.perf_counter() - t0,
         score_density=density,

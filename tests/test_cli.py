@@ -182,6 +182,21 @@ class TestLocalizeCommand:
         assert rc == 1
 
     @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('a,real,predict\n"' + "x" * 200_000 + '",1,2\n', "error: row 2: field larger"),
+            ("a,real,predict\nx,1e308,1e308\ny,1e308,0\n", "error: column 'value' totals beyond"),
+        ],
+        ids=["oversized-field", "overflowing-total"],
+    )
+    def test_table_the_reader_cannot_hold_is_input_error(self, tmp_path, capsys, text, message):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(text)
+        rc = main(["localize", "--snapshot", str(bad), "--out", str(tmp_path / "r.json")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(message)
+
+    @pytest.mark.parametrize(
         "extra", [["--measure", "ratio:x"], ["--measure", "a:b:c:d"], ["--delta", "0"]]
     )
     def test_bad_argument_is_input_error(self, snapshot_file, tmp_path, extra):

@@ -1,14 +1,14 @@
 import pytest
 
 from rootdrill import MeasureSpec, ParseError, parse_snapshot
-from rootdrill.forecast import render_table, snapshot_with_forecast
+from rootdrill.forecast import WINDOW, render_table, snapshot_with_forecast
 from rootdrill.simulate import synthetic_base
 
 
-def forecast_of(history, window, current="a,real\nx,0\n"):
+def forecast_of(history, current="a,real\nx,0\n"):
     """Forecast by leaf name of ``current`` against history tables of ``a=value`` rows."""
     texts = ["a,real\n" + "".join(f"{k},{v}\n" for k, v in rows.items()) for rows in history]
-    snap = snapshot_with_forecast(current, texts, window=window)
+    snap = snapshot_with_forecast(current, texts)
     _, f = snap.leaf_values()
     return {snap.binding_of(i).bindings["a"]: f[i] for i in range(snap.n_leaves)}
 
@@ -16,22 +16,21 @@ def forecast_of(history, window, current="a,real\nx,0\n"):
 class TestMovingAverage:
     def test_plain_mean(self):
         hist = [{"x": v} for v in (1.0, 2.0, 3.0)]
-        assert forecast_of(hist, window=3)["x"] == 2.0
+        assert forecast_of(hist)["x"] == 2.0
 
     def test_absent_counts_as_zero(self):
-        # present in 3 of 10 recent tables with value 10: average is 3
-        hist = [{"x": 10.0}] * 3 + [{"y": 1.0}] * 7
-        assert forecast_of(hist, window=10)["x"] == pytest.approx(3.0)
+        # present in 3 of the WINDOW recent tables with value 10
+        hist = [{"x": 10.0}] * 3 + [{"y": 1.0}] * (WINDOW - 3)
+        assert forecast_of(hist)["x"] == pytest.approx(30.0 / WINDOW)
 
     def test_window_uses_most_recent(self):
-        hist = [{"x": 100.0}] + [{"x": 1.0}] * 2
-        assert forecast_of(hist, window=2)["x"] == 1.0
+        hist = [{"x": 100.0}] + [{"x": 1.0}] * WINDOW
+        assert forecast_of(hist)["x"] == 1.0
 
     def test_window_validation(self):
+        assert forecast_of([{"x": 4.0}])["x"] == 4.0  # one table is enough
         with pytest.raises(ValueError):
-            forecast_of([{"x": 1.0}], window=0)
-        with pytest.raises(ValueError):
-            forecast_of([], window=3)
+            forecast_of([])
 
 
 class TestSnapshotWithForecast:
@@ -67,22 +66,22 @@ class TestSnapshotWithForecast:
     def test_duplicate_leaf_in_history_table(self):
         hist = ["a,real\nx,1\n", "a,real\nx,4\ny,2\nx,100\n", "a,real\ny,1\n"]
         with pytest.raises(ParseError, match="duplicate leaf {'a': 'x'} in history table 2"):
-            snapshot_with_forecast("a,real\nx,7\n", hist, window=2)
+            snapshot_with_forecast("a,real\nx,7\n", hist)
 
     def test_duplicate_leaf_outside_window(self):
-        hist = ["a,real\nx,4\nx,100\n", "a,real\nx,2\n", "a,real\nx,3\n"]
+        hist = ["a,real\nx,4\nx,100\n"] + ["a,real\nx,2\n"] * WINDOW
         with pytest.raises(ParseError, match="duplicate leaf {'a': 'x'} in history table 1"):
-            snapshot_with_forecast("a,real\nx,1\n", hist, window=2)
+            snapshot_with_forecast("a,real\nx,1\n", hist)
 
     def test_attribute_mismatch_outside_window(self):
-        hist = ["b,real\nx,1\n", "a,real\nx,1\n"]
+        hist = ["b,real\nx,1\n"] + ["a,real\nx,1\n"] * WINDOW
         with pytest.raises(ParseError):
-            snapshot_with_forecast("a,real\nx,1\n", hist, window=1)
+            snapshot_with_forecast("a,real\nx,1\n", hist)
 
     def test_respects_window(self):
         current = "a,real\nx,0\n"
-        hist = ["a,real\nx,90\n"] + ["a,real\nx,10\n"] * 2
-        snap = snapshot_with_forecast(current, hist, window=2)
+        hist = ["a,real\nx,90\n"] + ["a,real\nx,10\n"] * WINDOW
+        snap = snapshot_with_forecast(current, hist)
         _, f = snap.leaf_values()
         assert f[0] == 10.0
 

@@ -69,16 +69,6 @@ class TestTradeoffWeight:
     def test_monotone_in_coverage(self):
         assert tradeoff_weight(1, 4, 0.01) > tradeoff_weight(1, 4, 0.5)
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            tradeoff_weight(0, 2, 0.5)
-        with pytest.raises(ValueError):
-            tradeoff_weight(1, 0, 0.5)
-        with pytest.raises(ValueError):
-            tradeoff_weight(1, 2, 0.0)
-        with pytest.raises(ValueError):
-            tradeoff_weight(1, 2, 1.1)
-
 
 # -- the search's rules, written out for the references below ----------------
 
@@ -366,7 +356,7 @@ def reference_search(snapshot, membership, exclude, cuboid):
     """One cuboid's search on a dense per-leaf membership, one slice per group.
 
     Returns the ranked groups, the leaf sequence, the prefix cuts, their
-    scores and the candidate, or None when no group holds member mass.
+    scores and the candidate.  Some leaf holds member mass.
     """
     idx = snapshot.cuboid_index(cuboid)
     g = idx.n_groups
@@ -376,8 +366,6 @@ def reference_search(snapshot, membership, exclude, cuboid):
     ratio = member_ratio(member, nonmember)
     # held means member mass, as in the search: a subnormal mass can have ratio 0
     n_pos = int(np.count_nonzero(member > 0.0))
-    if n_pos == 0:
-        return None
     keys = [idx.group_codes[:, j] for j in range(idx.group_codes.shape[1] - 1, -1, -1)]
     order = np.lexsort(keys + [-member, -ratio])[:n_pos]
     runs = [idx.order[idx.starts[gi]:idx.starts[gi + 1]] for gi in order]
@@ -405,24 +393,21 @@ def reference_localize_cluster(snapshot, leaves, membership, exclude, weight, cf
     candidates = []
     for layer in range(1, snapshot.schema.n_attributes + 1):
         found = [
-            res[4]
+            reference_search(snapshot, dense, exclude, cuboid)[4]
             for cuboid in cuboids_by_layer(snapshot.schema)
             if cuboid.layer == layer
-            for res in [reference_search(snapshot, dense, exclude, cuboid)]
-            if res is not None
         ]
         candidates += found
         if any(c.gps >= cfg.delta for c in found):
             break
-    if not candidates:
-        return None
     return min(candidates, key=lambda c: candidate_sort_key(c, weight))
 
 
 @st.composite
 def cluster_cases(draw):
     """A small snapshot, a cluster's membership on an ascending subset of its
-    leaves (exact zeros included) and a mask of leaves claimed elsewhere.
+    leaves (exact zeros included, but positive on at least one, as on every
+    cluster ``localize`` keeps) and a mask of leaves claimed elsewhere.
     Leaves are a subset of the A x B grid, so groups differ in size, and in
     the A x B cuboid every group is a single leaf."""
     grid = [(f"a{i}", f"b{j}") for i in range(4) for j in range(4)]
@@ -434,9 +419,11 @@ def cluster_cases(draw):
     snap = snapshot_from_rows(
         ("A", "B"), rows, {"value": draw(column)}, {"value": draw(column)}, MeasureSpec()
     )
-    leaves = np.array(sorted(draw(st.sets(st.integers(0, n - 1)))), dtype=np.int64)
+    leaves = np.array(sorted(draw(st.sets(st.integers(0, n - 1), min_size=1))), dtype=np.int64)
     mass = st.just(0.0) | st.floats(0.0, 1.0) | st.sampled_from([0.25, 0.5, 1.0])
     membership = np.array(draw(st.lists(mass, min_size=leaves.size, max_size=leaves.size)))
+    held = draw(st.integers(0, leaves.size - 1))
+    membership[held] = draw(st.floats(0.0, 1.0, exclude_min=True))
     exclude = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
     return snap, leaves, membership, exclude
 
@@ -499,12 +486,8 @@ class TestSearch:
             want = reference_search(snap, dense, exclude, cuboid)
             idx = snap.cuboid_index(cuboid)
             scorer = _RecordingScorer(_SnapshotArrays(snap), exclude)
-            # as ``localize_cluster`` passes them: the leaves with member mass,
-            # and only when there are some
+            # as ``localize_cluster`` passes them: the leaves with member mass
             held = membership != 0.0
-            if want is None:
-                assert not held.any()
-                continue
             got = _best_prefix(scorer, idx, leaves[held], membership[held])
             order, seq, cuts, gps, cand = want
             got_seq, got_cuts, got_gps = scorer.seen
@@ -595,15 +578,6 @@ class TestSearch:
         assert got.gps * weight - candidate_complexity(got.combinations) == pytest.approx(
             best_score
         )
-
-    def test_search_cuboid_none_when_cluster_untouched(self):
-        snap = planted_snapshot()
-        leaves = np.arange(snap.n_leaves)
-        membership = np.zeros(snap.n_leaves)
-        exclude = np.zeros(snap.n_leaves, dtype=bool)
-        # no cuboid holds a member leaf, so no layer yields a candidate
-        arrays = _SnapshotArrays(snap)
-        assert localize_cluster(arrays, leaves, membership, exclude, 1.0, LocalizeConfig()) is None
 
     def test_two_sibling_faults_need_both_combos(self):
         rng = np.random.default_rng(2)
@@ -723,6 +697,40 @@ class TestLocalizeReport:
             LocalizeConfig(delta=0.0)
         with pytest.raises(ValueError):
             LocalizeConfig(delta_exrc=1.5)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.sampled_from(["poisson", "none", "rate"]),
+        st.integers(2, 3),
+        st.integers(3, 5),
+        st.integers(1, 2),
+        st.integers(1, 2),
+        st.sampled_from([0.0, 0.05, 0.2]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_every_kept_cluster_has_a_candidate(
+        self, base_kind, n_attrs, n_values, n_element, layer, sigma, seed
+    ):
+        rate = base_kind == "rate"
+        base = synthetic_base(n_attrs, n_values, seed=seed, family="none" if rate else base_kind)
+        kind = "fundamental"
+        if rate:
+            total = base.real["value"]
+            succ = np.round(total * np.random.default_rng(seed).uniform(0.9, 0.99, total.size))
+            ops = {"succ": succ, "total": total}
+            measure = MeasureSpec("quotient", ("succ", "total"))
+            base = Snapshot(base.schema, base.codes, ops, dict(ops), measure)
+            kind = "success_rate"
+        params = SimulationParams(n_element, layer, sigma, sigma, measure_kind=kind)
+        snap = simulate_fault(base, params, np.random.default_rng(seed)).snapshot
+        cfg = LocalizeConfig()
+        rep = localize(snap, cfg)
+        assert all(isinstance(r.candidate, RootCauseCandidate) for r in rep.per_cluster)
+        gps = [r.candidate.gps for r in rep.per_cluster]
+        assert rep.min_gps == (min(gps) if gps else None)
+        assert rep.root_causes == [
+            r.candidate.combinations for r in rep.per_cluster if r.candidate.gps >= cfg.delta_exrc
+        ]
 
 
 class TestScoreHistogram:
@@ -878,9 +886,7 @@ class TestRowOrder:
             assert got.external_root_cause == ref.external_root_cause
             assert [r.bounds for r in got.per_cluster] == [r.bounds for r in ref.per_cluster]
             for a, b in zip(got.per_cluster, ref.per_cluster):
-                assert (a.candidate is None) == (b.candidate is None)
-                if a.candidate is not None:
-                    assert a.candidate.gps == pytest.approx(b.candidate.gps, abs=1e-9)
+                assert a.candidate.gps == pytest.approx(b.candidate.gps, abs=1e-9)
 
     @pytest.mark.parametrize("make", ["count_fault", "rate_fault"])
     def test_order_preserving_rename_keeps_the_verdict(self, make):
@@ -911,10 +917,8 @@ class TestRowOrder:
         assert got.min_gps == ref.min_gps
         assert [r.bounds for r in got.per_cluster] == [r.bounds for r in ref.per_cluster]
         for a, b in zip(got.per_cluster, ref.per_cluster):
-            assert (a.candidate is None) == (b.candidate is None)
-            if a.candidate is not None:
-                assert a.candidate.combinations == rename(b.candidate.combinations)
-                assert a.candidate.gps == b.candidate.gps
+            assert a.candidate.combinations == rename(b.candidate.combinations)
+            assert a.candidate.gps == b.candidate.gps
 
 
 class TestScaling:
@@ -955,7 +959,5 @@ class TestScaling:
         assert got.external_root_cause == ref.external_root_cause
         assert [r.bounds for r in got.per_cluster] == [r.bounds for r in ref.per_cluster]
         for a, b in zip(got.per_cluster, ref.per_cluster):
-            assert (a.candidate is None) == (b.candidate is None)
-            if a.candidate is not None:
-                assert a.candidate.combinations == b.candidate.combinations
-                assert a.candidate.gps == pytest.approx(b.candidate.gps, abs=1e-12)
+            assert a.candidate.combinations == b.candidate.combinations
+            assert a.candidate.gps == pytest.approx(b.candidate.gps, abs=1e-12)

@@ -13,7 +13,7 @@ import csv
 import io
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Mapping, NoReturn, Sequence
+from typing import Iterable, Iterator, Mapping, NoReturn, Sequence
 
 import numpy as np
 
@@ -374,12 +374,11 @@ def _parse_table(
     Returns the attribute names, one column of strings per attribute, and
     the real and (when ``need_forecast``) forecast values per operand.  Rows
     with no fields or only blank fields are skipped.  ``csv.reader`` reads
-    only the header of a text ``_plain_columns`` can split; the rest it
-    reads row by row.
+    the header; a text ``_plain_columns`` cannot split is read row by row
+    (``_body_rows``).
     """
-    reader = csv.reader(io.StringIO(text))
     try:
-        header = next(reader)
+        header = next(csv.reader(io.StringIO(text)))
     except StopIteration:
         raise ParseError("empty CSV") from None
     except csv.Error as e:
@@ -413,7 +412,7 @@ def _parse_table(
     values = None if columns is None else _floats(columns, value_idx)
     if values is None:
         try:
-            records = [rec for rec in reader if any(map(str.strip, rec))]
+            records = [rec for rec in _body_rows(text) if any(map(str.strip, rec))]
         except csv.Error:
             _raise_row_error(text, header, value_idx)
         if not records:
@@ -440,7 +439,7 @@ def _plain_columns(text: str, width: int) -> list[list[str]] | None:
     splits into one flat list with no list per row.  Lines end at ``\\n``
     only, as ``csv.reader`` over ``io.StringIO`` ends them.  A blank line has
     too few fields and a blank full-width row fails ``float``, which leaves
-    both to ``csv.reader`` and its caller's blank-row skip.
+    both to the row-by-row read (``_body_rows``) and its blank-row skip.
     """
     if '"' in text or "\r" in text:
         return None
@@ -474,13 +473,25 @@ def _floats(
         return None
 
 
+def _body_rows(text: str) -> Iterator[list[str]]:
+    """The rows below the header, one list of fields per line.
+
+    A text with no quote and no carriage return is split at every ``,`` and
+    ``\\n``, as ``_plain_columns`` splits it, so no field of it meets
+    ``csv.field_size_limit()``; any other text is read by ``csv.reader``.
+    """
+    if '"' in text or "\r" in text:
+        reader = csv.reader(io.StringIO(text))
+        next(reader)
+        return reader
+    return (line.split(",") for line in text.split("\n")[1:])
+
+
 def _raise_row_error(text: str, header: Sequence[str], value_idx: Sequence[int]) -> NoReturn:
     """Raise the ``ParseError`` of the first malformed row, checked row by row."""
-    reader = csv.reader(io.StringIO(text))
-    next(reader)
     lineno = 1
     try:
-        for lineno, rec in enumerate(reader, start=2):
+        for lineno, rec in enumerate(_body_rows(text), start=2):
             if not any(map(str.strip, rec)):
                 continue
             if len(rec) != len(header):

@@ -32,7 +32,14 @@ from .cluster import (
     leaf_distributions,
     weighted_quantile,
 )
-from .data import AttributeCombination, Cuboid, Snapshot, _CuboidIndex, cuboids_by_layer
+from .data import (
+    AttributeCombination,
+    Cuboid,
+    Snapshot,
+    _CuboidIndex,
+    _group_rows,
+    cuboids_by_layer,
+)
 from .ripple import deviation_score, measure_values
 
 
@@ -104,13 +111,21 @@ def tradeoff_weight(num_cluster: int, num_attr: int, coverage: float) -> float:
 
 
 class _SnapshotArrays:
-    """Per-leaf arrays of the explanation score, built once per snapshot.
+    """Per-leaf arrays of the explanation score, built once per verdict, and
+    the per-cuboid group tallies that every cluster of the verdict shares.
 
     Values are non-negative (``Snapshot`` rejects negative ones).  For
     f > 0, |v − r·f| = f·|q − r| with q = v/f, so the leaf takes a = f and
     b = v = a·q.  A leaf with f = 0 misfits by v whatever r is: it takes the
     same a and b, and q = +∞, so it always ranks above r.  Leaves are ranked
     on q once, here.
+
+    Over the leaves of a prefix of ranked groups, Σ |v − r·f| =
+    (V − 2·V≤) − r·(F − 2·F≤): V and F sum v and f over those leaves, V≤
+    and F≤ over the ones with q ≤ r.  The f = 0 leaves, above every r,
+    bring their v into V.  :class:`_GroupTallies` holds these sums per
+    group of one cuboid; they live as long as this object, never on the
+    ``Snapshot``.
     """
 
     def __init__(self, snapshot: Snapshot) -> None:
@@ -126,31 +141,80 @@ class _SnapshotArrays:
         self.q_sorted = q[self.by_rank]
         self.rank = np.empty(v.size, dtype=np.intp)
         self.rank[self.by_rank] = np.arange(v.size)
+        self._tallies: dict[tuple[str, ...], _GroupTallies] = {}
 
-    def misfits(self, seq: np.ndarray, cuts: np.ndarray, r: np.ndarray) -> np.ndarray:
-        """Σ |v − r_k·f| over the leaves ``seq[:cuts[k]]``, for ascending ``cuts``.
+    def tallies(self, idx: _CuboidIndex) -> _GroupTallies:
+        """The group tallies of ``idx``'s cuboid, built on first use."""
+        found = self._tallies.get(idx.attrs)
+        if found is None:
+            found = self._tallies[idx.attrs] = _GroupTallies(self, idx)
+        return found
 
-        Over a prefix, Σ |v − r·f| = (V − 2·V≤) − r·(F − 2·F≤): V and F sum
-        v and f, V≤ and F≤ sum them over the leaves with q ≤ r.  The f = 0
-        leaves, above every r, bring their v into V.
+    def misfits(
+        self, idx: _CuboidIndex, order: np.ndarray, k: np.ndarray, r: np.ndarray
+    ) -> np.ndarray:
+        """Σ |v − r_j·f| over the leaves of ``idx``'s groups ``order[:k[j] + 1]``,
+        for ascending ``k``.
+
+        A leaf of r's partial rank block lies in a prefix when its group's
+        position in ``order`` is below the prefix's group count.
+        """
+        tl = self.tallies(idx)
+        order = order[: k[-1] + 1]
+        position = np.full(idx.n_groups, order.size)  # past every prefix when not ranked
+        position[order] = np.arange(order.size)
+        # leaves with q ≤ r are exactly those ranked below t
+        t = np.searchsorted(self.q_sorted, r, "right")
+        if tl.rows is None:
+            return self._leaf_misfits(idx, order, position, k, r, t)
+        side = tl.side
+        col = t // side
+        cols, at = np.unique(col, return_inverse=True)
+        # the rank blocks below each r's, then every rank, summed over the prefixes
+        upto = np.cumsum(tl.rows[:, order[:, None], np.append(cols, -1)], axis=1)[:, k]
+        # signed sums, + above r and − at or below it: A − 2·A≤ and B − 2·B≤
+        sa, sb = upto[:, :, -1] - 2.0 * upto[:, np.arange(k.size), at]
+        head = t - col * side  # ranks [col·side, t)
+        kh = np.repeat(np.arange(k.size), head)
+        leaf = self.by_rank[_runs(col * side, head)]
+        coef = np.where(position[idx.group_of[leaf]] < k[kh] + 1, -2.0, 0.0)
+        sa += np.bincount(kh, weights=coef * self.a[leaf], minlength=k.size)
+        sb += np.bincount(kh, weights=coef * self.b[leaf], minlength=k.size)
+        return sb - r * sa
+
+    def _leaf_misfits(
+        self,
+        idx: _CuboidIndex,
+        order: np.ndarray,
+        position: np.ndarray,
+        k: np.ndarray,
+        r: np.ndarray,
+        t: np.ndarray,
+    ) -> np.ndarray:
+        """:meth:`misfits` from a table over the ranked groups' leaf sequence.
 
         A table of (position block × rank block) cells, cumulated both ways,
-        gives these sums over whole blocks.  Position blocks end at cuts, one
-        at or past each multiple of ``side``; rank blocks hold ``side``
-        ranks.  The rest is gathered leaf by leaf, in chunks of at most
-        ``BLOCK_TERMS`` leaves: the prefix's positions past its last block
-        end, and the leaves of r's partial rank block that lie before that
-        end.  ``side`` balances the table's N·L/side² cells (N positions, L
-        leaves) against the K·side leaves that K cuts gather, and keeps the
-        table within ``BLOCK_TERMS`` cells.
+        gives the sums over whole blocks.  Position blocks end at prefix
+        ends, one at or past each multiple of ``side`` leaves; rank blocks
+        hold ``side`` ranks.  The rest is gathered leaf by leaf, in chunks of
+        at most ``BLOCK_TERMS`` leaves: the prefix's positions past its last
+        block end, and the leaves of r's partial rank block that lie before
+        that end.  ``side`` balances the table's N·L/side² cells (N
+        positions, L leaves) against the K·side leaves that K prefixes
+        gather, and keeps the table within ``BLOCK_TERMS`` cells.
         """
-        seq = seq[: cuts[-1]]
+        run = idx.starts[order + 1] - idx.starts[order]
+        seq = idx.order[_runs(idx.starts[order], run)]
+        bounds = np.concatenate(([0], np.cumsum(run)))  # leaves of the first m groups
+        n_held = k + 1
+        cuts = bounds[n_held]
         n_leaves = self.rank.size
         span = seq.size * n_leaves
-        side = max(1, round((span / cuts.size) ** (1 / 3)), isqrt(span // BLOCK_TERMS))
+        side = max(1, round((span / k.size) ** (1 / 3)), isqrt(span // BLOCK_TERMS))
         n_rank = -(-n_leaves // side)
-        at_side = cuts[np.searchsorted(cuts, np.arange(0, seq.size, side))]
-        ends = np.unique(np.concatenate(([0], at_side, [seq.size])))
+        at_side = n_held[np.searchsorted(cuts, np.arange(0, seq.size, side))]
+        blocks = np.unique(np.concatenate(([0], at_side, [order.size])))  # groups before each end
+        ends = bounds[blocks]
         n_pos = ends.size - 1
         cell = np.repeat(np.arange(n_pos) * n_rank, np.diff(ends)) + self.rank[seq] // side
         table = np.zeros((2, n_pos + 1, n_rank + 1))
@@ -160,91 +224,129 @@ class _SnapshotArrays:
         np.cumsum(table, axis=1, out=table)
         np.cumsum(table, axis=2, out=table)
 
-        # leaves with q ≤ r are exactly those ranked below t
-        t = np.searchsorted(self.q_sorted, r, "right")
-        row = np.searchsorted(ends, cuts, "right") - 1
+        row = np.searchsorted(blocks, n_held, "right") - 1
         col = t // side
         # signed sums, + above r and − at or below it: A − 2·A≤ and B − 2·B≤
         sa, sb = table[:, row, n_rank] - 2.0 * table[:, row, col]
 
-        end = ends[row]
-        pos = np.full(n_leaves, seq.size)  # past every prefix when absent
-        pos[seq] = np.arange(seq.size)
+        end, before = ends[row], blocks[row]
         tail = cuts - end  # positions [end, cut), any rank
-        head = t - col * side  # ranks [col·side, t), at positions before end
+        head = t - col * side  # ranks [col·side, t), in the groups before end
         gathered = tail + head
         terms = np.cumsum(gathered)
         lo = 0
-        while lo < cuts.size:
-            # whole cuts within the term budget, and at least one cut
+        while lo < k.size:
+            # whole prefixes within the term budget, and at least one
             budget = terms[lo] - gathered[lo] + BLOCK_TERMS
             hi = max(lo + 1, int(np.searchsorted(terms, budget, "right")))
-            k = np.arange(hi - lo)
-            kt = np.repeat(k, tail[lo:hi])
+            j = np.arange(hi - lo)
+            jt = np.repeat(j, tail[lo:hi])
             leaf = seq[_runs(end[lo:hi], tail[lo:hi])]
-            coef = np.where(self.rank[leaf] < t[lo:hi][kt], -1.0, 1.0)
-            sa[lo:hi] += np.bincount(kt, weights=coef * self.a[leaf], minlength=k.size)
-            sb[lo:hi] += np.bincount(kt, weights=coef * self.b[leaf], minlength=k.size)
-            kh = np.repeat(k, head[lo:hi])
+            coef = np.where(self.rank[leaf] < t[lo:hi][jt], -1.0, 1.0)
+            sa[lo:hi] += np.bincount(jt, weights=coef * self.a[leaf], minlength=j.size)
+            sb[lo:hi] += np.bincount(jt, weights=coef * self.b[leaf], minlength=j.size)
+            jh = np.repeat(j, head[lo:hi])
             leaf = self.by_rank[_runs(col[lo:hi] * side, head[lo:hi])]
-            coef = np.where(pos[leaf] < end[lo:hi][kh], -2.0, 0.0)
-            sa[lo:hi] += np.bincount(kh, weights=coef * self.a[leaf], minlength=k.size)
-            sb[lo:hi] += np.bincount(kh, weights=coef * self.b[leaf], minlength=k.size)
+            coef = np.where(position[idx.group_of[leaf]] < before[lo:hi][jh], -2.0, 0.0)
+            sa[lo:hi] += np.bincount(jh, weights=coef * self.a[leaf], minlength=j.size)
+            sb[lo:hi] += np.bincount(jh, weights=coef * self.b[leaf], minlength=j.size)
             lo = hi
         return sb - r * sa
 
 
+class _GroupTallies:
+    """One cuboid's per-group sums, shared by every cluster of a verdict.
+
+    ``size`` counts each group's leaves; ``absres``, ``op_real`` and
+    ``op_fcst`` sum |v − f| and each real and forecast operand column over
+    the group's run of ``idx.order``, so that a cumulative sum over ranked
+    groups equals the sum over their leaves taken run by run.
+
+    When the groups average at least √L leaves (G² ≤ L, L leaves), ``rows``
+    holds each group's sums of a = f and b = v over blocks of ``side`` ≈ √L
+    ranks, cumulated along ranks: at most about 2·L cells, and a prefix of K
+    groups takes its V≤ and F≤ from K rows plus the leaves of r's partial
+    rank block.  Deeper cuboids have ``rows = None`` and build a table over
+    the ranked groups' leaf sequence on each call.
+    """
+
+    def __init__(self, arrays: _SnapshotArrays, idx: _CuboidIndex) -> None:
+        self.size = np.diff(idx.starts)
+        heads = idx.starts[:-1]
+
+        def per_group(x):
+            return np.add.reduceat(x[idx.order], heads)
+
+        self.absres = per_group(arrays.absres)
+        self.op_real = [per_group(c) for c in arrays.op_real]
+        self.op_fcst = [per_group(c) for c in arrays.op_fcst]
+        n_leaves, n_groups = arrays.rank.size, idx.n_groups
+        self.rows = None
+        if n_groups * n_groups <= n_leaves:
+            self.side = isqrt(n_leaves)
+            n_rank = -(-n_leaves // self.side)
+            cell = idx.group_of * n_rank + arrays.rank // self.side
+            self.rows = np.zeros((2, n_groups, n_rank + 1))
+            for i, w in enumerate((arrays.a, arrays.b)):
+                per_cell = np.bincount(cell, weights=w, minlength=n_groups * n_rank)
+                self.rows[i, :, 1:] = per_cell.reshape(n_groups, n_rank)
+            np.cumsum(self.rows, axis=2, out=self.rows)
+
+
 class _PrefixScorer:
-    """Explanation scores of leaf-sequence prefixes, on per-snapshot arrays.
+    """Explanation scores of prefixes of ranked groups, for one cluster.
 
     ``exclude`` marks leaves claimed by other clusters: they never count in
-    the complement pool a candidate is compared against.
+    the complement pool a candidate is compared against.  They are taken
+    once here, and each cuboid tallies them per group with one pass over
+    them alone.
     """
 
     def __init__(self, arrays: _SnapshotArrays, exclude: np.ndarray) -> None:
         self.arrays = arrays
         self.snapshot = arrays.snapshot
-        self.pool = ~exclude
-        self.pool_res = float(arrays.absres[self.pool].sum())
-        self.pool_n = int(np.count_nonzero(self.pool))
+        self.excluded = np.flatnonzero(exclude)
+        self.excluded_res = arrays.absres[self.excluded]
+        self.pool_res = float(arrays.absres[~exclude].sum())
+        self.pool_n = exclude.size - self.excluded.size
 
-    def prefix_scores(self, seq: np.ndarray, cuts: np.ndarray) -> np.ndarray:
-        """:func:`explanation_score` of candidate ``seq[:cut]`` for each of ``cuts``.
+    def scores(self, idx: _CuboidIndex, order: np.ndarray) -> np.ndarray:
+        """:func:`explanation_score` of the groups ``order[:k]`` of ``idx``, for k = 1 .. K.
 
         ``d_va`` compares the candidate's leaves against the values the ripple
         pattern implies for them, ``d_vf`` against their forecasts, and
         ``d_pf`` compares every other pooled leaf against its forecast.
-        ``d_va`` is the mean of |v − r·f| over the prefix, r being its ripple
-        ratio v_s/f_s.  With f ≥ 0, a leaf's term is v − r·f when q = v/f lies
-        above r (always when f = 0) and r·f − v otherwise, so the prefix's sum
-        is (V − 2·V≤) − r·(F − 2·F≤): V and F sum v and f over the prefix, V≤
-        and F≤ over its leaves with q ≤ r.  :meth:`_SnapshotArrays.misfits`
-        takes these sums for every cut at once from one ranking of q.
+        ``d_va`` is the mean of |v − r·f| over the candidate's leaves, r being
+        its ripple ratio v_s/f_s.  With f ≥ 0, a leaf's term is v − r·f when
+        q = v/f lies above r (always when f = 0) and r·f − v otherwise, so
+        the candidate's sum is (V − 2·V≤) − r·(F − 2·F≤): V and F sum v and
+        f over its leaves, V≤ and F≤ over the ones with q ≤ r.  Every other
+        sum is a cumulative sum of the cuboid's group tallies;
+        :meth:`_SnapshotArrays.misfits` takes the misfit sums for every prefix
+        at once from one ranking of q.
         """
-        arr = self.arrays
-        seq = seq[: cuts[-1]]
-        starts = cuts - np.diff(cuts, prepend=0)
-
-        def upto(x):  # x summed over seq[:cut], for each cut
-            return np.add.reduceat(x, starts).cumsum()
-
-        absres = arr.absres[seq]
-        d_vf = upto(absres) / cuts
-        in_pool = self.pool[seq]
-        pool_res = self.pool_res - upto(absres * in_pool)
-        pool_n = self.pool_n - upto(in_pool)
+        tl = self.arrays.tallies(idx)
+        size = tl.size[order]
+        cuts = np.cumsum(size)
+        absres = tl.absres[order]
+        d_vf = np.cumsum(absres) / cuts
+        of = idx.group_of[self.excluded]
+        out_res = np.bincount(of, weights=self.excluded_res, minlength=idx.n_groups)[order]
+        out_n = np.bincount(of, minlength=idx.n_groups)[order]
+        pool_res = self.pool_res - np.cumsum(absres - out_res)
+        pool_n = self.pool_n - np.cumsum(size - out_n)
         d_pf = np.divide(pool_res, pool_n, out=np.zeros(cuts.size), where=pool_n > 0)
 
         kind = self.snapshot.measure.kind
-        v_s = measure_values(kind, [upto(c[seq]) for c in arr.op_real])
-        f_s = measure_values(kind, [upto(c[seq]) for c in arr.op_fcst])
+        v_s = measure_values(kind, [np.cumsum(c[order]) for c in tl.op_real])
+        f_s = measure_values(kind, [np.cumsum(c[order]) for c in tl.op_fcst])
         # without forecast mass the ripple ratio is undefined: the slice is
         # taken as-is.  A zero real denominator needs no case of its own,
         # since every leaf rate under it is 0 as well.
         d_va = np.zeros(cuts.size)
         fit = np.flatnonzero(f_s > 0.0)
         if fit.size:
-            d_va[fit] = arr.misfits(seq, cuts[fit], v_s[fit] / f_s[fit]) / cuts[fit]
+            d_va[fit] = self.arrays.misfits(idx, order, fit, v_s[fit] / f_s[fit]) / cuts[fit]
 
         denom = d_vf + d_pf
         gps = 1.0 - (d_va + d_pf) / np.where(denom > 0.0, denom, 1.0)
@@ -262,15 +364,17 @@ def explanation_score(
     would imply for them; every other leaf (minus ``exclude``, leaves claimed
     by other clusters) is compared against its forecast.  1 means the
     candidate's slice deviates exactly in proportion and the rest of the data
-    is quiet.
+    is quiet.  The candidate is scored as group 0 of a two-group partition:
+    its leaves against all other leaves.
     """
-    seq = np.flatnonzero(snapshot.leaf_mask(*combinations))
-    if not seq.size:
+    outside = ~snapshot.leaf_mask(*combinations)
+    if outside.all():
         raise ValueError("empty candidate, or one with no descended leaves")
     if exclude is None:
         exclude = np.zeros(snapshot.n_leaves, dtype=bool)
+    idx = _CuboidIndex((), (), *_group_rows(outside[:, None], [2]))
     scorer = _PrefixScorer(_SnapshotArrays(snapshot), exclude)
-    return float(scorer.prefix_scores(seq, np.array([seq.size]))[0])
+    return float(scorer.scores(idx, np.array([0]))[0])
 
 
 # -- per-cluster search ----------------------------------------------------
@@ -296,9 +400,7 @@ def _best_prefix(
     # stable, and the held ids ascend: ties fall to the group id
     order = held[np.lexsort((-member, -ratio))]
 
-    # the ranked groups' runs of ``idx.order``, back to back
-    run = sizes[order]
-    gps = scorer.prefix_scores(idx.order[_runs(idx.starts[order], run)], np.cumsum(run))
+    gps = scorer.scores(idx, order)
     best = int(np.argmax(gps))
     return float(gps[best]), np.sort(order[: best + 1])
 

@@ -162,6 +162,23 @@ class TestParse:
         with pytest.raises(ParseError, match="^row 3: field larger than field limit"):
             parse_snapshot(f'a,real,predict\ny,1,2\n"{long}",1,2\n')
 
+    @pytest.mark.parametrize(
+        "row2, blank, message",
+        [
+            # split like the rest of a plain table: the bad row is named
+            ("{long},1,2", "", "^row 3: negative real=-1.0$"),
+            # a blank line sends the body to the row-by-row read, which splits it alike
+            ("{long},1,2", "\n", "^row 4: negative real=-1.0$"),
+            # a quoted field is read by csv.reader, which stops at the long field
+            ('"{long}",1,2', "", "^row 2: field larger than field limit"),
+        ],
+        ids=["plain", "plain-with-blank-line", "quoted"],
+    )
+    def test_row_error_after_a_field_over_the_csv_limit(self, row2, blank, message):
+        row2 = row2.format(long="x" * (csv.field_size_limit() + 1))
+        with pytest.raises(ParseError, match=message):
+            parse_snapshot(f"a,real,predict\n{row2}\n{blank}y,-1,2\n")
+
     def test_field_over_the_csv_limit_in_header(self):
         long = "x" * (csv.field_size_limit() + 1)
         with pytest.raises(ParseError, match="^row 1: field larger than field limit"):

@@ -1,5 +1,8 @@
 import importlib
 import itertools
+import sys
+from math import isqrt
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -8,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 localize_mod = importlib.import_module("rootdrill.localize")
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 
 from rootdrill import (
     AttributeCombination,
@@ -24,7 +28,14 @@ from rootdrill import (
     synthetic_base,
 )
 from rootdrill.cluster import _interior_minima, bin_of, cluster_distributions, leaf_distributions
-from rootdrill.data import Cuboid, Snapshot, _CuboidIndex, cuboids_by_layer, drop_attributes
+from rootdrill.data import (
+    Cuboid,
+    Snapshot,
+    _CuboidIndex,
+    _group_rows,
+    cuboids_by_layer,
+    drop_attributes,
+)
 from rootdrill.forecast import render_table
 from rootdrill.ripple import UndefinedValueError, derived_value, measure_values
 from rootdrill.localize import (
@@ -36,6 +47,7 @@ from rootdrill.localize import (
     localize_cluster,
     tradeoff_weight,
 )
+from summary import report_signature  # noqa: E402
 
 
 def combo(**bindings):
@@ -133,8 +145,8 @@ def test_member_ratio(province_snapshot, cuboid, target, members, want):
         leaves = np.array(sorted(members))
         scorer = _RecordingScorer(_SnapshotArrays(province_snapshot), np.zeros(9, dtype=bool))
         _best_prefix(scorer, idx, leaves, membership[leaves])
-        seq, cuts, _ = scorer.seen
-        assert idx.group_of[seq[0]] == g and cuts.size == 1
+        order, _ = scorer.seen
+        assert order.tolist() == [g]
 
 
 class TestExplanationScore:
@@ -260,15 +272,15 @@ class _LeafValues:
         return self.real["value"], self.forecast["value"]
 
 
-def per_cut_prefix_scores(scorer, seq, cuts):
-    """``prefix_scores`` with d_va taken by one pass over the prefix per cut."""
-    arr = scorer.arrays
+def per_cut_prefix_scores(arr, exclude, seq, cuts):
+    """Explanation scores of the candidates ``seq[:cut]``, one pass over the
+    prefix per cut for d_va; ``exclude`` leaves stay out of the pool."""
     last = cuts - 1
     absres = arr.absres[seq]
     d_vf = np.cumsum(absres)[last] / cuts
-    in_pool = scorer.pool[seq]
-    pool_res = scorer.pool_res - np.cumsum(absres * in_pool)[last]
-    pool_n = scorer.pool_n - np.cumsum(in_pool)[last]
+    in_pool = ~exclude[seq]
+    pool_res = float(arr.absres[~exclude].sum()) - np.cumsum(absres * in_pool)[last]
+    pool_n = np.count_nonzero(~exclude) - np.cumsum(in_pool)[last]
     d_pf = np.divide(pool_res, pool_n, out=np.zeros(cuts.size), where=pool_n > 0)
     kind = arr.snapshot.measure.kind
     v_s = measure_values(kind, [np.cumsum(c[seq])[last] for c in arr.op_real])
@@ -284,28 +296,76 @@ def per_cut_prefix_scores(scorer, seq, cuts):
 
 
 @st.composite
-def prefix_cases(draw):
-    """Non-negative leaf values with zero forecasts and repeated ratios v/f, a
-    reordered subset of the leaves as the sequence, ascending cuts (single-leaf
-    runs and a first cut of 1 included), a non-negative ripple ratio per cut
-    that may equal a leaf's v/f, lie above every one, or lie below every one
-    when none is 0, a mask of leaves claimed elsewhere and a gather budget
-    down to one leaf."""
+def group_cases(draw):
+    """Non-negative leaf values with zero forecasts and repeated ratios v/f,
+    the leaves split into groups, few enough for per-group rank rows
+    (G² ≤ L) or too many, a ranked subset of the groups, ascending prefix
+    indices (a first prefix of one group included), a non-negative ripple
+    ratio per prefix that may equal a leaf's v/f, lie above every one, or
+    lie below every one when none is 0, a mask of leaves claimed elsewhere
+    and a gather budget down to one leaf."""
     n = draw(st.integers(1, 40))
     value = st.integers(0, 8).map(float)
     v = np.array(draw(st.lists(value, min_size=n, max_size=n)))
     f = np.array(draw(st.lists(value, min_size=n, max_size=n)))
-    perm = draw(st.permutations(range(n)))
-    seq = np.array(perm[: draw(st.integers(1, n))], dtype=np.intp)
-    cuts = np.array(sorted(draw(st.sets(st.integers(1, seq.size), min_size=1))))
+    few = isqrt(n)  # up to this many groups take per-group rank rows
+    if n > 1 and draw(st.booleans()):
+        n_groups = draw(st.integers(few + 1, n))
+    else:
+        n_groups = draw(st.integers(1, few))
+    labels = draw(st.lists(st.integers(0, n_groups - 1), min_size=n, max_size=n))
+    idx = group_index(labels)
+    perm = draw(st.permutations(range(idx.n_groups)))
+    order = np.array(perm[: draw(st.integers(1, idx.n_groups))], dtype=np.intp)
+    k = np.array(sorted(draw(st.sets(st.integers(0, order.size - 1), min_size=1))))
     q = v[f != 0.0] / f[f != 0.0]
     ratio = st.floats(0.0, 10.0)
     if q.size:
         ratio |= st.sampled_from(sorted(set(q))) | st.sampled_from([q.min() / 2, q.max() + 1.0])
-    r = np.array(draw(st.lists(ratio, min_size=cuts.size, max_size=cuts.size)))
+    r = np.array(draw(st.lists(ratio, min_size=k.size, max_size=k.size)))
     exclude = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
     budget = draw(st.sampled_from([1, 7, localize_mod.BLOCK_TERMS]))
-    return _LeafValues(v, f), seq, cuts, r, exclude, budget
+    return _LeafValues(v, f), idx, order, k, r, exclude, budget
+
+
+def group_index(labels):
+    """A one-attribute cuboid index grouping leaf i under ``labels[i]``."""
+    codes = np.array(labels)[:, None]
+    size = int(codes.max()) + 1
+    names = tuple(str(c) for c in range(size))
+    return _CuboidIndex(("g",), (names,), *_group_rows(codes, [size]))
+
+
+def ranked_sequence(idx, order):
+    """The leaves of the groups ``order``, run after run, and each prefix's end."""
+    runs = [idx.order[idx.starts[g]:idx.starts[g + 1]] for g in order]
+    return np.concatenate(runs), np.cumsum([r.size for r in runs])
+
+
+def group_case(v, f, labels, order, k, r, exclude, budget):
+    """A ``group_cases`` draw written out."""
+    values = _LeafValues(np.array(v, dtype=float), np.array(f, dtype=float))
+    return (
+        values, group_index(labels), np.array(order), np.array(k), np.array(r, dtype=float),
+        np.array(exclude, dtype=bool), budget,
+    )
+
+
+# nine leaves: three groups take per-group rank rows, five do not.  Each
+# prefix's ratio equals the v/f of some leaf, the first group has no
+# forecast mass (f_s = 0), and the excluded leaves sit in ranked groups
+_V9 = [0, 3, 2, 4, 6, 1, 8, 2, 5]
+_F9 = [0, 0, 1, 2, 3, 1, 4, 2, 5]
+_EXCLUDE9 = [True, False, False, True, False, False, True, False, False]
+_GROUP_EXAMPLES = [
+    group_case(_V9, _F9, [0, 0, 1, 1, 1, 2, 2, 2, 2], [0, 2, 1], [0, 1, 2],
+               [2.0, 2.0, 1.0], _EXCLUDE9, budget)
+    for budget in (1, localize_mod.BLOCK_TERMS)
+] + [
+    group_case(_V9, _F9, [0, 0, 1, 1, 2, 3, 3, 4, 4], [0, 3, 1, 4], [0, 1, 2, 3],
+               [2.0, 1.0, 2.0, 1.0], _EXCLUDE9, budget)
+    for budget in (1, localize_mod.BLOCK_TERMS)
+]
 
 
 class TestGpsKernel:
@@ -315,12 +375,11 @@ class TestGpsKernel:
         snap, cuboid, groups, exclude = case
         idx = snap.cuboid_index(cuboid)
         combos = [idx.combination(g) for g in groups]
-        runs = [idx.order[idx.starts[g]:idx.starts[g + 1]] for g in groups]
         scorer = _PrefixScorer(
             _SnapshotArrays(snap),
             np.zeros(snap.n_leaves, dtype=bool) if exclude is None else exclude,
         )
-        got = scorer.prefix_scores(np.concatenate(runs), np.cumsum([r.size for r in runs]))
+        got = scorer.scores(idx, np.array(groups))
         for k in range(len(combos)):
             want = naive_explanation_score(snap, combos[: k + 1], exclude)
             assert got[k] == pytest.approx(want, abs=1e-12)
@@ -329,25 +388,34 @@ class TestGpsKernel:
             )
 
     @settings(max_examples=500, deadline=None)
-    @given(prefix_cases())
+    @given(group_cases())
+    @example(_GROUP_EXAMPLES[0])
+    @example(_GROUP_EXAMPLES[1])
+    @example(_GROUP_EXAMPLES[2])
+    @example(_GROUP_EXAMPLES[3])
     def test_misfits_match_the_per_cut_sum(self, case):
-        values, seq, cuts, r, _, budget = case
+        values, idx, order, prefixes, r, _, budget = case
         v, f = values.leaf_values()
         with mock.patch.object(localize_mod, "BLOCK_TERMS", budget):
-            got = _SnapshotArrays(values).misfits(seq, cuts, r)
-        for k, (n, rk) in enumerate(zip(cuts, r)):
+            got = _SnapshotArrays(values).misfits(idx, order, prefixes, r)
+        seq, cuts = ranked_sequence(idx, order)
+        for k, (n, rk) in enumerate(zip(cuts[prefixes], r)):
             terms = np.abs(v[seq[:n]] - f[seq[:n]] * rk)
             scale = float(np.sum(np.abs(v[seq[:n]]) + np.abs(f[seq[:n]] * rk)))
             assert abs(got[k] - terms.sum()) <= 1e-12 * scale
 
     @settings(max_examples=500, deadline=None)
-    @given(prefix_cases())
+    @given(group_cases())
+    @example(_GROUP_EXAMPLES[0])
+    @example(_GROUP_EXAMPLES[1])
+    @example(_GROUP_EXAMPLES[2])
+    @example(_GROUP_EXAMPLES[3])
     def test_prefix_scores_match_the_per_cut_loop(self, case):
-        values, seq, cuts, _, exclude, budget = case
-        scorer = _PrefixScorer(_SnapshotArrays(values), exclude)
+        values, idx, order, _, _, exclude, budget = case
+        arrays = _SnapshotArrays(values)
         with mock.patch.object(localize_mod, "BLOCK_TERMS", budget):
-            got = scorer.prefix_scores(seq, cuts)
-        want = per_cut_prefix_scores(scorer, seq, cuts)
+            got = _PrefixScorer(arrays, exclude).scores(idx, order)
+        want = per_cut_prefix_scores(arrays, exclude, *ranked_sequence(idx, order))
         # cuts without forecast mass take the slice as-is in both
         assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
@@ -355,8 +423,8 @@ class TestGpsKernel:
 def reference_search(snapshot, membership, exclude, cuboid):
     """One cuboid's search on a dense per-leaf membership, one slice per group.
 
-    Returns the ranked groups, the leaf sequence, the prefix cuts, their
-    scores and the candidate.  Some leaf holds member mass.
+    Returns the ranked groups, the scores of their prefixes and the
+    candidate.  Some leaf holds member mass.
     """
     idx = snapshot.cuboid_index(cuboid)
     g = idx.n_groups
@@ -368,21 +436,18 @@ def reference_search(snapshot, membership, exclude, cuboid):
     n_pos = int(np.count_nonzero(member > 0.0))
     keys = [idx.group_codes[:, j] for j in range(idx.group_codes.shape[1] - 1, -1, -1)]
     order = np.lexsort(keys + [-member, -ratio])[:n_pos]
-    runs = [idx.order[idx.starts[gi]:idx.starts[gi + 1]] for gi in order]
-    cuts = np.cumsum([r.size for r in runs])
-    seq = np.concatenate(runs)
-    gps = _PrefixScorer(_SnapshotArrays(snapshot), exclude).prefix_scores(seq, cuts)
+    gps = _PrefixScorer(_SnapshotArrays(snapshot), exclude).scores(idx, order)
     best = int(np.argmax(gps))
     combos = tuple(sorted(idx.combination(gi) for gi in order[: best + 1]))
-    return order, seq, cuts, gps, RootCauseCandidate(combos, float(gps[best]), cuboid)
+    return order, gps, RootCauseCandidate(combos, float(gps[best]), cuboid)
 
 
 class _RecordingScorer(_PrefixScorer):
-    """The scorer, keeping the last leaf sequence, cuts and scores it ranked."""
+    """The scorer, keeping the last ranked groups and scores it gave."""
 
-    def prefix_scores(self, seq, cuts):
-        self.seen = (seq, cuts, super().prefix_scores(seq, cuts))
-        return self.seen[2]
+    def scores(self, idx, order):
+        self.seen = (order, super().scores(idx, order))
+        return self.seen[1]
 
 
 def reference_localize_cluster(snapshot, leaves, membership, exclude, weight, cfg):
@@ -393,7 +458,7 @@ def reference_localize_cluster(snapshot, leaves, membership, exclude, weight, cf
     candidates = []
     for layer in range(1, snapshot.schema.n_attributes + 1):
         found = [
-            reference_search(snapshot, dense, exclude, cuboid)[4]
+            reference_search(snapshot, dense, exclude, cuboid)[2]
             for cuboid in cuboids_by_layer(snapshot.schema)
             if cuboid.layer == layer
         ]
@@ -489,12 +554,9 @@ class TestSearch:
             # as ``localize_cluster`` passes them: the leaves with member mass
             held = membership != 0.0
             got = _best_prefix(scorer, idx, leaves[held], membership[held])
-            order, seq, cuts, gps, cand = want
-            got_seq, got_cuts, got_gps = scorer.seen
-            heads = got_seq[got_cuts - np.diff(got_cuts, prepend=0)]
-            assert np.array_equal(idx.group_of[heads], order)
-            assert np.array_equal(got_seq, seq)
-            assert np.array_equal(got_cuts, cuts)
+            order, gps, cand = want
+            got_order, got_gps = scorer.seen
+            assert np.array_equal(got_order, order)
             assert np.array_equal(got_gps, gps)
             best_gps, groups = got
             decoded = tuple(idx.combination(g) for g in groups)
@@ -623,6 +685,37 @@ class TestSearch:
         # equal keys leave the choice to the combinations' names
         assert 0.9 + 1e-15 > 0.9
         assert _rank_key(0.9, 1, 10.0) == _rank_key(0.9 + 1e-15, 1, 10.0)
+
+
+class TestSharedTallies:
+    def test_each_cuboid_is_tallied_once_per_verdict(self, monkeypatch):
+        snap = TestRowOrder.count_fault().snapshot
+        built, looked_up = [], []
+
+        class SpyTallies(localize_mod._GroupTallies):
+            def __init__(self, arrays, idx):
+                built.append(idx.attrs)
+                super().__init__(arrays, idx)
+
+        cuboid_index = Snapshot.cuboid_index
+
+        def spy_index(self, cuboid):
+            looked_up.append(cuboid.attrs)
+            return cuboid_index(self, cuboid)
+
+        monkeypatch.setattr(localize_mod, "_GroupTallies", SpyTallies)
+        monkeypatch.setattr(Snapshot, "cuboid_index", spy_index)
+        reports = []
+        for _ in range(2):
+            built.clear()
+            looked_up.clear()
+            reports.append(localize(snap))
+            # several clusters look the same cuboids up; each is tallied once,
+            # and the second verdict on the snapshot starts cold again
+            assert len(reports[-1].per_cluster) > 1
+            assert len(looked_up) > len(set(looked_up))
+            assert sorted(built) == sorted(set(looked_up))
+        assert report_signature(reports[1]) == report_signature(reports[0])
 
 
 class TestLocalizeReport:

@@ -95,11 +95,21 @@ def knee_threshold(residuals: np.ndarray) -> float:
 def _runs(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
     """Indices of the runs ``[starts[i], starts[i] + lens[i])``, back to back."""
     ends = np.cumsum(lens)
-    return np.arange(ends[-1]) + np.repeat(starts - (ends - lens), lens)
+    return np.arange(lens.sum()) + np.repeat(starts - (ends - lens), lens)
 
 
 # candidate-rate terms evaluated at once: bounds the temporaries of stage 2
 BLOCK_TERMS = 1 << 16
+
+
+def _blocks(cost: np.ndarray):
+    """Ranges ``[s, e)`` of items whose costs sum to ``BLOCK_TERMS`` at most, or one item."""
+    ends = np.cumsum(cost)
+    s = 0
+    while s < cost.size:
+        e = max(s + 1, int(np.searchsorted(ends, ends[s] - cost[s] + BLOCK_TERMS, "right")))
+        yield s, e
+        s = e
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,7 +146,9 @@ def leaf_distributions(v: np.ndarray, f: np.ndarray, family: str) -> ScoreMass:
     Terms below ``PMF_CUTOFF`` are dropped and the rest renormalized per leaf.
     A leaf with a zero forecast (every positive rate scores -1) or with no
     term left, and every leaf of another family, keeps all its mass at its
-    observed score.
+    observed score.  The likelihoods are evaluated once per distinct count
+    and binned once per distinct (count, forecast) pair; each leaf then takes
+    its pair's row, so leaves that repeat a pair get the same bits.
     """
     v, f = np.asarray(v, dtype=float), np.asarray(f, dtype=float)
     poisson = family == "poisson"
@@ -148,43 +160,65 @@ def leaf_distributions(v: np.ndarray, f: np.ndarray, family: str) -> ScoreMass:
     if not poisson:
         return ScoreMass(np.arange(v.size + 1), observed, np.ones(v.size))
 
-    spread = 10.0 * np.sqrt(v) + 30.0
-    lo = np.maximum(0.0, np.floor(v - spread))
-    n_rates = (np.ceil(v + spread) - lo + 1.0).astype(np.int64)
-    ends = np.cumsum(n_rates)
-    counts, bins, mass = [np.zeros(1, np.int64)], [np.zeros(0, np.int64)], [np.zeros(0)]
-    s = 0
-    while s < v.size:
-        # whole leaves within the term budget, and at least one leaf
-        e = max(s + 1, int(np.searchsorted(ends, ends[s] - n_rates[s] + BLOCK_TERMS, "right")))
+    # a rate's likelihood depends on the count alone, and a leaf's binned
+    # mass on its (count, forecast) pair: each is evaluated once
+    u, count = np.unique(v, return_inverse=True)
+    _, fcode = np.unique(f, return_inverse=True)
+    _, first, pair = np.unique(count * v.size + fcode, return_index=True, return_inverse=True)
+    spread = 10.0 * np.sqrt(u) + 30.0
+    lo = np.maximum(0.0, np.floor(u - spread))
+    n_rates = (np.ceil(u + spread) - lo + 1.0).astype(np.int64)
+
+    # the kept rates of each distinct count and their normalized likelihoods
+    kept, total = [np.zeros(0, np.int64)], [np.zeros(0)]
+    rates, weights = [np.zeros(0)], [np.zeros(0)]
+    for s, e in _blocks(n_rates):
         n = n_rates[s:e]
-        leaf = np.repeat(np.arange(e - s), n)
+        c = np.repeat(np.arange(e - s), n)
         a = _runs(lo[s:e], n)
-        w = np.exp(xlogy(v[s:e][leaf], a) - gammaln(v[s:e] + 1.0)[leaf] - a)
+        w = np.exp(xlogy(u[s:e][c], a) - gammaln(u[s:e] + 1.0)[c] - a)
         keep = w >= PMF_CUTOFF
-        leaf, a, w = leaf[keep], a[keep], w[keep]
-        # each leaf's total in the pairwise order of ``ndarray.sum``, which
-        # reduceat keeps when every leaf's run starts with a 0: rounding
+        c, a, w = c[keep], a[keep], w[keep]
+        # each count's total in the pairwise order of ``ndarray.sum``, which
+        # reduceat keeps when every count's run starts with a 0: rounding
         # here decides search ties between leaves of equal membership
-        per_leaf = np.bincount(leaf, minlength=e - s) + 1
+        per_count = np.bincount(c, minlength=e - s) + 1
         padded = np.zeros(w.size + e - s)
-        padded[np.arange(w.size) + leaf + 1] = w
-        total = np.add.reduceat(padded, np.cumsum(per_leaf) - per_leaf)
+        padded[np.arange(w.size) + c + 1] = w
+        t = np.add.reduceat(padded, np.cumsum(per_count) - per_count)
+        kept.append(per_count - 1)
+        rates.append(a)
+        weights.append(w / t[c])
+        total.append(t)
+    kept, rates, weights, total = map(np.concatenate, (kept, rates, weights, total))
+    start = np.cumsum(kept) - kept
+
+    # each distinct pair's row of the grid, its nonzero bins in order
+    pc, pf = count[first], f[first]
+    counts, bins, mass = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)], [np.zeros(0)]
+    for s, e in _blocks(n_rates[pc]):
+        c = pc[s:e]
+        p = np.repeat(np.arange(e - s), kept[c])
+        t = _runs(start[c], kept[c])
         grid = np.bincount(
-            leaf * N_BINS + bin_of(deviation_score(a, f[s:e][leaf])),
-            weights=w / total[leaf],
+            p * N_BINS + bin_of(deviation_score(rates[t], pf[s:e][p])),
+            weights=weights[t],
             minlength=(e - s) * N_BINS,
         ).reshape(e - s, N_BINS)
         # a zero forecast scores every positive rate -1: its row holds only
         # the observed bin, which the spike sets to exactly 1
-        spike = np.flatnonzero((f[s:e] == 0.0) | (total == 0.0))
-        grid[spike, observed[s:e][spike]] = 1.0
+        spike = np.flatnonzero((pf[s:e] == 0.0) | (total[c] == 0.0))
+        grid[spike, observed[first[s:e]][spike]] = 1.0
         nz = np.flatnonzero(grid)
         counts.append(np.bincount(nz // N_BINS, minlength=e - s))
         bins.append(nz % N_BINS)
         mass.append(grid.ravel()[nz])
-        s = e
-    return ScoreMass(np.cumsum(np.concatenate(counts)), np.concatenate(bins), np.concatenate(mass))
+    counts, bins, mass = map(np.concatenate, (counts, bins, mass))
+
+    # each leaf takes its pair's row
+    lens = counts[pair]
+    rows = _runs((np.cumsum(counts) - counts)[pair], lens)
+    return ScoreMass(np.cumsum(np.concatenate(([0], lens))), bins[rows], mass[rows])
 
 
 # -- density clustering ----------------------------------------------------

@@ -269,6 +269,8 @@ def synthetic_base(
     """
     if n_attrs < 1 or n_values < 2:
         raise ValueError("need at least 1 attribute with 2 values")
+    if not 0.0 < mean_rate < np.inf:
+        raise ValueError(f"mean_rate must be finite and positive, got {mean_rate}")
     rng = np.random.default_rng(seed)
     attrs = tuple(chr(ord("A") + i) for i in range(n_attrs))
     width = max(2, len(str(n_values - 1)))

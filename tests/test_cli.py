@@ -286,6 +286,22 @@ class TestSimulateEvaluateCommands:
         assert "non-overlapping" in capsys.readouterr().err
         assert not (tmp_path / "ds").exists()
 
+    @pytest.mark.parametrize("mean", ["0", "-5", "nan", "inf"])
+    def test_bad_mean_rate_is_input_error(self, tmp_path, capsys, mean):
+        ds = tmp_path / "ds"
+        rc = main(
+            [
+                "simulate",
+                "--base", f"synthetic:2x3@{mean}",
+                "--grid", "1x1",
+                "--per-cell", "1",
+                "--out", str(ds),
+            ]
+        )
+        assert rc == 1
+        assert "mean_rate must be finite and positive" in capsys.readouterr().err
+        assert not ds.exists()
+
     def test_failed_grid_leaves_no_partial_dataset(self, tmp_path):
         # cells (1,1)..(4,1) fit the base, (5,1) does not
         failing = ["simulate", "--base", "synthetic:3x4", "--grid", "1-20x1", "--per-cell", "1"]

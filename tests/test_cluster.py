@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy.special import gammaln, xlogy
 from scipy.stats import poisson
 
 import rootdrill.cluster as cluster_mod
@@ -255,6 +256,124 @@ class TestPoisson:
             assert np.array_equal(d.bins, bins)
             assert np.abs(d.mass - mass).max() <= 1e-12
             assert d.mass.sum() == pytest.approx(1.0, abs=1e-6)
+
+
+def reference_leaf_distributions(v, f):
+    """Poisson stage 2 as one pass over the leaves, blocked by ``BLOCK_TERMS``.
+
+    Every leaf evaluates its own candidate rates and bins its own terms, so
+    no count or (count, forecast) pair is shared between leaves.
+    """
+    v, f = np.asarray(v, dtype=float), np.asarray(f, dtype=float)
+    observed = bin_of(deviation_score(v, f))
+    spread = 10.0 * np.sqrt(v) + 30.0
+    lo = np.maximum(0.0, np.floor(v - spread))
+    n_rates = (np.ceil(v + spread) - lo + 1.0).astype(np.int64)
+    ends = np.cumsum(n_rates)
+    counts, bins, mass = [np.zeros(1, np.int64)], [np.zeros(0, np.int64)], [np.zeros(0)]
+    s = 0
+    while s < v.size:
+        budget = ends[s] - n_rates[s] + cluster_mod.BLOCK_TERMS
+        e = max(s + 1, int(np.searchsorted(ends, budget, "right")))
+        n = n_rates[s:e]
+        leaf = np.repeat(np.arange(e - s), n)
+        a = cluster_mod._runs(lo[s:e], n)
+        w = np.exp(xlogy(v[s:e][leaf], a) - gammaln(v[s:e] + 1.0)[leaf] - a)
+        keep = w >= PMF_CUTOFF
+        leaf, a, w = leaf[keep], a[keep], w[keep]
+        per_leaf = np.bincount(leaf, minlength=e - s) + 1
+        padded = np.zeros(w.size + e - s)
+        padded[np.arange(w.size) + leaf + 1] = w
+        total = np.add.reduceat(padded, np.cumsum(per_leaf) - per_leaf)
+        grid = np.bincount(
+            leaf * N_BINS + bin_of(deviation_score(a, f[s:e][leaf])),
+            weights=w / total[leaf],
+            minlength=(e - s) * N_BINS,
+        ).reshape(e - s, N_BINS)
+        spike = np.flatnonzero((f[s:e] == 0.0) | (total == 0.0))
+        grid[spike, observed[s:e][spike]] = 1.0
+        nz = np.flatnonzero(grid)
+        counts.append(np.bincount(nz // N_BINS, minlength=e - s))
+        bins.append(nz % N_BINS)
+        mass.append(grid.ravel()[nz])
+        s = e
+    return ScoreMass(np.cumsum(np.concatenate(counts)), np.concatenate(bins), np.concatenate(mass))
+
+
+def same_bytes(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def same_score_mass(got, want):
+    return all(
+        same_bytes(getattr(got, k), getattr(want, k)) for k in ("ptr", "bins", "mass")
+    )
+
+
+@st.composite
+def repeating_batches(draw):
+    """Leaves drawn from a few counts and forecasts, so both repeat in a batch.
+
+    Counts above 1,024 have more than 700 candidate rates; 0.0 and -0.0
+    forecasts share their counts with positive ones.
+    """
+    count = st.sampled_from([0, 1, 7, 60, 2500]) | st.integers(0, 5000)
+    counts = draw(st.lists(count, min_size=1, max_size=4))
+    forecast = st.sampled_from([0.0, -0.0]) | st.floats(0.5, 6000.0)
+    forecasts = draw(st.lists(forecast, min_size=1, max_size=4))
+    leaves = draw(
+        st.lists(
+            st.tuples(st.sampled_from(counts), st.sampled_from(forecasts)), min_size=1, max_size=40
+        )
+    )
+    leaves = [(v, f) for v, f in leaves if v + f > 0.0]
+    assume(leaves)
+    return np.array([v for v, _ in leaves], float), np.array([f for _, f in leaves])
+
+
+# count 0, and one count under forecasts 0.0, -0.0 and positive ones, in turn
+_REPEATS = (
+    np.array([0, 7, 7, 7, 0, 7, 2500, 7, 2500, 0], float),
+    np.array([3.0, 0.0, -0.0, 3.0, 3.0, 2.5, 2000.0, 0.0, 2000.0, 2.5]),
+)
+
+
+class TestRepeatedLeaves:
+    @settings(max_examples=200, deadline=None)
+    @given(batch=repeating_batches(), budget=st.sampled_from([64, 700, BLOCK_TERMS]))
+    @example(batch=_REPEATS, budget=64)
+    @example(batch=_REPEATS, budget=700)
+    @example(batch=_REPEATS, budget=BLOCK_TERMS)
+    def test_matches_the_per_leaf_loop_bit_for_bit(self, batch, budget):
+        v, f = batch
+        with mock.patch.object(cluster_mod, "BLOCK_TERMS", budget):
+            got = leaf_distributions(v, f, "poisson")
+            want = reference_leaf_distributions(v, f)
+        assert same_score_mass(got, want)
+
+    @settings(max_examples=100, deadline=None)
+    @given(batch=repeating_batches(), data=st.data())
+    @example(batch=_REPEATS, data=None)
+    def test_shuffled_or_duplicated_leaves_permute_the_rows(self, batch, data):
+        v, f = batch
+        n = v.size
+        if data is None:
+            idx = np.array([9, 3, 3, 0, 8, 1, 2, 2, 6, 7, 5, 4, 0])
+        else:
+            perm = data.draw(st.permutations(range(n)))
+            extra = data.draw(st.lists(st.integers(0, n - 1), max_size=n))
+            idx = np.array(perm + extra, dtype=np.int64)
+        rows = leaf_distributions(v, f, "poisson")
+        moved = leaf_distributions(v[idx], f[idx], "poisson")
+        assert len(moved) == idx.size
+        for d, i in zip(moved, idx):
+            lo, hi = rows.ptr[i], rows.ptr[i + 1]
+            assert same_bytes(d.bins, rows.bins[lo:hi])
+            assert same_bytes(d.mass, rows.mass[lo:hi])
+
+    def test_empty_batch(self):
+        got = leaf_distributions(np.zeros(0), np.zeros(0), "poisson")
+        assert same_score_mass(got, reference_leaf_distributions(np.zeros(0), np.zeros(0)))
 
 
 def test_leaf_distributions_family_switch():

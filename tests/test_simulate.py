@@ -294,6 +294,11 @@ class TestSyntheticBase:
         b = synthetic_base(n_attrs=2, n_values=5, seed=21)
         assert np.array_equal(a.real["value"], b.real["value"])
 
+    @pytest.mark.parametrize("rate", [0.0, -5.0, float("nan"), float("inf")])
+    def test_mean_rate_must_be_finite_and_positive(self, rate):
+        with pytest.raises(ValueError, match="mean_rate"):
+            synthetic_base(n_attrs=2, n_values=3, mean_rate=rate, seed=23)
+
     def test_names_sort_like_codes_past_100_values(self):
         b = synthetic_base(n_attrs=2, n_values=101, seed=22, family="none")
         back = parse_snapshot(render_table(b), b.measure)

@@ -57,9 +57,9 @@ def verdict(report):
     clusters = [
         (
             tuple(round(b, 9) for b in r.bounds),
-            None if r.candidate is None else tuple(map(str, r.candidate.combinations)),
-            None if r.candidate is None else str(r.candidate.cuboid),
-            None if r.candidate is None else round(r.candidate.gps, 9),
+            tuple(map(str, r.candidate.combinations)),
+            str(r.candidate.cuboid),
+            round(r.candidate.gps, 9),
         )
         for r in report.per_cluster
     ]

@@ -103,7 +103,7 @@ def _cmd_localize(args) -> int:
     with _reading_input():
         measure = parse_measure(args.measure)
         snapshot_path = Path(args.snapshot)
-        text = snapshot_path.read_text()
+        text = snapshot_path.read_text(encoding="utf-8")
         if args.history:
             hist_dir = Path(args.history)
             files = sorted(p for p in hist_dir.iterdir() if p.suffix == ".csv")
@@ -114,7 +114,8 @@ def _cmd_localize(args) -> int:
                 files = files[: names.index(snapshot_path.name)]
             if not files:
                 raise ValueError(f"no history CSVs usable in {hist_dir}")
-            snapshot = snapshot_with_forecast(text, [p.read_text() for p in files], measure)
+            history = [p.read_text(encoding="utf-8") for p in files]
+            snapshot = snapshot_with_forecast(text, history, measure)
         else:
             snapshot = parse_snapshot(text, measure)
         cfg = LocalizeConfig(delta=args.delta, delta_exrc=args.delta_exrc)
@@ -124,9 +125,9 @@ def _cmd_localize(args) -> int:
         density = report.score_density
         lines = ["bin_center,density"]
         lines += [f"{float(bin_center(i)):.2f},{float(density[i]):.10g}" for i in range(N_BINS)]
-        Path(args.hist_out).write_text("\n".join(lines) + "\n")
+        Path(args.hist_out).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
-    Path(args.out).write_text(json.dumps(report_json(report), indent=1) + "\n")
+    Path(args.out).write_text(json.dumps(report_json(report), indent=1) + "\n", encoding="utf-8")
     n = len({c for g in report.root_causes for c in g})
     flag = "external" if report.external_root_cause else "internal"
     gps = "n/a" if report.min_gps is None else f"{report.min_gps:.4f}"
@@ -151,7 +152,7 @@ def _load_base(spec: str, measure_text: str, seed: int):
                 f"bad synthetic base spec {spec!r}; expected synthetic:<attrs>x<values>[@mean]"
             ) from None
         return synthetic_base(n_attrs, n_values, mean_rate=mean, seed=seed)
-    return parse_snapshot(Path(spec).read_text(), parse_measure(measure_text))
+    return parse_snapshot(Path(spec).read_text(encoding="utf-8"), parse_measure(measure_text))
 
 
 def _cmd_simulate(args) -> int:
@@ -190,7 +191,7 @@ def _cmd_simulate(args) -> int:
             "leaf_noise": args.leaf_noise,
         }
         (staging / "manifest.json").write_text(
-            json.dumps(manifest, indent=1, sort_keys=True) + "\n"
+            json.dumps(manifest, indent=1, sort_keys=True) + "\n", encoding="utf-8"
         )
         out.mkdir(exist_ok=True)
         for entry in sorted(staging.iterdir()):
@@ -222,7 +223,7 @@ def _cmd_evaluate(args) -> int:
         "n_cases": report.n_cases,
         "skipped": report.skipped,
     }
-    Path(args.out).write_text(json.dumps(payload, indent=1) + "\n")
+    Path(args.out).write_text(json.dumps(payload, indent=1) + "\n", encoding="utf-8")
     shown = "n/a" if report.overall_f1 is None else f"{report.overall_f1:.4f}"
     print(f"{report.n_cases} cases, overall F1 {shown}, {report.skipped} skipped")
     return 0
@@ -230,7 +231,7 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_exrc_threshold(args) -> int:
     with _reading_input():
-        values = json.loads(Path(args.history).read_text())
+        values = json.loads(Path(args.history).read_text(encoding="utf-8"))
         if not isinstance(values, list) or not all(
             isinstance(x, (int, float)) and not isinstance(x, bool) for x in values
         ):

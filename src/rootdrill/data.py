@@ -359,8 +359,7 @@ def parse_snapshot(text: str, measure: MeasureSpec | None = None) -> Snapshot:
     attribute.  Attribute matching is exact and case-sensitive.
     """
     measure = measure or MeasureSpec()
-    attrs, columns, real, forecast = _parse_table(text, measure.operands, need_forecast=True)
-    schema, codes = _encode(attrs, columns)
+    schema, codes, real, forecast = _parse_table(text, measure.operands, need_forecast=True)
     return Snapshot(schema, codes, real, forecast, measure)
 
 
@@ -368,14 +367,15 @@ def _parse_table(
     text: str,
     operands: Sequence[str],
     need_forecast: bool,
-) -> tuple[list[str], list[Sequence[str]], dict[str, np.ndarray], dict[str, np.ndarray]]:
+) -> tuple[AttributeSchema, np.ndarray, dict[str, np.ndarray], dict[str, np.ndarray]]:
     """Read a CSV table column by column.
 
-    Returns the attribute names, one column of strings per attribute, and
-    the real and (when ``need_forecast``) forecast values per operand.  Rows
-    with no fields or only blank fields are skipped.  ``csv.reader`` reads
-    the header; a text ``_plain_columns`` cannot split is read row by row
-    (``_body_rows``).
+    Returns the schema, the ``int32`` code matrix (codes in sorted-domain
+    order, as ``_encode`` assigns them), and the real and (when
+    ``need_forecast``) forecast values per operand.  Rows with no fields or
+    only blank fields are skipped.  ``csv.reader`` reads the header; the body
+    is decoded from its UTF-8 bytes (``_read_plain``), or row by row
+    (``_read_rows``) when that reader declines the text.
     """
     try:
         header = next(csv.reader(io.StringIO(text)))
@@ -384,6 +384,9 @@ def _parse_table(
     except csv.Error as e:
         raise ParseError(f"row 1: {e}") from None
     header = [h.strip() for h in header]
+    for j, h in enumerate(header):
+        if h in header[:j]:
+            raise ParseError(f"column {h!r} named twice in the header")
 
     value_cols: dict[str, tuple[int, int]] = {}
     for col in operands:
@@ -408,76 +411,154 @@ def _parse_table(
         raise ParseError("no attribute columns")
 
     value_idx = [j for pair in value_cols.values() for j in pair if j >= 0]
-    columns = _plain_columns(text, len(header))
-    values = None if columns is None else _floats(columns, value_idx)
-    if values is None:
-        try:
-            records = [rec for rec in _body_rows(text) if any(map(str.strip, rec))]
-        except csv.Error:
-            _raise_row_error(text, header, value_idx)
-        if not records:
-            raise ParseError("snapshot holds no leaves")
-        if set(map(len, records)) != {len(header)}:
-            _raise_row_error(text, header, value_idx)
-        columns = list(zip(*records))
-        del records  # the columns now hold the only references to the field strings
-        values = _floats(columns, value_idx)
-        if values is None:
-            _raise_row_error(text, header, value_idx)
+    read = _read_plain(text, len(header), attrs, attr_idx, value_idx)
+    if read is None:
+        read = _read_rows(text, header, attrs, attr_idx, value_idx)
+    schema, codes, values = read
     if any(np.any(v < 0) for v in values.values()):
         _raise_row_error(text, header, value_idx)
     real = {col: values[ri] for col, (ri, _) in value_cols.items()}
     forecast = {col: values[pi] for col, (_, pi) in value_cols.items() if pi >= 0}
-    return attrs, [columns[j] for j in attr_idx], real, forecast
+    return schema, codes, real, forecast
 
 
-def _plain_columns(text: str, width: int) -> list[list[str]] | None:
-    """The columns of the rows below the header, or None unless ``text`` holds
-    no quote and no carriage return and every line holds ``width`` fields.
+# the bytes of a field are read eight at a time, as one unaligned big-endian
+# word; _PREFIX[k] keeps a word's first k bytes, _SUFFIX[k] its last k
+_PREFIX = np.array([0] + [2**64 - 2 ** (64 - 8 * k) for k in range(1, 9)], np.uint64)
+_SUFFIX = np.array([2 ** (8 * k) - 1 for k in range(9)], np.uint64)
+_ZEROS = np.uint64(int.from_bytes(b"0" * 8, "big"))
+# an integer of at most 15 digits and every partial sum of its digits times
+# these powers are exact in a double, so the dot product equals float()
+_MAX_DIGITS = 15
+_POW10 = 10.0 ** np.arange(16)
+# zero bytes before the text and after it, so two words can end at any
+# field's end and one can start at any field's start
+_PAD = 16
 
-    Without quotes every ``,`` and line end separates two fields, so the text
-    splits into one flat list with no list per row.  Lines end at ``\\n``
-    only, as ``csv.reader`` over ``io.StringIO`` ends them.  A blank line has
-    too few fields and a blank full-width row fails ``float``, which leaves
-    both to the row-by-row read (``_body_rows``) and its blank-row skip.
+
+def _read_plain(
+    text: str,
+    width: int,
+    attrs: Sequence[str],
+    attr_idx: Sequence[int],
+    value_idx: Sequence[int],
+) -> tuple[AttributeSchema, np.ndarray, dict[int, np.ndarray]] | None:
+    """Schema, codes and value columns decoded from the UTF-8 bytes of ``text``.
+
+    Returns None, leaving the text to ``_read_rows``, unless it holds no
+    quote, no carriage return and no NUL, every line holds ``width`` fields,
+    and every value field is a number.  Without quotes every ``,`` and line
+    end separates two fields; lines end at ``\\n`` only, as ``csv.reader``
+    over ``io.StringIO`` ends them.  A blank line has too few fields and a
+    blank full-width row fails ``float``, so both go to the row-by-row read.
+
+    Each attribute field becomes one key of its bytes, left-aligned and
+    zero-padded: a ``uint64`` when the column's longest value has at most 8
+    bytes, else an ``S{m}`` string.  Key order is UTF-8 byte order, which is
+    code-point order, so ``np.unique`` gives the codes in sorted-domain
+    order.  A value field of 1 to 15 ASCII digits is read as the dot product
+    of its digits with powers of ten; any other is decoded and passed to
+    ``float``.
     """
-    if '"' in text or "\r" in text:
+    if '"' in text or "\r" in text or "\0" in text:
         return None
-    if text.endswith("\n"):
-        text = text[:-1]  # the final line end closes the last row
+    raw = text.encode("utf-8", "surrogatepass")
+    if raw.endswith(b"\n"):
+        raw = raw[:-1]  # the final line end closes the last row
+    raw = bytes(_PAD) + raw + bytes(8)
+    buf = np.frombuffer(raw, np.uint8)
     # "," and "\n" never occur inside a multi-byte UTF-8 sequence, nor inside
     # the three bytes a lone surrogate passes as
-    seps = np.frombuffer(text.encode("utf-8", "surrogatepass"), np.uint8)
-    seps = seps[(seps == ord(",")) | (seps == ord("\n"))]
+    seps = np.flatnonzero((buf == ord(",")) | (buf == ord("\n")))
     # the header and at least one row, each line end after width - 1 commas
+    is_end = buf[seps] == ord("\n")
     if (
         len(seps) < 2 * width - 1
         or len(seps) % width != width - 1
-        or not np.array_equal(
-            np.flatnonzero(seps == ord("\n")), np.arange(width - 1, len(seps), width)
-        )
+        or np.count_nonzero(is_end) != len(seps) // width
+        or not is_end[width - 1::width].all()
     ):
         return None
-    fields = text.replace("\n", ",").split(",")
-    return [fields[j::width] for j in range(width, 2 * width)]
+    n = (len(seps) + 1) // width - 1
+    starts = (seps[width - 1:] + 1).reshape(n, width)
+    ends = np.append(seps[width:], len(buf) - 8).reshape(n, width)
+    # word_at[i] is the 8 bytes from offset i, the first one most significant
+    word_at = np.ndarray((len(buf) - 7,), ">u8", raw, 0, (1,))
+
+    codes = np.empty((n, len(attrs)), dtype=np.int32)
+    domains = {}
+    for j, (a, col) in enumerate(zip(attrs, attr_idx)):
+        s, size = starts[:, col], ends[:, col] - starts[:, col]
+        m = int(size.max())
+        if m <= 8:
+            key = word_at[s].astype(np.uint64) & _PREFIX[size]
+        elif n * m > len(buf):
+            return None  # one long value would blow the fixed-width keys past the text
+        else:
+            padded = np.concatenate([buf, np.zeros(m, np.uint8)])
+            key = np.lib.stride_tricks.sliding_window_view(padded, m)[s]
+            key *= np.arange(m) < size[:, None]
+            key = key.view(f"S{m}").ravel()
+        distinct, codes[:, j] = np.unique(key, return_inverse=True)
+        if m <= 8:
+            distinct = distinct.astype(">u8").view("S8")
+        domains[a] = tuple(v.decode("utf-8", "surrogatepass") for v in distinct.tolist())
+
+    values = {}
+    for col in value_idx:
+        e, size = ends[:, col], ends[:, col] - starts[:, col]
+        # little-endian words, the field's last byte first and '0' before its
+        # first, so byte c of a row is the digit of 10^c
+        words = np.empty((n, 1 if size.max() <= 8 else 2), "<u8")
+        for i in range(words.shape[1]):
+            keep = _SUFFIX[np.clip(size - 8 * i, 0, 8)]
+            words[:, i] = _ZEROS ^ ((word_at[e - 8 * (i + 1)] ^ _ZEROS) & keep)
+        digits = words.view(np.uint8) - np.uint8(ord("0"))
+        values[col] = x = digits @ _POW10[:digits.shape[1]]
+        fast = (size >= 1) & (size <= _MAX_DIGITS) & ~(digits > 9).view(np.uint64).any(axis=1)
+        other = np.flatnonzero(~fast)
+        try:
+            x[other] = [
+                float(raw[i:z].decode("utf-8", "surrogatepass"))
+                for i, z in zip(starts[other, col].tolist(), e[other].tolist())
+            ]
+        except ValueError:
+            return None
+    return AttributeSchema(tuple(attrs), domains), codes, values
 
 
-def _floats(
-    columns: Sequence[Sequence[str]], value_idx: Sequence[int]
-) -> dict[int, np.ndarray] | None:
-    """The value columns as float arrays, or None if a field is no number."""
-    n = len(columns[0])
+def _read_rows(
+    text: str,
+    header: Sequence[str],
+    attrs: Sequence[str],
+    attr_idx: Sequence[int],
+    value_idx: Sequence[int],
+) -> tuple[AttributeSchema, np.ndarray, dict[int, np.ndarray]]:
+    """Schema, codes and value columns read row by row (``_body_rows``),
+    skipping blank rows; the first malformed row raises its ``ParseError``."""
     try:
-        return {j: np.fromiter(map(float, columns[j]), float, n) for j in value_idx}
+        records = [rec for rec in _body_rows(text) if any(map(str.strip, rec))]
+    except csv.Error:
+        _raise_row_error(text, header, value_idx)
+    if not records:
+        raise ParseError("snapshot holds no leaves")
+    if set(map(len, records)) != {len(header)}:
+        _raise_row_error(text, header, value_idx)
+    columns = list(zip(*records))
+    del records  # the columns now hold the only references to the field strings
+    try:
+        values = {j: np.fromiter(map(float, columns[j]), float, len(columns[j])) for j in value_idx}
     except ValueError:
-        return None
+        _raise_row_error(text, header, value_idx)
+    schema, codes = _encode(attrs, [columns[j] for j in attr_idx])
+    return schema, codes, values
 
 
 def _body_rows(text: str) -> Iterator[list[str]]:
     """The rows below the header, one list of fields per line.
 
     A text with no quote and no carriage return is split at every ``,`` and
-    ``\\n``, as ``_plain_columns`` splits it, so no field of it meets
+    ``\\n``, as ``_read_plain`` splits it, so no field of it meets
     ``csv.field_size_limit()``; any other text is read by ``csv.reader``.
     """
     if '"' in text or "\r" in text:

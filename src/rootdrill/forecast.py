@@ -20,7 +20,6 @@ from .data import (
     MeasureSpec,
     ParseError,
     Snapshot,
-    _encode,
     _group_rows,
     _parse_table,
 )
@@ -53,11 +52,12 @@ def snapshot_with_forecast(
     ]
     if len(tables) == 1:
         raise ValueError("history is empty")
-    attrs = tables[0][0]
-    for h_attrs, _, _, _ in tables[1:]:
-        if h_attrs != attrs:
+    attrs = tables[0][0].attributes
+    for h_schema, _, _, _ in tables[1:]:
+        if h_schema.attributes != attrs:
             raise ParseError(
-                f"history attributes {h_attrs} do not match snapshot attributes {attrs}"
+                f"history attributes {list(h_schema.attributes)} do not match"
+                f" snapshot attributes {list(attrs)}"
             )
     if len(tables) > WINDOW + 1:
         _stack(attrs, tables, len(history_texts))  # checked, not averaged
@@ -103,15 +103,23 @@ def _fmt(x: float) -> str:
 def _stack(
     attrs: Sequence[str], tables: list, n_history: int
 ) -> tuple[AttributeSchema, np.ndarray, np.ndarray, np.ndarray]:
-    """Schema, leaf codes, and each row's leaf and table: one encoding and one
-    grouping of the rows of ``tables`` (the snapshot's, then the last of
-    ``n_history`` history tables) in order.  A leaf named twice in one table
-    raises ``ParseError``."""
-    columns = [[v for _, cols, _, _ in tables for v in cols[j]] for j in range(len(attrs))]
-    schema, codes = _encode(attrs, columns)
-    sizes = [len(schema.domains[a]) for a in attrs]
-    leaf_codes, leaf_of, _, _ = _group_rows(codes, sizes)
-    table_of = np.repeat(np.arange(len(tables)), [len(cols[0]) for _, cols, _, _ in tables])
+    """Schema, leaf codes, and each row's leaf and table: one grouping of the
+    rows of ``tables`` (the snapshot's, then the last of ``n_history``
+    history tables) in order.  Each domain is the sorted union of the
+    tables' domains, and each table's codes are mapped into it.  A leaf
+    named twice in one table raises ``ParseError``."""
+    codes = np.concatenate([c for _, c, _, _ in tables])
+    bounds = np.cumsum([0] + [len(c) for _, c, _, _ in tables])
+    domains = {}
+    for j, a in enumerate(attrs):
+        domains[a] = tuple(sorted(set().union(*(s.domains[a] for s, _, _, _ in tables))))
+        code_of = {v: i for i, v in enumerate(domains[a])}
+        for (s, _, _, _), lo, hi in zip(tables, bounds, bounds[1:]):
+            remap = np.array([code_of[v] for v in s.domains[a]], dtype=np.int32)
+            codes[lo:hi, j] = remap[codes[lo:hi, j]]
+    schema = AttributeSchema(tuple(attrs), domains)
+    leaf_codes, leaf_of, _, _ = _group_rows(codes, [len(domains[a]) for a in attrs])
+    table_of = np.repeat(np.arange(len(tables)), np.diff(bounds))
     pairs = np.bincount(leaf_of * len(tables) + table_of)
     if pairs.max() > 1:
         leaf, t = divmod(int(np.argmax(pairs)), len(tables))

@@ -318,9 +318,11 @@ def write_fault(fault: SimulatedFault, directory: str | Path) -> None:
     """
     d = Path(directory)
     d.mkdir(parents=True, exist_ok=True)
-    (d / "snapshot.csv").write_text(render_table(fault.snapshot))
+    (d / "snapshot.csv").write_text(render_table(fault.snapshot), encoding="utf-8")
     truth = [[c.bindings] for c in fault.ground_truth]
-    (d / "truth.json").write_text(json.dumps(truth, sort_keys=True, indent=1) + "\n")
+    (d / "truth.json").write_text(
+        json.dumps(truth, sort_keys=True, indent=1) + "\n", encoding="utf-8"
+    )
     m = fault.snapshot.measure
     params = {
         "version": "1",
@@ -330,7 +332,9 @@ def write_fault(fault: SimulatedFault, directory: str | Path) -> None:
         "external": fault.external,
         "dropped_attributes": list(fault.dropped_attributes),
     }
-    (d / "params.json").write_text(json.dumps(params, sort_keys=True, indent=1) + "\n")
+    (d / "params.json").write_text(
+        json.dumps(params, sort_keys=True, indent=1) + "\n", encoding="utf-8"
+    )
 
 
 def read_fault(directory: str | Path) -> SimulatedFault:
@@ -340,11 +344,11 @@ def read_fault(directory: str | Path) -> SimulatedFault:
     by group.
     """
     d = Path(directory)
-    params = json.loads((d / "params.json").read_text())
+    params = json.loads((d / "params.json").read_text(encoding="utf-8"))
     m = params["measure"]
     measure = MeasureSpec(m["kind"], tuple(m["operands"]), m["family"])
-    snapshot = parse_snapshot((d / "snapshot.csv").read_text(), measure)
-    truth_raw = json.loads((d / "truth.json").read_text())
+    snapshot = parse_snapshot((d / "snapshot.csv").read_text(encoding="utf-8"), measure)
+    truth_raw = json.loads((d / "truth.json").read_text(encoding="utf-8"))
     truth = tuple(AttributeCombination.from_bindings(b) for group in truth_raw for b in group)
     sim_fields = {f.name: params[f.name] for f in fields(SimulationParams)}
     sim_fields["magnitude_range"] = tuple(sim_fields["magnitude_range"])

@@ -1,5 +1,6 @@
 import importlib
 import json
+import os
 import subprocess
 import sys
 
@@ -202,6 +203,25 @@ class TestLocalizeCommand:
     def test_bad_argument_is_input_error(self, snapshot_file, tmp_path, extra):
         args = ["localize", "--snapshot", str(snapshot_file), "--out", str(tmp_path / "r.json")]
         assert main(args + extra) == 1
+
+
+
+    def test_utf8_snapshot_under_an_ascii_locale(self, tmp_path, province_csv):
+        # files are read and written as UTF-8 whatever the locale says
+        snap = tmp_path / "snap.csv"
+        snap.write_text(province_csv.replace("Beijing", "Zürich"), encoding="utf-8")
+        out = tmp_path / "report.json"
+        env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+        proc = subprocess.run(
+            [sys.executable, "-m", "rootdrill.cli", "localize",
+             "--snapshot", str(snap), "--out", str(out)],
+            capture_output=True,
+            env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(out.read_text(encoding="utf-8"))
+        cause = report["per_cluster"][0]["root_cause"]
+        assert cause == [[{"attr": "Province", "value": "Zürich"}]]
 
 
 class TestSimulateEvaluateCommands:

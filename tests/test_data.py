@@ -20,8 +20,9 @@ from rootdrill import (
     parse_snapshot,
     snapshot_from_rows,
 )
+from rootdrill import data
 from rootdrill.data import AttributeSchema, Snapshot, cuboids_by_layer, drop_attributes
-from rootdrill.forecast import render_table
+from rootdrill.forecast import render_table, snapshot_with_forecast
 from rootdrill.simulate import synthetic_base
 
 
@@ -133,6 +134,19 @@ class TestParse:
     def test_empty(self):
         with pytest.raises(ParseError):
             parse_snapshot("a,real,predict\n")
+
+    @pytest.mark.parametrize(
+        "header, column", [("A,A,real,predict", "A"), ("A,real,predict,real", "real")]
+    )
+    @pytest.mark.parametrize(
+        "parse",
+        [parse_snapshot, lambda text: snapshot_with_forecast(text, ["A,real\nx,1\n"])],
+        ids=["parse_snapshot", "snapshot_with_forecast"],
+    )
+    def test_column_named_twice(self, header, column, parse):
+        message = f"column {column!r} named twice in the header"
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            parse(f"{header}\nx,1,2,3\n")
 
     def test_attribute_named_like_value_column(self):
         # "realm" is an attribute, not a stray measure column
@@ -531,8 +545,13 @@ def outcome(parse, text, measure):
 # attribute values: non-ASCII, embedded commas and quotes, inner spaces
 ATTR_VALUES = ["x", "y10", "y9", "Zürich", "北京", "a,b", 'say "hi"', "two words", "é"]
 # values a table without quotes holds; csv.reader over io.StringIO breaks
-# rows at "\n" only, not at the other line boundaries of str.splitlines
-PLAIN_VALUES = ["x", "y10", "Zürich", "北京", "x y", "x\x0by", "x\x1cy", "x\u2028y"]
+# rows at "\n" only, not at the other line boundaries of str.splitlines.
+# Values of 9 bytes or more, a NUL and a lone surrogate each change how the
+# bytes of a column become keys; "007" is no number to an attribute
+PLAIN_VALUES = [
+    "x", "y10", "Zürich", "北京", "x y", "x\x0by", "x\x1cy", "x\u2028y",
+    "ninebytes", "Zürich-Nord", "北京市海淀区", "x\x00", "\ud800", "007",
+]
 BLANK_LINES = ["", "   ", " , ", ",,,,,", "\t"]
 MEASURES = [
     (MeasureSpec(), ["real", "predict"]),
@@ -548,7 +567,26 @@ def blank_lines(width):
 
 
 def number_text(x, style):
+    """A value field: a float in one of six spellings, an int in digits (with
+    leading zeros for an odd ``style``), or a given field as it is."""
+    if isinstance(x, str):
+        return x
+    if isinstance(x, int):
+        return "00" * (style % 2) + str(x)
     return [repr(x), f" {x!r} ", f"{x:e}", f"{x:E}", f"+{x!r}", f"+{x:.3e} "][style]
+
+
+# ints of up to 7 digits and of 15 to 18 digits; float() reads the Arabic-Indic
+# digits and the padded fields, which a reader of ASCII digits must leave to it
+NUMBERS = st.one_of(
+    st.integers(0, 10**6).map(float),
+    st.floats(0, 1e9),
+    st.integers(0, 10**6),
+    st.integers(10**14, 10**17),
+    st.sampled_from(
+        ["١٢", " 7 ", "\u20037\u2003", "0012", "999999999999999", "9999999999999999"]
+    ),
+)
 
 
 @st.composite
@@ -563,11 +601,7 @@ def snapshot_tables(draw):
     plain = draw(st.booleans())
     leaf = st.tuples(*[st.sampled_from(PLAIN_VALUES if plain else ATTR_VALUES)] * n_attrs)
     leaves = draw(st.lists(leaf, min_size=1, max_size=12, unique=True))
-    number = st.builds(
-        number_text,
-        st.one_of(st.integers(0, 10**6).map(float), st.floats(0, 1e9)),
-        st.integers(0, 5),
-    )
+    number = st.builds(number_text, NUMBERS, st.integers(0, 5))
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(header)
@@ -610,6 +644,34 @@ class TestParseReference:
             ["host", "real_succ", "predict_succ", "real_total", "predict_total"],
             "\n",
             False,
+        )
+    )
+    # fixed-width keys, a lone surrogate, leading zeros, 15 to 17 digits, and
+    # fields only float() reads
+    @example(
+        (
+            [
+                "host,région,real,predict",
+                "ninebytes,x,007,0012",
+                "Zürich-Nord,\ud800,123456789012345,1234567890123456",
+                "007,北京市海淀区,12345678901234567, 7 ",
+                "x,y10,١٢,0",
+            ],
+            MeasureSpec(),
+            ["host", "région", "real", "predict"],
+            "\n",
+            True,
+        )
+    )
+    # a NUL sends a table without quotes to the row-by-row read: as key
+    # padding it would make "x\x00" and "x" one value
+    @example(
+        (
+            ["host,real,predict", "x\x00,1,2", "x,3,4"],
+            MeasureSpec(),
+            ["host", "real", "predict"],
+            "",
+            True,
         )
     )
     def test_same_snapshot_as_row_wise_reader(self, table):
@@ -663,3 +725,32 @@ def test_plain_parse_runs_no_collection():
     snap = parse_snapshot(text)
     assert gc.get_stats()[0]["collections"] == before
     assert snap.n_leaves == 20_736
+
+
+def quotient_table():
+    """A success-rate table with integer ``succ``/``total`` columns."""
+    base = synthetic_base(n_attrs=4, n_values=12, seed=3)
+    values = {"succ": np.floor(base.real["value"] * 0.97), "total": base.real["value"]}
+    measure = MeasureSpec("quotient", ("succ", "total"))
+    return render_table(Snapshot(base.schema, base.codes, values, values, measure)), measure
+
+
+@pytest.mark.parametrize(
+    "table",
+    [
+        lambda: (render_table(synthetic_base(4, 12, family="poisson")), MeasureSpec()),
+        quotient_table,
+    ],
+    ids=["count", "rate"],
+)
+def test_benchmark_shapes_take_the_byte_reader(table):
+    # all-digit values and attribute values of at most 8 bytes: no field goes
+    # through float() and no column through the string encoder
+    text, measure = table()
+    float_calls = mock.Mock(wraps=float)
+    with mock.patch("rootdrill.data.float", float_calls, create=True), mock.patch(
+        "rootdrill.data._encode", wraps=data._encode
+    ) as encode:
+        _, codes, _, _ = data._parse_table(text, measure.operands, need_forecast=True)
+    assert float_calls.call_count == 0 and encode.call_count == 0
+    assert len(codes) == 20_736

@@ -1,6 +1,13 @@
+import csv
+import io
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rootdrill import MeasureSpec, ParseError, parse_snapshot
+from rootdrill.data import AttributeSchema, Snapshot
 from rootdrill.forecast import WINDOW, render_table, snapshot_with_forecast
 from rootdrill.simulate import synthetic_base
 
@@ -120,3 +127,91 @@ class TestRenderTable:
         snap = parse_snapshot(text, m)
         back = parse_snapshot(render_table(snap), m)
         assert back.leaf_values()[0][0] == pytest.approx(0.3)
+
+
+# -- against a reference on the string columns ------------------------------
+
+
+def reference_forecast(current, history, measure, real_names):
+    """``snapshot_with_forecast`` on string columns: each table read by
+    ``csv.reader``, the snapshot's and the last ``WINDOW`` history tables'
+    attribute columns concatenated, each domain their ``sorted(set(...))``."""
+    tables = []
+    for text in [current, *history[-WINDOW:]]:
+        header, *rows = csv.reader(io.StringIO(text))
+        attrs = [h for h in header if not h.startswith(("real", "predict"))]
+        keys = [tuple(row[header.index(a)] for a in attrs) for row in rows]
+        values = {
+            c: [float(row[header.index(name)]) for row in rows]
+            for c, name in zip(measure.operands, real_names)
+        }
+        tables.append((attrs, keys, values))
+    attrs = tables[0][0]
+    keys = [k for _, ks, _ in tables for k in ks]
+    domains = {a: tuple(sorted({k[j] for k in keys})) for j, a in enumerate(attrs)}
+    leaves = sorted(set(keys))  # code rows sort like the value names
+    real, forecast = {}, {}
+    for c in measure.operands:
+        sums = [dict(zip(ks, vs[c])) for _, ks, vs in tables]
+        real[c] = [0.0 + sums[0].get(leaf, 0.0) for leaf in leaves]
+        forecast[c] = []
+        for leaf in leaves:
+            total = 0.0
+            for table in sums[1:]:
+                total += table.get(leaf, 0.0)  # absent counts as 0
+            forecast[c].append(total / (len(tables) - 1))
+    codes = [[domains[a].index(v) for a, v in zip(attrs, leaf)] for leaf in leaves]
+    schema = AttributeSchema(tuple(attrs), domains)
+    return Snapshot(schema, np.array(codes), real, forecast, measure)
+
+
+VALUES = ["x", "y10", "Zürich", "北京", "ninebytes", "", "007", "a,b"]
+FIELDS = st.one_of(
+    st.integers(0, 10**6).map(str),
+    st.floats(0, 1e6).map(repr),
+    st.sampled_from(["0012", " 7 ", "١٢", "1e3"]),
+)
+
+
+@st.composite
+def forecast_tables(draw):
+    """A snapshot text, 1 to 13 history texts over other value sets, the
+    measure and its real columns; one table may be written fully quoted."""
+    measure, real_names = draw(st.sampled_from([
+        (MeasureSpec(), ["real"]),
+        (MeasureSpec("quotient", ("succ", "total")), ["real_succ", "real_total"]),
+    ]))
+    attrs = ["host", "dc"][: draw(st.integers(1, 2))]
+    n_tables = draw(st.integers(2, 14))
+    quoted = draw(st.integers(-1, n_tables - 1))
+    texts = []
+    for t in range(n_tables):
+        pool = draw(st.lists(st.sampled_from(VALUES), min_size=1, max_size=5, unique=True))
+        leaf = st.tuples(*[st.sampled_from(pool)] * len(attrs))
+        leaves = draw(st.lists(leaf, min_size=1, max_size=6, unique=True))
+        buf = io.StringIO()
+        w = csv.writer(buf, lineterminator="\n",
+                       quoting=csv.QUOTE_ALL if t == quoted else csv.QUOTE_MINIMAL)
+        w.writerow(attrs + real_names)
+        for values in leaves:
+            w.writerow([*values, *(draw(FIELDS) for _ in real_names)])
+        texts.append(buf.getvalue())
+    return texts[0], texts[1:], measure, real_names
+
+
+def outcome(build):
+    """The ``ParseError`` message of ``build()``, or its snapshot's arrays."""
+    try:
+        snap = build()
+    except ParseError as err:  # values whose totals overflow
+        return str(err)
+    tables = [snap.real[c].tobytes() + snap.forecast[c].tobytes() for c in snap.measure.operands]
+    return snap.schema, snap.codes.dtype, snap.codes.tobytes(), tables
+
+
+@settings(max_examples=150, deadline=None)
+@given(forecast_tables())
+def test_same_snapshot_as_string_reference(tables):
+    current, history, measure, real_names = tables
+    want = outcome(lambda: reference_forecast(current, history, measure, real_names))
+    assert outcome(lambda: snapshot_with_forecast(current, history, measure)) == want

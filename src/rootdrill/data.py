@@ -13,7 +13,7 @@ import csv
 import io
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, NoReturn, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -373,10 +373,12 @@ def _parse_table(
     Returns the schema, the ``int32`` code matrix (codes in sorted-domain
     order, as ``_encode`` assigns them), and the real and (when
     ``need_forecast``) forecast values per operand.  Rows with no fields or
-    only blank fields are skipped.  ``csv.reader`` reads the header; the body
-    is decoded from its UTF-8 bytes (``_read_plain``), or row by row
+    only blank fields are skipped, and so is one leading byte-order mark,
+    which spreadsheet tools write.  ``csv.reader`` reads the header; the
+    body is decoded from its UTF-8 bytes (``_read_plain``), or row by row
     (``_read_rows``) when that reader declines the text.
     """
+    text = text.removeprefix("\ufeff")
     try:
         header = next(csv.reader(io.StringIO(text)))
     except StopIteration:
@@ -415,8 +417,6 @@ def _parse_table(
     if read is None:
         read = _read_rows(text, header, attrs, attr_idx, value_idx)
     schema, codes, values = read
-    if any(np.any(v < 0) for v in values.values()):
-        _raise_row_error(text, header, value_idx)
     real = {col: values[ri] for col, (ri, _) in value_cols.items()}
     forecast = {col: values[pi] for col, (_, pi) in value_cols.items() if pi >= 0}
     return schema, codes, real, forecast
@@ -447,10 +447,11 @@ def _read_plain(
 
     Returns None, leaving the text to ``_read_rows``, unless it holds no
     quote, no carriage return and no NUL, every line holds ``width`` fields,
-    and every value field is a number.  Without quotes every ``,`` and line
-    end separates two fields; lines end at ``\\n`` only, as ``csv.reader``
-    over ``io.StringIO`` ends them.  A blank line has too few fields and a
-    blank full-width row fails ``float``, so both go to the row-by-row read.
+    and every value field is a non-negative number.  Without quotes every
+    ``,`` and line end separates two fields; lines end at ``\\n`` only, as
+    ``csv.reader`` over ``io.StringIO`` ends them.  A blank line has too few
+    fields and a blank full-width row fails ``float``, so both go to the
+    row-by-row read, which names a malformed row.
 
     Each attribute field becomes one key of its bytes, left-aligned and
     zero-padded: a ``uint64`` when the column's longest value has at most 8
@@ -524,6 +525,8 @@ def _read_plain(
             ]
         except ValueError:
             return None
+        if np.any(x < 0):
+            return None
     return AttributeSchema(tuple(attrs), domains), codes, values
 
 
@@ -534,45 +537,22 @@ def _read_rows(
     attr_idx: Sequence[int],
     value_idx: Sequence[int],
 ) -> tuple[AttributeSchema, np.ndarray, dict[int, np.ndarray]]:
-    """Schema, codes and value columns read row by row (``_body_rows``),
-    skipping blank rows; the first malformed row raises its ``ParseError``."""
-    try:
-        records = [rec for rec in _body_rows(text) if any(map(str.strip, rec))]
-    except csv.Error:
-        _raise_row_error(text, header, value_idx)
-    if not records:
-        raise ParseError("snapshot holds no leaves")
-    if set(map(len, records)) != {len(header)}:
-        _raise_row_error(text, header, value_idx)
-    columns = list(zip(*records))
-    del records  # the columns now hold the only references to the field strings
-    try:
-        values = {j: np.fromiter(map(float, columns[j]), float, len(columns[j])) for j in value_idx}
-    except ValueError:
-        _raise_row_error(text, header, value_idx)
-    schema, codes = _encode(attrs, [columns[j] for j in attr_idx])
-    return schema, codes, values
-
-
-def _body_rows(text: str) -> Iterator[list[str]]:
-    """The rows below the header, one list of fields per line.
+    """Schema, codes and value columns read row by row, skipping blank rows;
+    the first malformed row raises its ``ParseError``.
 
     A text with no quote and no carriage return is split at every ``,`` and
     ``\\n``, as ``_read_plain`` splits it, so no field of it meets
     ``csv.field_size_limit()``; any other text is read by ``csv.reader``.
     """
     if '"' in text or "\r" in text:
-        reader = csv.reader(io.StringIO(text))
-        next(reader)
-        return reader
-    return (line.split(",") for line in text.split("\n")[1:])
-
-
-def _raise_row_error(text: str, header: Sequence[str], value_idx: Sequence[int]) -> NoReturn:
-    """Raise the ``ParseError`` of the first malformed row, checked row by row."""
+        rows = csv.reader(io.StringIO(text))
+        next(rows)
+    else:
+        rows = (line.split(",") for line in text.split("\n")[1:])
+    records, numbers = [], []
     lineno = 1
     try:
-        for lineno, rec in enumerate(_body_rows(text), start=2):
+        for lineno, rec in enumerate(rows, start=2):
             if not any(map(str.strip, rec)):
                 continue
             if len(rec) != len(header):
@@ -584,9 +564,17 @@ def _raise_row_error(text: str, header: Sequence[str], value_idx: Sequence[int])
                     raise ParseError(f"row {lineno}: non-numeric {header[j]}={rec[j]!r}") from None
                 if x < 0:
                     raise ParseError(f"row {lineno}: negative {header[j]}={x}")
+                numbers.append(x)
+            records.append(rec)
     except csv.Error as e:  # raised reading the row after ``lineno``
         raise ParseError(f"row {lineno + 1}: {e}") from None
-    raise AssertionError("no malformed row found")
+    if not records:
+        raise ParseError("snapshot holds no leaves")
+    columns = list(zip(*records))
+    del records  # the columns now hold the only references to the field strings
+    values = dict(zip(value_idx, np.array(numbers).reshape(-1, len(value_idx)).T.copy()))
+    schema, codes = _encode(attrs, [columns[j] for j in attr_idx])
+    return schema, codes, values
 
 
 def _encode(

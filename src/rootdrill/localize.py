@@ -24,6 +24,7 @@ from .cluster import (
     BLOCK_TERMS,
     N_BINS,
     SCORE_STEP,
+    _blocks,
     _interior_minima,
     _runs,
     _smoothed,
@@ -156,8 +157,17 @@ class _SnapshotArrays:
         """Σ |v − r_j·f| over the leaves of ``idx``'s groups ``order[:k[j] + 1]``,
         for ascending ``k``.
 
-        A leaf of r's partial rank block lies in a prefix when its group's
-        position in ``order`` is below the prefix's group count.
+        A :meth:`_rank_table` over ranked blocks of groups, cumulated over
+        the blocks, sums a and b over each prefix's whole blocks.  A coarse
+        cuboid's blocks are its groups (:class:`_GroupTallies`).  A fine
+        cuboid's are built on each call and end at prefix ends, one at or
+        past each multiple of ``side`` leaves; ``side`` balances the table's
+        N·L/side² cells (N leaves ranked, L in all) against the K·side
+        leaves that K prefixes gather, and keeps the table within
+        ``BLOCK_TERMS`` cells.  The rest is gathered leaf by leaf, in chunks
+        of at most ``BLOCK_TERMS`` leaves: the leaves of r's partial rank
+        block before the prefix's last block end, and for a fine cuboid the
+        prefix's groups past that end.
         """
         tl = self.tallies(idx)
         order = order[: k[-1] + 1]
@@ -165,93 +175,62 @@ class _SnapshotArrays:
         position[order] = np.arange(order.size)
         # leaves with q ≤ r are exactly those ranked below t
         t = np.searchsorted(self.q_sorted, r, "right")
-        if tl.rows is None:
-            return self._leaf_misfits(idx, order, position, k, r, t)
-        side = tl.side
+        fine = tl.rows is None
+        if not fine:
+            table, side, blocks, last, before = tl.rows, tl.side, order, k, k + 1
+        else:
+            run = idx.starts[order + 1] - idx.starts[order]
+            seq = idx.order[_runs(idx.starts[order], run)]
+            bounds = np.concatenate(([0], np.cumsum(run)))  # leaves of the first m groups
+            cuts = bounds[k + 1]
+            span = seq.size * self.rank.size
+            side = max(1, round((span / k.size) ** (1 / 3)), isqrt(span // BLOCK_TERMS))
+            # groups before each block end; the first end is k[0] + 1, so
+            # every prefix holds a block
+            at_side = k[np.searchsorted(cuts, np.arange(0, seq.size, side))] + 1
+            stops = np.unique(np.append(at_side, order.size))
+            blocks = np.arange(stops.size)
+            of_leaf = np.repeat(blocks, np.diff(bounds[np.append(0, stops)]))
+            table = self._rank_table(of_leaf, stops.size, side, seq)
+            last = np.searchsorted(stops, k + 1, "right") - 1
+            before = stops[last]
+            end = bounds[before]
+            tail = cuts - end  # positions [end, cut), any rank
         col = t // side
-        cols, at = np.unique(col, return_inverse=True)
-        # the rank blocks below each r's, then every rank, summed over the prefixes
-        upto = np.cumsum(tl.rows[:, order[:, None], np.append(cols, -1)], axis=1)[:, k]
+        # the rank blocks below each r's, and every rank, summed over the ranked blocks
+        need = np.zeros(table.shape[2], dtype=bool)
+        need[col] = need[-1] = True
+        at = np.cumsum(need)[col] - 1
+        upto = np.cumsum(table[:, blocks[:, None], np.flatnonzero(need)], axis=1)
         # signed sums, + above r and − at or below it: A − 2·A≤ and B − 2·B≤
-        sa, sb = upto[:, :, -1] - 2.0 * upto[:, np.arange(k.size), at]
-        head = t - col * side  # ranks [col·side, t)
-        kh = np.repeat(np.arange(k.size), head)
-        leaf = self.by_rank[_runs(col * side, head)]
-        coef = np.where(position[idx.group_of[leaf]] < k[kh] + 1, -2.0, 0.0)
-        sa += np.bincount(kh, weights=coef * self.a[leaf], minlength=k.size)
-        sb += np.bincount(kh, weights=coef * self.b[leaf], minlength=k.size)
-        return sb - r * sa
-
-    def _leaf_misfits(
-        self,
-        idx: _CuboidIndex,
-        order: np.ndarray,
-        position: np.ndarray,
-        k: np.ndarray,
-        r: np.ndarray,
-        t: np.ndarray,
-    ) -> np.ndarray:
-        """:meth:`misfits` from a table over the ranked groups' leaf sequence.
-
-        A table of (position block × rank block) cells, cumulated both ways,
-        gives the sums over whole blocks.  Position blocks end at prefix
-        ends, one at or past each multiple of ``side`` leaves; rank blocks
-        hold ``side`` ranks.  The rest is gathered leaf by leaf, in chunks of
-        at most ``BLOCK_TERMS`` leaves: the prefix's positions past its last
-        block end, and the leaves of r's partial rank block that lie before
-        that end.  ``side`` balances the table's N·L/side² cells (N
-        positions, L leaves) against the K·side leaves that K prefixes
-        gather, and keeps the table within ``BLOCK_TERMS`` cells.
-        """
-        run = idx.starts[order + 1] - idx.starts[order]
-        seq = idx.order[_runs(idx.starts[order], run)]
-        bounds = np.concatenate(([0], np.cumsum(run)))  # leaves of the first m groups
-        n_held = k + 1
-        cuts = bounds[n_held]
-        n_leaves = self.rank.size
-        span = seq.size * n_leaves
-        side = max(1, round((span / k.size) ** (1 / 3)), isqrt(span // BLOCK_TERMS))
-        n_rank = -(-n_leaves // side)
-        at_side = n_held[np.searchsorted(cuts, np.arange(0, seq.size, side))]
-        blocks = np.unique(np.concatenate(([0], at_side, [order.size])))  # groups before each end
-        ends = bounds[blocks]
-        n_pos = ends.size - 1
-        cell = np.repeat(np.arange(n_pos) * n_rank, np.diff(ends)) + self.rank[seq] // side
-        table = np.zeros((2, n_pos + 1, n_rank + 1))
-        for i, w in enumerate((self.a, self.b)):
-            per_cell = np.bincount(cell, weights=w[seq], minlength=n_pos * n_rank)
-            table[i, 1:, 1:] = per_cell.reshape(n_pos, n_rank)
-        np.cumsum(table, axis=1, out=table)
-        np.cumsum(table, axis=2, out=table)
-
-        row = np.searchsorted(blocks, n_held, "right") - 1
-        col = t // side
-        # signed sums, + above r and − at or below it: A − 2·A≤ and B − 2·B≤
-        sa, sb = table[:, row, n_rank] - 2.0 * table[:, row, col]
-
-        end, before = ends[row], blocks[row]
-        tail = cuts - end  # positions [end, cut), any rank
-        head = t - col * side  # ranks [col·side, t), in the groups before end
-        gathered = tail + head
-        terms = np.cumsum(gathered)
-        lo = 0
-        while lo < k.size:
-            # whole prefixes within the term budget, and at least one
-            budget = terms[lo] - gathered[lo] + BLOCK_TERMS
-            hi = max(lo + 1, int(np.searchsorted(terms, budget, "right")))
+        sa, sb = upto[:, last, -1] - 2.0 * upto[:, last, at]
+        head = t - col * side  # ranks [col·side, t), in the groups before the last block end
+        for lo, hi in _blocks(head + tail if fine else head):
             j = np.arange(hi - lo)
-            jt = np.repeat(j, tail[lo:hi])
-            leaf = seq[_runs(end[lo:hi], tail[lo:hi])]
-            coef = np.where(self.rank[leaf] < t[lo:hi][jt], -1.0, 1.0)
-            sa[lo:hi] += np.bincount(jt, weights=coef * self.a[leaf], minlength=j.size)
-            sb[lo:hi] += np.bincount(jt, weights=coef * self.b[leaf], minlength=j.size)
             jh = np.repeat(j, head[lo:hi])
             leaf = self.by_rank[_runs(col[lo:hi] * side, head[lo:hi])]
             coef = np.where(position[idx.group_of[leaf]] < before[lo:hi][jh], -2.0, 0.0)
-            sa[lo:hi] += np.bincount(jh, weights=coef * self.a[leaf], minlength=j.size)
-            sb[lo:hi] += np.bincount(jh, weights=coef * self.b[leaf], minlength=j.size)
-            lo = hi
+            parts = [(jh, leaf, coef)]
+            if fine:
+                jt = np.repeat(j, tail[lo:hi])
+                leaf = seq[_runs(end[lo:hi], tail[lo:hi])]
+                parts.append((jt, leaf, np.where(self.rank[leaf] < t[lo:hi][jt], -1.0, 1.0)))
+            for jj, leaf, coef in parts:
+                sa[lo:hi] += np.bincount(jj, weights=coef * self.a[leaf], minlength=j.size)
+                sb[lo:hi] += np.bincount(jj, weights=coef * self.b[leaf], minlength=j.size)
         return sb - r * sa
+
+    def _rank_table(self, block, n_blocks: int, side: int, leaves=slice(None)) -> np.ndarray:
+        """Sums of a and b over ``leaves`` (all by default) in ``block``, per
+        block and rank block of ``side`` ranks, cumulated along ranks: cell
+        ``[:, i, c]`` sums block i's leaves ranked below c·side."""
+        n_rank = -(-self.rank.size // side)
+        cell = block * n_rank + self.rank[leaves] // side
+        table = np.zeros((2, n_blocks, n_rank + 1))
+        for i, w in enumerate((self.a, self.b)):
+            per_cell = np.bincount(cell, weights=w[leaves], minlength=n_blocks * n_rank)
+            table[i, :, 1:] = per_cell.reshape(n_blocks, n_rank)
+        return np.cumsum(table, axis=2, out=table)
 
 
 class _GroupTallies:
@@ -263,11 +242,9 @@ class _GroupTallies:
     groups equals the sum over their leaves taken run by run.
 
     When the groups average at least √L leaves (G² ≤ L, L leaves), ``rows``
-    holds each group's sums of a = f and b = v over blocks of ``side`` ≈ √L
-    ranks, cumulated along ranks: at most about 2·L cells, and a prefix of K
-    groups takes its V≤ and F≤ from K rows plus the leaves of r's partial
-    rank block.  Deeper cuboids have ``rows = None`` and build a table over
-    the ranked groups' leaf sequence on each call.
+    is their :meth:`_SnapshotArrays._rank_table`, one block per group and
+    ``side`` ≈ √L ranks per rank block: at most about 2·L cells.  Deeper
+    cuboids have ``rows = None``; ``misfits`` builds theirs on each call.
     """
 
     def __init__(self, arrays: _SnapshotArrays, idx: _CuboidIndex) -> None:
@@ -284,13 +261,7 @@ class _GroupTallies:
         self.rows = None
         if n_groups * n_groups <= n_leaves:
             self.side = isqrt(n_leaves)
-            n_rank = -(-n_leaves // self.side)
-            cell = idx.group_of * n_rank + arrays.rank // self.side
-            self.rows = np.zeros((2, n_groups, n_rank + 1))
-            for i, w in enumerate((arrays.a, arrays.b)):
-                per_cell = np.bincount(cell, weights=w, minlength=n_groups * n_rank)
-                self.rows[i, :, 1:] = per_cell.reshape(n_groups, n_rank)
-            np.cumsum(self.rows, axis=2, out=self.rows)
+            self.rows = arrays._rank_table(idx.group_of, n_groups, self.side)
 
 
 class _PrefixScorer:

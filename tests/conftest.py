@@ -26,3 +26,12 @@ def province_csv() -> str:
 @pytest.fixture
 def province_snapshot():
     return parse_snapshot(PROVINCE_CSV)
+
+
+@pytest.fixture(params=["attributes-first", "values-first"])
+def province_csv_orders(request) -> str:
+    """The province table with its attribute columns first, or its value columns."""
+    if request.param == "attributes-first":
+        return PROVINCE_CSV
+    rows = (line.split(",") for line in PROVINCE_CSV.splitlines())
+    return "".join(",".join(r[2:] + r[:2]) + "\n" for r in rows)

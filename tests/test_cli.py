@@ -206,6 +206,15 @@ class TestLocalizeCommand:
 
 
 
+    def test_byte_order_mark_before_the_header(self, tmp_path, province_csv_orders):
+        # as Excel and Windows PowerShell 5 save a UTF-8 table
+        snap = tmp_path / "snap.csv"
+        snap.write_text("\ufeff" + province_csv_orders, encoding="utf-8")
+        out = tmp_path / "report.json"
+        assert main(["localize", "--snapshot", str(snap), "--out", str(out)]) == 0
+        cause = json.loads(out.read_text(encoding="utf-8"))["per_cluster"][0]["root_cause"]
+        assert cause == [[{"attr": "Province", "value": "Beijing"}]]
+
     def test_utf8_snapshot_under_an_ascii_locale(self, tmp_path, province_csv):
         # files are read and written as UTF-8 whatever the locale says
         snap = tmp_path / "snap.csv"

@@ -193,6 +193,13 @@ class TestParse:
         with pytest.raises(ParseError, match=message):
             parse_snapshot(f"a,real,predict\n{row2}\n{blank}y,-1,2\n")
 
+    def test_byte_order_mark_is_no_part_of_the_header(self, province_csv_orders):
+        # spreadsheet tools save a UTF-8 table with U+FEFF before its first column name
+        snap = parse_snapshot("\ufeff" + province_csv_orders)
+        assert set(snap.schema.attributes) == {"Province", "ISP"}
+        want = outcome(parse_snapshot, province_csv_orders, MeasureSpec())
+        assert outcome(parse_snapshot, "\ufeff" + province_csv_orders, MeasureSpec()) == want
+
     def test_field_over_the_csv_limit_in_header(self):
         long = "x" * (csv.field_size_limit() + 1)
         with pytest.raises(ParseError, match="^row 1: field larger than field limit"):

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 localize_mod = importlib.import_module("rootdrill.localize")
+cluster_mod = importlib.import_module("rootdrill.cluster")
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 
 from rootdrill import (
@@ -303,7 +304,7 @@ def group_cases(draw):
     indices (a first prefix of one group included), a non-negative ripple
     ratio per prefix that may equal a leaf's v/f, lie above every one, or
     lie below every one when none is 0, a mask of leaves claimed elsewhere
-    and a gather budget down to one leaf."""
+    and a term budget down to one leaf, for the table and the gather."""
     n = draw(st.integers(1, 40))
     value = st.integers(0, 8).map(float)
     v = np.array(draw(st.lists(value, min_size=n, max_size=n)))
@@ -366,6 +367,13 @@ _GROUP_EXAMPLES = [
                [2.0, 1.0, 2.0, 1.0], _EXCLUDE9, budget)
     for budget in (1, localize_mod.BLOCK_TERMS)
 ]
+# sixteen leaves in four groups take per-group rank rows of four ranks; each
+# ratio ends inside a rank block, so every prefix gathers leaves, and a
+# budget of three leaves splits the gather into chunks of two, one and one
+_CHUNKED_ROWS = group_case(
+    [3, 1, 4, 1, 5, 2, 6, 5, 3, 5, 8, 7, 2, 4, 6, 0], list(range(1, 9)) * 2, [0, 1, 2, 3] * 4,
+    [2, 0, 3, 1], [0, 1, 2, 3], [0.5, 1.2, 0.8, 2.6], [False] * 16, 3,
+)
 
 
 class TestGpsKernel:
@@ -393,10 +401,14 @@ class TestGpsKernel:
     @example(_GROUP_EXAMPLES[1])
     @example(_GROUP_EXAMPLES[2])
     @example(_GROUP_EXAMPLES[3])
+    @example(_CHUNKED_ROWS)
     def test_misfits_match_the_per_cut_sum(self, case):
         values, idx, order, prefixes, r, _, budget = case
         v, f = values.leaf_values()
-        with mock.patch.object(localize_mod, "BLOCK_TERMS", budget):
+        with (
+            mock.patch.object(localize_mod, "BLOCK_TERMS", budget),
+            mock.patch.object(cluster_mod, "BLOCK_TERMS", budget),
+        ):
             got = _SnapshotArrays(values).misfits(idx, order, prefixes, r)
         seq, cuts = ranked_sequence(idx, order)
         for k, (n, rk) in enumerate(zip(cuts[prefixes], r)):
@@ -413,7 +425,10 @@ class TestGpsKernel:
     def test_prefix_scores_match_the_per_cut_loop(self, case):
         values, idx, order, _, _, exclude, budget = case
         arrays = _SnapshotArrays(values)
-        with mock.patch.object(localize_mod, "BLOCK_TERMS", budget):
+        with (
+            mock.patch.object(localize_mod, "BLOCK_TERMS", budget),
+            mock.patch.object(cluster_mod, "BLOCK_TERMS", budget),
+        ):
             got = _PrefixScorer(arrays, exclude).scores(idx, order)
         want = per_cut_prefix_scores(arrays, exclude, *ranked_sequence(idx, order))
         # cuts without forecast mass take the slice as-is in both

@@ -446,12 +446,12 @@ def _read_plain(
     """Schema, codes and value columns decoded from the UTF-8 bytes of ``text``.
 
     Returns None, leaving the text to ``_read_rows``, unless it holds no
-    quote, no carriage return and no NUL, every line holds ``width`` fields,
-    and every value field is a non-negative number.  Without quotes every
-    ``,`` and line end separates two fields; lines end at ``\\n`` only, as
-    ``csv.reader`` over ``io.StringIO`` ends them.  A blank line has too few
-    fields and a blank full-width row fails ``float``, so both go to the
-    row-by-row read, which names a malformed row.
+    quote, no NUL and no carriage return but before a ``\\n``, every line
+    holds ``width`` fields, and every value field is a non-negative number.
+    Without quotes every ``,`` and line end separates two fields; a line ends
+    at ``\\n`` or ``\\r\\n``, as ``csv.reader`` ends it.  A blank line has
+    too few fields and a blank full-width row fails ``float``, so both go to
+    the row-by-row read, which names a malformed row.
 
     Each attribute field becomes one key of its bytes, left-aligned and
     zero-padded: a ``uint64`` when the column's longest value has at most 8
@@ -461,6 +461,8 @@ def _read_plain(
     of its digits with powers of ten; any other is decoded and passed to
     ``float``.
     """
+    if "\r" in text:
+        text = text.replace("\r\n", "\n")
     if '"' in text or "\r" in text or "\0" in text:
         return None
     raw = text.encode("utf-8", "surrogatepass")

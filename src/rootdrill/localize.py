@@ -50,7 +50,8 @@ class LocalizeConfig:
 
     delta
         early-stop score: once a layer produces a candidate this good,
-        deeper (less interpretable) layers are not searched.
+        deeper (less interpretable) layers are not searched.  Even at 1.0
+        the search skips the layers that cannot win (``localize_cluster``).
     delta_exrc
         flag the fault as externally caused when the weakest cluster
         explanation scores below this.
@@ -321,7 +322,9 @@ class _PrefixScorer:
 
         denom = d_vf + d_pf
         gps = 1.0 - (d_va + d_pf) / np.where(denom > 0.0, denom, 1.0)
-        return np.where(denom > 0.0, gps, 0.0)
+        # a misfit sum that rounds below 0 would lift gps past 1, where the
+        # search's layer bound no longer holds
+        return np.where(denom > 0.0, np.minimum(gps, 1.0), 0.0)
 
 
 def explanation_score(
@@ -397,6 +400,12 @@ def localize_cluster(
     ``arrays`` are the snapshot's, shared by every cluster of one verdict.
     Cuboid winners are ranked on their numbers alone; only the winners tied
     at the top are decoded into combinations, whose names break the tie.
+
+    Layers are searched shallow to deep until one holds a candidate with gps
+    ≥ ``cfg.delta``.  The search also stops before layer ℓ once the best key
+    ranks strictly above ``weight − ℓ²``: gps ≤ 1, ``weight`` > 0 and
+    complexity ≥ ℓ², so no candidate there or deeper can reach it.  A tie with that ceiling is still
+    searched, so the verdict is the one ``delta`` alone would give.
     """
     held = membership != 0.0
     leaves, membership = leaves[held], membership[held]
@@ -404,6 +413,8 @@ def localize_cluster(
     snapshot = arrays.snapshot
     found = []  # (rank key, cuboid, its index, gps, ascending group ids)
     for layer, cuboids in groupby(cuboids_by_layer(snapshot.schema), attrgetter("layer")):
+        if found and min(f[0][0] for f in found) < -round(weight - layer**2, 9):
+            break
         stop = False
         for cuboid in cuboids:
             idx = snapshot.cuboid_index(cuboid)

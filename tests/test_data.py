@@ -691,6 +691,11 @@ class TestParseReference:
             assert outcome(parse_snapshot, text, measure) == want
         if plain:
             assert len(rows) == 1  # the header; the body was split without csv.reader
+            # "\r\n" line ends, as spreadsheet tools write them, are read alike
+            with csv_rows_read() as rows:
+                assert outcome(parse_snapshot, text.replace("\n", "\r\n"), measure) == want
+            if "\0" not in text:
+                assert len(rows) == 1
 
     @settings(max_examples=200, deadline=None)
     @given(snapshot_tables(), st.data())
@@ -747,8 +752,13 @@ def quotient_table():
     [
         lambda: (render_table(synthetic_base(4, 12, family="poisson")), MeasureSpec()),
         quotient_table,
+        # as spreadsheet tools write it
+        lambda: (
+            render_table(synthetic_base(4, 12, family="poisson")).replace("\n", "\r\n"),
+            MeasureSpec(),
+        ),
     ],
-    ids=["count", "rate"],
+    ids=["count", "rate", "count-crlf"],
 )
 def test_benchmark_shapes_take_the_byte_reader(table):
     # all-digit values and attribute values of at most 8 bytes: no field goes
@@ -761,3 +771,22 @@ def test_benchmark_shapes_take_the_byte_reader(table):
         _, codes, _, _ = data._parse_table(text, measure.operands, need_forecast=True)
     assert float_calls.call_count == 0 and encode.call_count == 0
     assert len(codes) == 20_736
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("x,1,2\r\ny,oops,4\r\n", "row 3: non-numeric real='oops'"),
+        ("x,1,2\r\ny,3\r\n", "row 3: expected 3 fields, got 2"),
+        # csv.reader refuses a carriage return that ends no line
+        (
+            "x,1,2\ry,3,4\r\n",
+            "row 2: new-line character seen in unquoted field - do you need to open the"
+            " file in universal-newline mode?",
+        ),
+    ],
+)
+def test_malformed_crlf_table_names_its_row(body, message):
+    with pytest.raises(ParseError) as err:
+        parse_snapshot("host,real,predict\r\n" + body)
+    assert str(err.value) == message

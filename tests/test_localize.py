@@ -49,6 +49,7 @@ from rootdrill.localize import (
     tradeoff_weight,
 )
 from summary import report_signature  # noqa: E402
+from test_verdict_pin import PINS, planted, verdict  # noqa: E402
 
 
 def combo(**bindings):
@@ -375,6 +376,16 @@ _CHUNKED_ROWS = group_case(
     [2, 0, 3, 1], [0, 1, 2, 3], [0.5, 1.2, 0.8, 2.6], [False] * 16, 3,
 )
 
+# every leaf at 1.1 times its forecast, so each misfit |v − r·f| is 0 up to
+# rounding, and their signed sum (V − 2·V≤) − r·(F − 2·F≤) rounds to −1.8e-15:
+# one group holding every leaf would score 1 + 1.8e-15 without the clamp
+_V_AT_RATIO = [7 * 1.1, 3 * 1.1]
+_F_AT_RATIO = [7.0, 3.0]
+_BELOW_ZERO = group_case(
+    _V_AT_RATIO, _F_AT_RATIO, [0, 0], [0], [0], [sum(_V_AT_RATIO) / 10.0], [False] * 2,
+    localize_mod.BLOCK_TERMS,
+)
+
 
 class TestGpsKernel:
     @settings(max_examples=300, deadline=None)
@@ -433,6 +444,30 @@ class TestGpsKernel:
         want = per_cut_prefix_scores(arrays, exclude, *ranked_sequence(idx, order))
         # cuts without forecast mass take the slice as-is in both
         assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(group_cases())
+    @example(_BELOW_ZERO)
+    @example(_CHUNKED_ROWS)
+    def test_no_prefix_scores_above_one(self, case):
+        values, idx, order, _, _, exclude, budget = case
+        with (
+            mock.patch.object(localize_mod, "BLOCK_TERMS", budget),
+            mock.patch.object(cluster_mod, "BLOCK_TERMS", budget),
+        ):
+            gps = _PrefixScorer(_SnapshotArrays(values), exclude).scores(idx, order)
+        assert np.all(gps <= 1.0)
+
+    def test_a_misfit_sum_below_zero_scores_one(self):
+        values, idx, order, k, r, exclude, _ = _BELOW_ZERO
+        arrays = _SnapshotArrays(values)
+        assert arrays.misfits(idx, order, k, r)[0] < 0.0
+        assert _PrefixScorer(arrays, exclude).scores(idx, order).tolist() == [1.0]
+        snap = snapshot_from_rows(
+            ("A", "B"), [("a0", "b0"), ("a0", "b1")],
+            {"value": _V_AT_RATIO}, {"value": _F_AT_RATIO}, MeasureSpec(),
+        )
+        assert explanation_score(snap, [combo(A="a0")]) == 1.0
 
 
 def reference_search(snapshot, membership, exclude, cuboid):
@@ -523,7 +558,8 @@ def twin_cluster_cases(draw):
     ]
     v, f = snap.real["value"], snap.forecast["value"]
     snap = snapshot_from_rows(("A", "B", twin), rows, {"value": v}, {"value": f}, MeasureSpec())
-    weight = draw(st.sampled_from([0.5, 1.0, 3.0, 10.0]))
+    # at 4 and 9 the ceiling weight − layer² of layer 2 or 3 sits at 0
+    weight = draw(st.sampled_from([0.5, 1.0, 3.0, 4.0, 9.0, 10.0]))
     delta = draw(st.sampled_from([0.5, 0.9, 1.0]))
     return snap, leaves, membership, exclude, weight, LocalizeConfig(delta=delta)
 
@@ -597,6 +633,23 @@ class TestSearch:
         got = localize_cluster(_SnapshotArrays(snap), *args)
         assert got == reference_localize_cluster(snap, *args)
 
+    @settings(max_examples=300, deadline=None)
+    @given(cluster_cases())
+    # one group holds every leaf, each at 1.1 times its forecast
+    @example(
+        example_cluster_case(
+            ("A", "B"), [("a0", "b0"), ("a0", "b1")], _V_AT_RATIO, _F_AT_RATIO,
+            [0, 1], [1.0, 1.0], [False] * 2,
+        )
+    )
+    def test_no_scored_prefix_above_one(self, case):
+        snap, leaves, membership, exclude = case
+        held = membership != 0.0
+        for cuboid in cuboids_by_layer(snap.schema):
+            scorer = _RecordingScorer(_SnapshotArrays(snap), exclude)
+            _best_prefix(scorer, snap.cuboid_index(cuboid), leaves[held], membership[held])
+            assert np.all(scorer.seen[1] <= 1.0)
+
     def test_only_the_winner_is_decoded(self, monkeypatch):
         snap = planted_snapshot(n_values=4, d=0.5, quiet_noise=0.01, seed=4)
         v, f = snap.leaf_values()
@@ -604,8 +657,11 @@ class TestSearch:
         membership = np.ones(abnormal.size)
         exclude = np.zeros(snap.n_leaves, dtype=bool)
         arrays = _SnapshotArrays(snap)
-        cfg = LocalizeConfig(delta=1.0)  # every layer is searched
-        want = reference_localize_cluster(snap, abnormal, membership, exclude, 5.0, cfg)
+        # layer 1's best, gps 0.988, stays below layer 2's ceiling of 996 at
+        # this weight, so every layer is searched
+        weight = 1000.0
+        cfg = LocalizeConfig(delta=1.0)
+        want = reference_localize_cluster(snap, abnormal, membership, exclude, weight, cfg)
         assert want.combinations == (combo(A="a0"),)
 
         decoded = []
@@ -616,7 +672,7 @@ class TestSearch:
             return orig(self, g)
 
         monkeypatch.setattr(_CuboidIndex, "combination", spy)
-        got = localize_cluster(arrays, abnormal, membership, exclude, 5.0, cfg)
+        got = localize_cluster(arrays, abnormal, membership, exclude, weight, cfg)
         assert got == want
         assert len(decoded) == 1
 
@@ -671,6 +727,9 @@ class TestSearch:
 
     def test_early_stop_skips_deep_layers(self, monkeypatch):
         snap = planted_snapshot(n_values=4, d=0.5, quiet_noise=0.01, seed=4)
+        v, f = snap.leaf_values()
+        abnormal = np.flatnonzero(np.abs(v - f) > knee_threshold(np.abs(v - f)))
+        args = (abnormal, np.ones(abnormal.size), np.zeros(snap.n_leaves, dtype=bool))
         seen = []
         orig = localize_mod._best_prefix
 
@@ -679,10 +738,13 @@ class TestSearch:
             return orig(scorer, idx, leaves, membership)
 
         monkeypatch.setattr(localize_mod, "_best_prefix", spy)
-        localize(snap, LocalizeConfig(delta=0.9))
+        # at this weight layer 2's ceiling (996) lies above layer 1's best
+        # (gps 0.988, key 987.1), so only delta can stop the search there
+        weight = 1000.0
+        localize_cluster(_SnapshotArrays(snap), *args, weight, LocalizeConfig(delta=0.9))
         stopped = list(seen)
         seen.clear()
-        localize(snap, LocalizeConfig(delta=1.0))
+        localize_cluster(_SnapshotArrays(snap), *args, weight, LocalizeConfig(delta=1.0))
         exhaustive = list(seen)
         # the planted fault is explainable at layer 1 above 0.9 but below 1.0
         assert set(stopped) == {1}
@@ -700,6 +762,67 @@ class TestSearch:
         # equal keys leave the choice to the combinations' names
         assert 0.9 + 1e-15 > 0.9
         assert _rank_key(0.9, 1, 10.0) == _rank_key(0.9 + 1e-15, 1, 10.0)
+
+
+class TestLayerBound:
+    """No candidate at layer ℓ or deeper scores above weight − ℓ², so the
+    search stops before the first layer whose ceiling the best key beats."""
+
+    @staticmethod
+    def search(monkeypatch, weight, gps_of_layer):
+        """The layers searched and the layer of the candidate chosen when each
+        cuboid of layer ℓ wins with one group at gps ``gps_of_layer[ℓ]``."""
+        snap = synthetic_base(n_attrs=3, n_values=2, seed=0, family="none")
+        seen = []
+
+        def fake(scorer, idx, leaves, membership):
+            seen.append(len(idx.attrs))
+            return gps_of_layer[len(idx.attrs)], np.array([0])
+
+        monkeypatch.setattr(localize_mod, "_best_prefix", fake)
+        exclude = np.zeros(snap.n_leaves, dtype=bool)
+        cfg = LocalizeConfig(delta=1.0)
+        got = localize_cluster(
+            _SnapshotArrays(snap), np.array([0]), np.array([1.0]), exclude, weight, cfg
+        )
+        return sorted(set(seen)), got.cuboid.layer
+
+    @pytest.mark.parametrize(
+        "weight, gps_of_layer, searched, chosen",
+        [
+            # 0.75·6 − 1 = 3.5 beats layer 2's ceiling of 2 and layer 3's of −3
+            pytest.param(6.0, {1: 0.75, 2: 1.0, 3: 1.0}, [1], 1, id="above-the-ceiling"),
+            # 0.5·6 − 1 = 2 only ties layer 2's ceiling, which its gps-1
+            # candidate reaches and wins on gps; layer 3's (−3) stays below
+            pytest.param(6.0, {1: 0.5, 2: 1.0, 3: 1.0}, [1, 2], 2, id="at-the-ceiling"),
+            # 4 lies below layer 2's ceiling of 6 but above layer 3's of 1
+            pytest.param(10.0, {1: 0.5, 2: 0.5, 3: 1.0}, [1, 2], 1, id="stops-at-layer-3"),
+            # weights in (0, 1]: −0.75 beats −3.5, but −4 does not beat −3
+            pytest.param(0.5, {1: 0.5, 2: 1.0, 3: 1.0}, [1], 1, id="small-weight"),
+            pytest.param(1.0, {1: -3.0, 2: -3.0, 3: 1.0}, [1, 2], 1, id="unit-weight"),
+        ],
+    )
+    def test_layers_that_cannot_win_are_skipped(
+        self, monkeypatch, weight, gps_of_layer, searched, chosen
+    ):
+        assert self.search(monkeypatch, weight, gps_of_layer) == (searched, chosen)
+
+    def test_a_rate_pin_builds_no_index_past_layer_two(self, monkeypatch):
+        # delta alone would search layer 3 for this snapshot, but every
+        # cluster's best key beats layer 3's ceiling, so no index of it is built
+        fault = ("rate", 1, 1, 1, ())
+        snap = planted(*fault)
+        layers = []
+        cuboid_index = Snapshot.cuboid_index
+
+        def spy(self, cuboid):
+            layers.append(cuboid.layer)
+            return cuboid_index(self, cuboid)
+
+        monkeypatch.setattr(Snapshot, "cuboid_index", spy)
+        report = localize(snap)
+        assert verdict(report) == PINS[fault]
+        assert snap.schema.n_attributes == 3 and max(layers) == 2
 
 
 class TestSharedTallies:

@@ -164,10 +164,14 @@ def _cmd_simulate(args) -> int:
         cells = parse_grid(args.grid)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
+    # a quotient base takes success-rate faults; a product base is rejected
+    kind = "success_rate" if base.measure.kind == "quotient" else "fundamental"
     # cells are written beside --out and moved in once the last one is done,
     # so a failed run leaves no partial dataset for evaluate to score
-    staging = Path(tempfile.mkdtemp(prefix=f".{out.name}-", dir=out.parent))
-    try:
+    with tempfile.TemporaryDirectory(
+        prefix=f".{out.name}-", dir=out.parent, ignore_cleanup_errors=True
+    ) as staged:
+        staging = Path(staged)
         with _reading_input():
             for n, layer in cells:
                 params = SimulationParams(
@@ -176,8 +180,9 @@ def _cmd_simulate(args) -> int:
                     base_noise_sigma=args.noise,
                     leaf_noise_sigma=args.leaf_noise,
                     seed=args.seed * 1000003 + n * 1009 + layer,
+                    measure_kind=kind,
                 )
-                faults = generate_dataset(base, [params], args.per_cell)
+                faults = generate_dataset(base, params, args.per_cell)
                 for i, fault in enumerate(faults):
                     write_fault(fault, staging / f"n{n}_l{layer}" / f"{i:04d}")
                 print(f"cell ({n},{layer}): wrote {len(faults)} faults")
@@ -199,8 +204,6 @@ def _cmd_simulate(args) -> int:
             if (out / entry.name).is_dir():
                 shutil.rmtree(out / entry.name)
             entry.replace(out / entry.name)
-    finally:
-        shutil.rmtree(staging, ignore_errors=True)
     return 0
 
 

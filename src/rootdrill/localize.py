@@ -20,8 +20,8 @@ from typing import Sequence
 
 import numpy as np
 
+from . import cluster
 from .cluster import (
-    BLOCK_TERMS,
     N_BINS,
     SCORE_STEP,
     _blocks,
@@ -117,10 +117,9 @@ class _SnapshotArrays:
     the per-cuboid group tallies that every cluster of the verdict shares.
 
     Values are non-negative (``Snapshot`` rejects negative ones).  For
-    f > 0, |v − r·f| = f·|q − r| with q = v/f, so the leaf takes a = f and
-    b = v = a·q.  A leaf with f = 0 misfits by v whatever r is: it takes the
-    same a and b, and q = +∞, so it always ranks above r.  Leaves are ranked
-    on q once, here.
+    f > 0, |v − r·f| = f·|q − r| with q = v/f.  A leaf with f = 0 misfits
+    by v whatever r is: it takes q = +∞, so it always ranks above r.
+    Leaves are ranked on q once, here.
 
     Over the leaves of a prefix of ranked groups, Σ |v − r·f| =
     (V − 2·V≤) − r·(F − 2·F≤): V and F sum v and f over those leaves, V≤
@@ -137,7 +136,7 @@ class _SnapshotArrays:
         m = snapshot.measure
         self.op_real = [snapshot.real[c] for c in m.operands]
         self.op_fcst = [snapshot.forecast[c] for c in m.operands]
-        self.a, self.b = f, v
+        self.v, self.f = v, f
         q = np.divide(v, f, out=np.full(v.size, np.inf), where=f > 0.0)
         self.by_rank = np.argsort(q)
         self.q_sorted = q[self.by_rank]
@@ -159,14 +158,14 @@ class _SnapshotArrays:
         for ascending ``k``.
 
         A :meth:`_rank_table` over ranked blocks of groups, cumulated over
-        the blocks, sums a and b over each prefix's whole blocks.  A coarse
+        the blocks, sums v and f over each prefix's whole blocks.  A coarse
         cuboid's blocks are its groups (:class:`_GroupTallies`).  A fine
         cuboid's are built on each call and end at prefix ends, one at or
         past each multiple of ``side`` leaves; ``side`` balances the table's
         N·L/side² cells (N leaves ranked, L in all) against the K·side
         leaves that K prefixes gather, and keeps the table within
-        ``BLOCK_TERMS`` cells.  The rest is gathered leaf by leaf, in chunks
-        of at most ``BLOCK_TERMS`` leaves: the leaves of r's partial rank
+        ``cluster.BLOCK_TERMS`` cells.  The rest is gathered leaf by leaf, in
+        chunks of at most that many leaves: the leaves of r's partial rank
         block before the prefix's last block end, and for a fine cuboid the
         prefix's groups past that end.
         """
@@ -185,7 +184,7 @@ class _SnapshotArrays:
             bounds = np.concatenate(([0], np.cumsum(run)))  # leaves of the first m groups
             cuts = bounds[k + 1]
             span = seq.size * self.rank.size
-            side = max(1, round((span / k.size) ** (1 / 3)), isqrt(span // BLOCK_TERMS))
+            side = max(1, round((span / k.size) ** (1 / 3)), isqrt(span // cluster.BLOCK_TERMS))
             # groups before each block end; the first end is k[0] + 1, so
             # every prefix holds a block
             at_side = k[np.searchsorted(cuts, np.arange(0, seq.size, side))] + 1
@@ -203,8 +202,8 @@ class _SnapshotArrays:
         need[col] = need[-1] = True
         at = np.cumsum(need)[col] - 1
         upto = np.cumsum(table[:, blocks[:, None], np.flatnonzero(need)], axis=1)
-        # signed sums, + above r and − at or below it: A − 2·A≤ and B − 2·B≤
-        sa, sb = upto[:, last, -1] - 2.0 * upto[:, last, at]
+        # signed sums, + above r and − at or below it: V − 2·V≤ and F − 2·F≤
+        sv, sf = upto[:, last, -1] - 2.0 * upto[:, last, at]
         head = t - col * side  # ranks [col·side, t), in the groups before the last block end
         for lo, hi in _blocks(head + tail if fine else head):
             j = np.arange(hi - lo)
@@ -217,18 +216,18 @@ class _SnapshotArrays:
                 leaf = seq[_runs(end[lo:hi], tail[lo:hi])]
                 parts.append((jt, leaf, np.where(self.rank[leaf] < t[lo:hi][jt], -1.0, 1.0)))
             for jj, leaf, coef in parts:
-                sa[lo:hi] += np.bincount(jj, weights=coef * self.a[leaf], minlength=j.size)
-                sb[lo:hi] += np.bincount(jj, weights=coef * self.b[leaf], minlength=j.size)
-        return sb - r * sa
+                sv[lo:hi] += np.bincount(jj, weights=coef * self.v[leaf], minlength=j.size)
+                sf[lo:hi] += np.bincount(jj, weights=coef * self.f[leaf], minlength=j.size)
+        return sv - r * sf
 
     def _rank_table(self, block, n_blocks: int, side: int, leaves=slice(None)) -> np.ndarray:
-        """Sums of a and b over ``leaves`` (all by default) in ``block``, per
+        """Sums of v and f over ``leaves`` (all by default) in ``block``, per
         block and rank block of ``side`` ranks, cumulated along ranks: cell
         ``[:, i, c]`` sums block i's leaves ranked below c·side."""
         n_rank = -(-self.rank.size // side)
         cell = block * n_rank + self.rank[leaves] // side
         table = np.zeros((2, n_blocks, n_rank + 1))
-        for i, w in enumerate((self.a, self.b)):
+        for i, w in enumerate((self.v, self.f)):
             per_cell = np.bincount(cell, weights=w[leaves], minlength=n_blocks * n_rank)
             table[i, :, 1:] = per_cell.reshape(n_blocks, n_rank)
         return np.cumsum(table, axis=2, out=table)
@@ -276,7 +275,6 @@ class _PrefixScorer:
 
     def __init__(self, arrays: _SnapshotArrays, exclude: np.ndarray) -> None:
         self.arrays = arrays
-        self.snapshot = arrays.snapshot
         self.excluded = np.flatnonzero(exclude)
         self.excluded_res = arrays.absres[self.excluded]
         self.pool_res = float(arrays.absres[~exclude].sum())
@@ -309,7 +307,7 @@ class _PrefixScorer:
         pool_n = self.pool_n - np.cumsum(size - out_n)
         d_pf = np.divide(pool_res, pool_n, out=np.zeros(cuts.size), where=pool_n > 0)
 
-        kind = self.snapshot.measure.kind
+        kind = self.arrays.snapshot.measure.kind
         v_s = measure_values(kind, [np.cumsum(c[order]) for c in tl.op_real])
         f_s = measure_values(kind, [np.cumsum(c[order]) for c in tl.op_fcst])
         # without forecast mass the ripple ratio is undefined: the slice is
@@ -327,27 +325,20 @@ class _PrefixScorer:
         return np.where(denom > 0.0, np.minimum(gps, 1.0), 0.0)
 
 
-def explanation_score(
-    snapshot: Snapshot,
-    combinations: Sequence[AttributeCombination],
-    exclude: np.ndarray | None = None,
-) -> float:
+def explanation_score(snapshot: Snapshot, combinations: Sequence[AttributeCombination]) -> float:
     """Score how well ``combinations`` explain the anomaly (at most 1).
 
     The candidate's leaves are compared against the values the ripple pattern
-    would imply for them; every other leaf (minus ``exclude``, leaves claimed
-    by other clusters) is compared against its forecast.  1 means the
-    candidate's slice deviates exactly in proportion and the rest of the data
-    is quiet.  The candidate is scored as group 0 of a two-group partition:
-    its leaves against all other leaves.
+    would imply for them; every other leaf is compared against its forecast.
+    1 means the candidate's slice deviates exactly in proportion and the rest
+    of the data is quiet.  The candidate is scored as group 0 of a two-group
+    partition: its leaves against all other leaves.
     """
     outside = ~snapshot.leaf_mask(*combinations)
     if outside.all():
         raise ValueError("empty candidate, or one with no descended leaves")
-    if exclude is None:
-        exclude = np.zeros(snapshot.n_leaves, dtype=bool)
     idx = _CuboidIndex((), (), *_group_rows(outside[:, None], [2]))
-    scorer = _PrefixScorer(_SnapshotArrays(snapshot), exclude)
+    scorer = _PrefixScorer(_SnapshotArrays(snapshot), np.zeros(snapshot.n_leaves, dtype=bool))
     return float(scorer.scores(idx, np.array([0]))[0])
 
 
@@ -504,7 +495,7 @@ def localize(snapshot: Snapshot, cfg: LocalizeConfig | None = None) -> Localizat
         # complement pool, even when no single cluster claims it outright
         exclude = np.zeros(n, dtype=bool)
         exclude[abnormal] = total_membership - c.membership > 0.5
-        weight = tradeoff_weight(num_cluster, num_attr, min(c.mass / n, 1.0))
+        weight = tradeoff_weight(num_cluster, num_attr, c.mass / n)
         cand = localize_cluster(arrays, abnormal, c.membership, exclude, weight, cfg)
         results.append(ClusterResult(c.bounds, cand))
 
@@ -522,7 +513,7 @@ def localize(snapshot: Snapshot, cfg: LocalizeConfig | None = None) -> Localizat
 
 # -- external-root-cause threshold from history ----------------------------
 
-_EXRC_BINS = 101  # [0, 1] at the step of the score grid
+_EXRC_BINS = N_BINS // 2 + 1  # [0, 1]: the upper half of the score grid
 
 
 def select_exrc_threshold(history: Sequence[float]) -> float:
@@ -535,9 +526,12 @@ def select_exrc_threshold(history: Sequence[float]) -> float:
     highest value the smoothed density only falls, so no minimum lies there
     and the highest mode starts at the last minimum.  Under five observations
     the ``LocalizeConfig.delta_exrc`` default is returned.  A NaN or infinite
-    value raises ``ValueError``.
+    value, or an integer beyond the float range, raises ``ValueError``.
     """
-    vals = np.asarray(list(history), dtype=float)
+    try:
+        vals = np.asarray(list(history), dtype=float)
+    except OverflowError:  # an integer beyond the float range counts as infinite
+        vals = np.array([np.inf])
     if not np.all(np.isfinite(vals)):
         raise ValueError("history values must be finite")
     if vals.size < 5:

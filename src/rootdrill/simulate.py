@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -63,8 +63,10 @@ class SimulationParams:
             raise ValueError("n_element must be at least 1")
         if self.cuboid_layer < 1:
             raise ValueError("cuboid_layer must be at least 1")
-        if self.base_noise_sigma < 0 or self.leaf_noise_sigma < 0:
-            raise ValueError("noise sigmas must be non-negative")
+        for name in ("base_noise_sigma", "leaf_noise_sigma"):
+            sigma = getattr(self, name)
+            if not 0.0 <= sigma < np.inf:
+                raise ValueError(f"{name} must be finite and non-negative, got {sigma}")
         lo, hi = self.magnitude_range
         if not 0.0 < lo <= hi <= 1.0:
             raise ValueError("magnitude_range must lie inside (0, 1]")
@@ -227,28 +229,24 @@ RATE_SPREAD = 0.5
 
 
 def generate_dataset(
-    base: Snapshot, grid: Sequence[SimulationParams], per_cell: int
+    base: Snapshot, params: SimulationParams, per_cell: int
 ) -> list[SimulatedFault]:
-    """Valid faults for every cell, ``per_cell`` each, deterministic per seed."""
+    """``per_cell`` valid faults of one cell, deterministic per seed."""
     if per_cell < 1:
         raise ValueError("per_cell must be at least 1")
+    ss = np.random.SeedSequence(params.seed)
     out: list[SimulatedFault] = []
-    for params in grid:
-        ss = np.random.SeedSequence(params.seed)
-        accepted = 0
-        attempts = 0
-        while accepted < per_cell:
-            attempts += 1
-            if attempts > 200 and accepted / attempts < 0.01:
-                raise ValueError(
-                    f"cell (n_element={params.n_element}, layer={params.cuboid_layer}): "
-                    f"{accepted}/{attempts} faults valid, acceptance below 1%"
-                )
-            rng = np.random.default_rng(ss.spawn(1)[0])
-            fault = simulate_fault(base, params, rng)
-            if validity_check(fault):
-                out.append(fault)
-                accepted += 1
+    attempts = 0
+    while len(out) < per_cell:
+        attempts += 1
+        if attempts > 200 and len(out) / attempts < 0.01:
+            raise ValueError(
+                f"cell (n_element={params.n_element}, layer={params.cuboid_layer}): "
+                f"{len(out)}/{attempts} faults valid, acceptance below 1%"
+            )
+        fault = simulate_fault(base, params, np.random.default_rng(ss.spawn(1)[0]))
+        if validity_check(fault):
+            out.append(fault)
     return out
 
 

@@ -9,6 +9,7 @@ import pytest
 
 from rootdrill import MeasureSpec, SimulationParams, simulate_fault, snapshot_from_rows
 from rootdrill.cli import main, parse_grid, parse_measure
+from rootdrill.forecast import render_table
 from rootdrill.simulate import write_fault
 
 localize_mod = importlib.import_module("rootdrill.localize")
@@ -369,6 +370,47 @@ class TestSimulateEvaluateCommands:
         report = json.loads(out.read_text())
         assert (report["n_cases"], report["skipped"]) == (1, 1)
 
+    def test_quotient_csv_base_simulates_success_rate_faults(self, tmp_path, capsys):
+        rng = np.random.default_rng(11)
+        rows = [(f"a{i}", f"b{j}") for i in range(4) for j in range(4)]
+        values = {"total": rng.integers(200, 500, len(rows)).astype(float)}
+        values["succ"] = np.round(values["total"] * 0.95)
+        measure = MeasureSpec("quotient", ("succ", "total"))
+        base = tmp_path / "rates.csv"
+        base.write_text(render_table(snapshot_from_rows(("A", "B"), rows, values, values, measure)))
+        ds, out = tmp_path / "ds", tmp_path / "e.json"
+        args = ["--base", str(base), "--measure", "quotient:succ,total", "--grid", "1x1"]
+        assert main(["simulate", *args, "--per-cell", "2", "--out", str(ds)]) == 0
+        assert main(["evaluate", "--dataset", str(ds), "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert (report["n_cases"], report["skipped"]) == (2, 0)
+        params = json.loads((ds / "n1_l1" / "0000" / "params.json").read_text())
+        assert params["measure_kind"] == "success_rate"
+
+    def test_product_csv_base_is_input_error(self, tmp_path, capsys):
+        rows = [(f"a{i}", f"b{j}") for i in range(3) for j in range(3)]
+        values = {"x": np.full(9, 10.0), "y": np.full(9, 2.0)}
+        measure = MeasureSpec("product", ("x", "y"))
+        base = tmp_path / "product.csv"
+        base.write_text(render_table(snapshot_from_rows(("A", "B"), rows, values, values, measure)))
+        ds = tmp_path / "ds"
+        args = ["--base", str(base), "--measure", "product:x,y", "--grid", "1x1"]
+        assert main(["simulate", *args, "--per-cell", "1", "--out", str(ds)]) == 1
+        assert "on a product measure" in capsys.readouterr().err
+        assert not ds.exists()
+
+    @pytest.mark.parametrize(
+        "flag, name",
+        [("--noise", "base_noise_sigma"), ("--leaf-noise", "leaf_noise_sigma")],
+    )
+    @pytest.mark.parametrize("sigma", ["nan", "inf"])
+    def test_non_finite_sigma_is_input_error(self, tmp_path, capsys, flag, name, sigma):
+        ds = tmp_path / "ds"
+        args = ["--base", "synthetic:2x4", "--grid", "1x1", "--per-cell", "1", flag, sigma]
+        assert main(["simulate", *args, "--out", str(ds)]) == 1
+        assert f"{name} must be finite and non-negative" in capsys.readouterr().err
+        assert not ds.exists()
+
     def test_pipeline_value_error_is_internal(self, tmp_path, monkeypatch, capsys):
         ds = tmp_path / "ds"
         base = ["--base", "synthetic:2x4", "--grid", "1x1", "--per-cell", "1"]
@@ -419,7 +461,15 @@ class TestExrcThresholdCommand:
         assert main(["exrc-threshold", "--history", str(hist)]) == 0
         assert capsys.readouterr().out.strip() == "0.8000"
 
-    @pytest.mark.parametrize("extra", ["NaN,NaN,NaN", "-Infinity,-Infinity", "Infinity"])
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            "NaN,NaN,NaN",
+            "-Infinity,-Infinity",
+            "Infinity",
+            pytest.param("1" + "0" * 400, id="integer-beyond-float-range"),
+        ],
+    )
     def test_non_finite_history_is_input_error(self, tmp_path, capsys, extra):
         hist = tmp_path / "hist.json"
         hist.write_text(f"[0.9,0.9,0.9,0.9,0.9,{extra}]")

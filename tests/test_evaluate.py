@@ -71,7 +71,7 @@ def small_dataset(tmp_path_factory):
     base = synthetic_base(n_attrs=3, n_values=5, seed=30, family="none")
     for n, layer in [(1, 1), (2, 1)]:
         params = SimulationParams(n_element=n, cuboid_layer=layer, seed=30 + n)
-        for i, fault in enumerate(generate_dataset(base, [params], 2)):
+        for i, fault in enumerate(generate_dataset(base, params, 2)):
             write_fault(fault, root / f"n{n}_l{layer}" / f"{i:04d}")
     return root
 
@@ -80,7 +80,7 @@ class TestEvaluateFault:
     def test_clean_fault_scores_one(self):
         base = synthetic_base(n_attrs=3, n_values=5, seed=31, family="none")
         params = SimulationParams(n_element=1, cuboid_layer=1, seed=31)
-        fault = generate_dataset(base, [params], 1)[0]
+        fault = generate_dataset(base, params, 1)[0]
         c = evaluate_fault(fault)
         assert f1_score([c]) == 1.0
         assert not c.truth_external
@@ -89,7 +89,7 @@ class TestEvaluateFault:
     def test_family_override_changes_distributions(self):
         base = synthetic_base(n_attrs=3, n_values=5, seed=32, family="poisson")
         params = SimulationParams(n_element=1, cuboid_layer=1, seed=32)
-        fault = generate_dataset(base, [params], 1)[0]
+        fault = generate_dataset(base, params, 1)[0]
         a = evaluate_fault(fault, LocalizeConfig())
         b = evaluate_fault(fault, LocalizeConfig(), family_override="none")
         assert a.truth == b.truth  # same ground truth either way

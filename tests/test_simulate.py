@@ -52,6 +52,12 @@ class TestParams:
         with pytest.raises(ValueError):
             SimulationParams(**kwargs)
 
+    @pytest.mark.parametrize("name", ["base_noise_sigma", "leaf_noise_sigma"])
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_sigma_is_named(self, name, sigma):
+        with pytest.raises(ValueError, match=f"{name} must be finite and non-negative"):
+            SimulationParams(n_element=1, cuboid_layer=1, **{name: sigma})
+
 
 class TestSimulateFault:
     def test_truth_size_and_layer(self, base):
@@ -248,9 +254,9 @@ class TestValidity:
 
 class TestGenerateDataset:
     def test_deterministic(self, base):
-        grid = [SimulationParams(n_element=2, cuboid_layer=1, seed=15)]
-        a = generate_dataset(base, grid, 3)
-        b = generate_dataset(base, grid, 3)
+        params = SimulationParams(n_element=2, cuboid_layer=1, seed=15)
+        a = generate_dataset(base, params, 3)
+        b = generate_dataset(base, params, 3)
         for fa, fb in zip(a, b):
             assert fa.ground_truth == fb.ground_truth
             assert np.array_equal(
@@ -258,19 +264,19 @@ class TestGenerateDataset:
             )
 
     def test_all_valid(self, base):
-        grid = [SimulationParams(n_element=1, cuboid_layer=2, seed=16)]
-        for fault in generate_dataset(base, grid, 3):
+        params = SimulationParams(n_element=1, cuboid_layer=2, seed=16)
+        for fault in generate_dataset(base, params, 3):
             assert validity_check(fault)
 
     def test_per_cell_validation(self, base):
         with pytest.raises(ValueError):
-            generate_dataset(base, [], 0)
+            generate_dataset(base, SimulationParams(n_element=1, cuboid_layer=1, seed=15), 0)
 
     def test_impossible_cell_aborts(self):
         tiny = synthetic_base(n_attrs=1, n_values=3, seed=17, family="none")
-        grid = [SimulationParams(n_element=1, cuboid_layer=2, seed=17)]
+        params = SimulationParams(n_element=1, cuboid_layer=2, seed=17)
         with pytest.raises(ValueError):
-            generate_dataset(tiny, grid, 1)
+            generate_dataset(tiny, params, 1)
 
 
 class TestSyntheticBase:
@@ -384,9 +390,9 @@ class TestRoundTrip:
         assert back.magnitudes == fault.magnitudes
 
     def test_written_bytes_deterministic(self, base, tmp_path):
-        grid = [SimulationParams(n_element=1, cuboid_layer=1, seed=24)]
+        params = SimulationParams(n_element=1, cuboid_layer=1, seed=24)
         for run in ("a", "b"):
-            fault = generate_dataset(base, grid, 1)[0]
+            fault = generate_dataset(base, params, 1)[0]
             write_fault(fault, tmp_path / run)
         for name in ("snapshot.csv", "truth.json", "params.json"):
             assert (tmp_path / "a" / name).read_bytes() == (

@@ -11,10 +11,10 @@ agree end up in the same cluster and are explained together.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, xlogy
 
 from .ripple import MeaninglessPairError, deviation_score
 
@@ -112,6 +112,89 @@ def _blocks(cost: np.ndarray):
         s = e
 
 
+# Cephes ``lgam`` (scipy.special.gammaln): log sqrt(2 pi), the argument past
+# which the log gamma overflows, and the Stirling series used below 1000
+_LS2PI = 0.91893853320467274178
+_MAXLGM = 2.556348e305
+_STIRLING = (
+    8.11614167470508450300e-4,
+    -5.95061904284301438324e-4,
+    7.93650340457716943945e-4,
+    -2.77777777730099687205e-3,
+    8.33333333333331927722e-2,
+)
+
+
+def _log_factorial(u: float) -> float:
+    """log u! of a non-negative integer count, as Cephes ``lgam(u + 1)`` computes it.
+
+    Every step is the C code's double operation in its order, and ``math.log``
+    is the C library's ``log`` it calls, so the result equals
+    ``scipy.special.gammaln(u + 1)`` bit for bit.  ``np.log`` would not: its
+    SIMD loops differ from the C library in the last bit on some integers.
+    """
+    x = u + 1.0
+    if x < 13.0:
+        # the product recurrence; for integer x it ends at 2 with z = (x - 1)!
+        z = 1.0
+        while x >= 3.0:
+            x -= 1.0
+            z *= x
+        return math.log(z)
+    if x > _MAXLGM:
+        return math.inf
+    q = (x - 0.5) * math.log(x) - x + _LS2PI
+    if x > 1.0e8:
+        return q
+    p = 1.0 / (x * x)
+    if x >= 1000.0:
+        return q + ((7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
+                    + 0.0833333333333333333333) / x
+    s = _STIRLING[0]
+    for c in _STIRLING[1:]:
+        s = s * p + c
+    return q + s / x
+
+
+def _rate_logs(lo: np.ndarray, n_rates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``math.log`` of every candidate rate, once: ``(logs, at)``.
+
+    Count i's rates ``lo[i] + k`` for ``k < n_rates[i]`` have their logs at
+    ``logs[at[i] + k]``, and rate 0 has ``-inf``.  Both ends of the ranges
+    grow with the count, so overlapping ranges merge into one run of the
+    table, filled ``BLOCK_TERMS`` rates at a time.
+    """
+    lo = lo.astype(np.int64)
+    end = lo + n_rates
+    new = np.ones(lo.size, dtype=bool)
+    new[1:] = lo[1:] > end[:-1]
+    run = np.cumsum(new) - 1
+    # a run ends where the next one starts; new[0] rolls round to the last range
+    first, last = lo[new], end[np.roll(new, -1)]
+    size = last - first
+    base = np.cumsum(size) - size
+    logs = np.empty(size.sum())
+    for r0, r1, b in zip(first.tolist(), last.tolist(), base.tolist()):
+        for c0 in range(max(r0, 1), r1, BLOCK_TERMS):
+            c1 = min(c0 + BLOCK_TERMS, r1)
+            logs[b + c0 - r0:b + c1 - r0] = np.fromiter(map(math.log, range(c0, c1)), float, c1 - c0)
+    if lo.size and lo[0] == 0:
+        logs[0] = -math.inf
+    return logs, base[run] + lo - first[run]
+
+
+def _u_log_a(u: np.ndarray, logs: np.ndarray, at: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """scipy's ``xlogy(u, a)`` over each count's candidate rates, back to back.
+
+    Count i's rates have their logs at ``logs[at[i]:at[i] + n[i]]``.  The
+    term is u log a, and 0 where u = 0, also at a = 0.
+    """
+    return np.concatenate([
+        x * logs[i:i + k] if x else np.zeros(k)
+        for x, i, k in zip(u.tolist(), at.tolist(), n.tolist())
+    ])
+
+
 @dataclass(frozen=True, eq=False)
 class ScoreMass:
     """Deviation-score mass of a run of leaves over the grid.
@@ -170,13 +253,20 @@ def leaf_distributions(v: np.ndarray, f: np.ndarray, family: str) -> ScoreMass:
     n_rates = (np.ceil(u + spread) - lo + 1.0).astype(np.int64)
 
     # the kept rates of each distinct count and their normalized likelihoods
+    log_fact = np.array([_log_factorial(x) for x in u.tolist()])
+    logs, at = _rate_logs(lo, n_rates)
     kept, total = [np.zeros(0, np.int64)], [np.zeros(0)]
     rates, weights = [np.zeros(0)], [np.zeros(0)]
     for s, e in _blocks(n_rates):
         n = n_rates[s:e]
         c = np.repeat(np.arange(e - s), n)
         a = _runs(lo[s:e], n)
-        w = np.exp(xlogy(u[s:e][c], a) - gammaln(u[s:e] + 1.0)[c] - a)
+        # log w = u log a - log u! - a, subtracted in this order (the mass
+        # bits depend on it), in place to hold one term array fewer at once
+        w = _u_log_a(u[s:e], logs, at[s:e], n)
+        w -= log_fact[s:e][c]
+        w -= a
+        np.exp(w, out=w)
         keep = w >= PMF_CUTOFF
         c, a, w = c[keep], a[keep], w[keep]
         # each count's total in the pairwise order of ``ndarray.sum``, which

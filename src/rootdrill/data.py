@@ -175,7 +175,9 @@ def _group_rows(
             span = len(distinct)
         key = key * size + codes[:, j]
         span *= size
-    order = np.argsort(key, kind="stable")
+    # the narrowest unsigned type that holds every key: at 16 bits or fewer
+    # the stable sort is numpy's radix sort, and the order is the same
+    order = np.argsort(key.astype(np.min_scalar_type(span - 1)), kind="stable")
     first = np.ones(n, dtype=bool)
     first[1:] = key[order[1:]] != key[order[:-1]]
     group_of = np.empty(n, dtype=np.int64)

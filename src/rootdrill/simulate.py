@@ -156,6 +156,14 @@ def simulate_fault(
     if base.measure.kind != ("quotient" if rate else "fundamental"):
         raise ValueError(f"cannot simulate {params.measure_kind} on a {base.measure.kind} measure")
     m = base.measure
+    if rate:
+        # a rate above 1 clips to 1 when planted, so no fault could pass validity
+        succ_col, total_col = m.operands
+        over = int(np.count_nonzero(base.real[succ_col] > base.real[total_col]))
+        if over:
+            raise ValueError(
+                f"successes {succ_col!r} exceed totals {total_col!r} on {over} leaves of the base"
+            )
     truth = measure_values(m.kind, [base.real[c] for c in m.operands])
     top = 1.0 if rate else None
 
@@ -172,7 +180,6 @@ def simulate_fault(
         np.clip(v, 0.0, top, out=v)
 
     if rate:
-        succ_col, total_col = m.operands
         total_v = rng.poisson(base.real[total_col]).astype(float)
         succ_v = rng.binomial(total_v.astype(np.int64), v).astype(float)
         real = {succ_col: succ_v, total_col: total_v}

@@ -387,6 +387,19 @@ class TestSimulateEvaluateCommands:
         params = json.loads((ds / "n1_l1" / "0000" / "params.json").read_text())
         assert params["measure_kind"] == "success_rate"
 
+    def test_quotient_base_with_successes_above_totals_is_input_error(self, tmp_path, capsys):
+        rows = [(f"a{i}", f"b{j}") for i in range(4) for j in range(4)]
+        values = {"total": np.arange(200.0, 216.0)}
+        values["succ"] = 1.2 * values["total"]
+        measure = MeasureSpec("quotient", ("succ", "total"))
+        base = tmp_path / "rates.csv"
+        base.write_text(render_table(snapshot_from_rows(("A", "B"), rows, values, values, measure)))
+        ds = tmp_path / "ds"
+        args = ["--base", str(base), "--measure", "quotient:succ,total", "--grid", "1x1"]
+        assert main(["simulate", *args, "--per-cell", "2", "--out", str(ds)]) == 1
+        assert "successes 'succ' exceed totals 'total'" in capsys.readouterr().err
+        assert not ds.exists()
+
     def test_product_csv_base_is_input_error(self, tmp_path, capsys):
         rows = [(f"a{i}", f"b{j}") for i in range(3) for j in range(3)]
         values = {"x": np.full(9, 10.0), "y": np.full(9, 2.0)}

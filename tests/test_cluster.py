@@ -1,3 +1,4 @@
+import math
 import warnings
 from unittest import mock
 
@@ -262,7 +263,9 @@ def reference_leaf_distributions(v, f):
     """Poisson stage 2 as one pass over the leaves, blocked by ``BLOCK_TERMS``.
 
     Every leaf evaluates its own candidate rates and bins its own terms, so
-    no count or (count, forecast) pair is shared between leaves.
+    no count or (count, forecast) pair is shared between leaves.  The
+    likelihoods come from scipy's ``gammaln`` and ``xlogy``, which stage 2
+    itself no longer imports.
     """
     v, f = np.asarray(v, dtype=float), np.asarray(f, dtype=float)
     observed = bin_of(deviation_score(v, f))
@@ -374,6 +377,63 @@ class TestRepeatedLeaves:
     def test_empty_batch(self):
         got = leaf_distributions(np.zeros(0), np.zeros(0), "poisson")
         assert same_score_mass(got, reference_leaf_distributions(np.zeros(0), np.zeros(0)))
+
+    @pytest.mark.parametrize("count", [1e8, 1e10, 1e12])
+    def test_a_huge_count_matches_the_per_leaf_loop(self, count):
+        # 2e2 to 2e7 candidate rates in one block, beside a small count
+        v, f = np.array([3.0, count]), np.array([2.0, 0.7 * count])
+        got = leaf_distributions(v, f, "poisson")
+        assert same_score_mass(got, reference_leaf_distributions(v, f))
+
+
+def stage2_rate_ranges(u):
+    """Each count's first candidate rate and number of rates, as stage 2 takes them."""
+    spread = 10.0 * np.sqrt(u) + 30.0
+    lo = np.maximum(0.0, np.floor(u - spread))
+    return lo, (np.ceil(u + spread) - lo + 1.0).astype(np.int64)
+
+
+class TestScipyKernels:
+    """Stage 2's log factorial and u log a equal scipy's, bit for bit."""
+
+    def test_log_factorial_of_every_count_to_a_million(self):
+        u = np.arange(10**6 + 1, dtype=float)
+        got = np.array([cluster_mod._log_factorial(x) for x in u.tolist()])
+        assert same_bytes(got, gammaln(u + 1.0))
+
+    def test_log_factorial_of_log_spaced_counts(self):
+        u = np.unique(np.floor(np.logspace(0, 308, 10**4)))
+        # every branch of Cephes lgam: the product below 13, the long series
+        # below 1000, the short one to 1e8, none above, and overflow
+        branch = np.searchsorted([13.0, 1000.0, 1e8, cluster_mod._MAXLGM], u + 1.0, "right")
+        assert np.all(np.bincount(branch, minlength=5) > 0)
+        got = np.array([cluster_mod._log_factorial(x) for x in u.tolist()])
+        assert same_bytes(got, gammaln(u + 1.0))
+
+    def test_u_log_a_of_every_rate_to_a_million(self):
+        n = np.array([10**6 + 1])
+        a = np.arange(n[0], dtype=float)
+        logs, at = cluster_mod._rate_logs(np.zeros(1), n)
+        for u in (0.0, 1.0, 3.0, 1234.0):
+            got = cluster_mod._u_log_a(np.array([u]), logs, at, n)
+            assert same_bytes(got, xlogy(u, a))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        counts=st.lists(st.integers(0, 5000), max_size=12, unique=True),
+        budget=st.sampled_from([7, 64, BLOCK_TERMS]),
+    )
+    @example(counts=[0, 7, 2500, 2600], budget=7)
+    def test_rate_logs_hold_each_rate_once(self, counts, budget):
+        lo, n = stage2_rate_ranges(np.array(sorted(counts), float))
+        with mock.patch.object(cluster_mod, "BLOCK_TERMS", budget):
+            logs, at = cluster_mod._rate_logs(lo, n)
+        rates = set()
+        for first, k, i in zip(lo.astype(int).tolist(), n.tolist(), at.tolist()):
+            want = [math.log(a) if a else -math.inf for a in range(first, first + k)]
+            assert logs[i:i + k].tolist() == want
+            rates.update(range(first, first + k))
+        assert logs.size == len(rates)
 
 
 def test_leaf_distributions_family_switch():

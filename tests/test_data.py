@@ -466,6 +466,18 @@ class TestGroupingReference:
         for drop in (["a0"], ["a3", "a5"], ["a1", "a2", "a4", "a6", "a7"]):
             assert_drop_matches_reference(snap, set(drop))
 
+    # key spans 2**16 - 1, 2**16 and just above: uint16 keys, then uint32
+    @pytest.mark.parametrize("sizes", [(255, 257), (256, 256), (256, 257), (3, 7, 3121), (40,)])
+    def test_narrow_key_sort_keeps_the_int64_order(self, sizes):
+        rng = np.random.default_rng(sum(sizes))
+        codes = np.column_stack([rng.integers(0, s, 20_736) for s in sizes])
+        key = np.zeros(len(codes), dtype=np.int64)
+        for j, s in enumerate(sizes):
+            key = key * s + codes[:, j]
+        _, group_of, order, _ = data._group_rows(codes, sizes)
+        assert np.array_equal(order, np.argsort(key, kind="stable"))
+        assert np.array_equal(group_of, np.unique(key, return_inverse=True)[1].ravel())
+
     def test_wide_duplicate_leaf_is_named(self):
         rows = wide_rows()
         rows.append(rows[417])

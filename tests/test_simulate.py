@@ -14,7 +14,7 @@ from rootdrill import (
     snapshot_from_rows,
     synthetic_base,
 )
-from rootdrill.data import parse_snapshot
+from rootdrill.data import Snapshot, parse_snapshot
 from rootdrill.evaluate import run_benchmark
 from rootdrill.forecast import render_table
 from rootdrill.simulate import (
@@ -145,6 +145,17 @@ class TestSuccessRate:
         )
         with pytest.raises(ValueError):
             simulate_fault(base, params, np.random.default_rng(10))
+
+    def test_successes_above_totals_are_named_before_any_draw(self, rate_base):
+        real = dict(rate_base.real)
+        real["succ"] = real["total"] * 1.2
+        base = Snapshot(rate_base.schema, rate_base.codes, real, real, rate_base.measure)
+        rng = np.random.default_rng(13)
+        before = rng.bit_generator.state
+        params = SimulationParams(1, 1, measure_kind="success_rate")
+        with pytest.raises(ValueError, match="successes 'succ' exceed totals 'total' on 25 leaves"):
+            simulate_fault(base, params, rng)
+        assert rng.bit_generator.state == before
 
     def test_rate_drops_on_planted_slice(self, rate_base):
         params = SimulationParams(

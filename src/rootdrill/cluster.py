@@ -113,7 +113,8 @@ def _blocks(cost: np.ndarray):
 
 
 # Cephes ``lgam`` (scipy.special.gammaln): log sqrt(2 pi), the argument past
-# which the log gamma overflows, and the Stirling series used below 1000
+# which the log gamma overflows, the Stirling series used below 1000, and the
+# rational function of the remainder in [2, 3) used below 13
 _LS2PI = 0.91893853320467274178
 _MAXLGM = 2.556348e305
 _STIRLING = (
@@ -123,24 +124,55 @@ _STIRLING = (
     -2.77777777730099687205e-3,
     8.33333333333331927722e-2,
 )
+_B = (
+    -1.37825152569120859100e3,
+    -3.88016315134637840924e4,
+    -3.31612992738871184744e5,
+    -1.16237097492762307383e6,
+    -1.72173700820839662146e6,
+    -8.53555664245765465627e5,
+)
+# the denominator's leading coefficient, 1, is implied
+_C = (
+    -3.51815701436523470549e2,
+    -1.70642106651881159223e4,
+    -2.20528590553854454839e5,
+    -1.13933444367982507207e6,
+    -2.53252307177582951285e6,
+    -2.01889141433532773231e6,
+)
 
 
 def _log_factorial(u: float) -> float:
-    """log u! of a non-negative integer count, as Cephes ``lgam(u + 1)`` computes it.
+    """log u! of a non-negative count, as Cephes ``lgam(u + 1)`` computes it.
 
     Every step is the C code's double operation in its order, and ``math.log``
     is the C library's ``log`` it calls, so the result equals
-    ``scipy.special.gammaln(u + 1)`` bit for bit.  ``np.log`` would not: its
-    SIMD loops differ from the C library in the last bit on some integers.
+    ``scipy.special.gammaln(u + 1)`` bit for bit, also for the counts within
+    1e-9 of an integer that stage 2 accepts.  ``np.log`` would not: its SIMD
+    loops differ from the C library in the last bit on some integers.
     """
     x = u + 1.0
     if x < 13.0:
-        # the product recurrence; for integer x it ends at 2 with z = (x - 1)!
-        z = 1.0
-        while x >= 3.0:
-            x -= 1.0
-            z *= x
-        return math.log(z)
+        # shift x into [2, 3) by the gamma recurrence; z holds the product
+        z, p, u = 1.0, 0.0, x
+        while u >= 3.0:
+            p -= 1.0
+            u = x + p
+            z *= u
+        while u < 2.0:
+            z /= u
+            p += 1.0
+            u = x + p
+        if u == 2.0:
+            return math.log(z)
+        x += p - 2.0
+        num, den = _B[0], x + _C[0]
+        for b in _B[1:]:
+            num = num * x + b
+        for c in _C[1:]:
+            den = den * x + c
+        return math.log(z) + x * num / den
     if x > _MAXLGM:
         return math.inf
     q = (x - 0.5) * math.log(x) - x + _LS2PI
@@ -156,13 +188,16 @@ def _log_factorial(u: float) -> float:
     return q + s / x
 
 
-def _rate_logs(lo: np.ndarray, n_rates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``math.log`` of every candidate rate, once: ``(logs, at)``.
+def _rate_logs(
+    lo: np.ndarray, n_rates: np.ndarray, known: np.ndarray = np.zeros(0)
+) -> tuple[np.ndarray, np.ndarray]:
+    """``math.log`` of every candidate rate of a block of counts: ``(logs, at)``.
 
     Count i's rates ``lo[i] + k`` for ``k < n_rates[i]`` have their logs at
     ``logs[at[i] + k]``, and rate 0 has ``-inf``.  Both ends of the ranges
     grow with the count, so overlapping ranges merge into one run of the
-    table, filled ``BLOCK_TERMS`` rates at a time.
+    table, filled ``BLOCK_TERMS`` rates at a time.  ``known`` holds the logs
+    of the first rates from ``lo[0]`` on, which are copied, not recomputed.
     """
     lo = lo.astype(np.int64)
     end = lo + n_rates
@@ -174,25 +209,16 @@ def _rate_logs(lo: np.ndarray, n_rates: np.ndarray) -> tuple[np.ndarray, np.ndar
     size = last - first
     base = np.cumsum(size) - size
     logs = np.empty(size.sum())
-    for r0, r1, b in zip(first.tolist(), last.tolist(), base.tolist()):
-        for c0 in range(max(r0, 1), r1, BLOCK_TERMS):
+    logs[:known.size] = known
+    fill = first.copy()
+    fill[:1] += known.size
+    for c, r0, r1, b in zip(fill.tolist(), first.tolist(), last.tolist(), base.tolist()):
+        for c0 in range(max(c, 1), r1, BLOCK_TERMS):
             c1 = min(c0 + BLOCK_TERMS, r1)
             logs[b + c0 - r0:b + c1 - r0] = np.fromiter(map(math.log, range(c0, c1)), float, c1 - c0)
     if lo.size and lo[0] == 0:
         logs[0] = -math.inf
     return logs, base[run] + lo - first[run]
-
-
-def _u_log_a(u: np.ndarray, logs: np.ndarray, at: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """scipy's ``xlogy(u, a)`` over each count's candidate rates, back to back.
-
-    Count i's rates have their logs at ``logs[at[i]:at[i] + n[i]]``.  The
-    term is u log a, and 0 where u = 0, also at a = 0.
-    """
-    return np.concatenate([
-        x * logs[i:i + k] if x else np.zeros(k)
-        for x, i, k in zip(u.tolist(), at.tolist(), n.tolist())
-    ])
 
 
 @dataclass(frozen=True, eq=False)
@@ -254,7 +280,7 @@ def leaf_distributions(v: np.ndarray, f: np.ndarray, family: str) -> ScoreMass:
 
     # the kept rates of each distinct count and their normalized likelihoods
     log_fact = np.array([_log_factorial(x) for x in u.tolist()])
-    logs, at = _rate_logs(lo, n_rates)
+    known = np.zeros(0)
     kept, total = [np.zeros(0, np.int64)], [np.zeros(0)]
     rates, weights = [np.zeros(0)], [np.zeros(0)]
     for s, e in _blocks(n_rates):
@@ -262,8 +288,16 @@ def leaf_distributions(v: np.ndarray, f: np.ndarray, family: str) -> ScoreMass:
         c = np.repeat(np.arange(e - s), n)
         a = _runs(lo[s:e], n)
         # log w = u log a - log u! - a, subtracted in this order (the mass
-        # bits depend on it), in place to hold one term array fewer at once
-        w = _u_log_a(u[s:e], logs, at[s:e], n)
+        # bits depend on it), in place to hold one term array fewer at once;
+        # u log a is scipy's xlogy: 0 where u = 0, also at a = 0
+        logs, at = _rate_logs(lo[s:e], n, known)
+        w = logs[_runs(at, n)]
+        with np.errstate(invalid="ignore"):
+            w *= np.repeat(u[s:e], n)
+        w[np.repeat(u[s:e] == 0.0, n)] = 0.0
+        if e < u.size:
+            # the rates the next count shares with this block's last one
+            known = logs[at[-1] + int(lo[e] - lo[e - 1]):at[-1] + n[-1]].copy()
         w -= log_fact[s:e][c]
         w -= a
         np.exp(w, out=w)

@@ -380,10 +380,24 @@ class TestRepeatedLeaves:
 
     @pytest.mark.parametrize("count", [1e8, 1e10, 1e12])
     def test_a_huge_count_matches_the_per_leaf_loop(self, count):
-        # 2e2 to 2e7 candidate rates in one block, beside a small count
+        # 2e5 to 2e7 candidate rates in one block, beside a small count
         v, f = np.array([3.0, count]), np.array([2.0, 0.7 * count])
         got = leaf_distributions(v, f, "poisson")
         assert same_score_mass(got, reference_leaf_distributions(v, f))
+
+    def test_near_integer_counts_match_the_per_leaf_loop(self):
+        # counts within 1e-9 of an integer pass validation and stay unrounded:
+        # below 12 they take Cephes' rational branch, not the integer product
+        v = np.array([2.9999999999999996, 3.0 + 1e-10, 1e-10, 0.5e-9, 12.0 - 5e-10, 7.0, 12.0 + 1e-10])
+        f = np.array([2.0, 2.0, 1.0, 0.0, 9.0, 6.0, 12.0])
+        got = leaf_distributions(v, f, "poisson")
+        assert same_score_mass(got, reference_leaf_distributions(v, f))
+
+
+def near_integers(k):
+    """Counts 1e-10 and one ulp off each integer in ``k``, the non-negative ones."""
+    u = np.concatenate([k + 1e-10, k - 1e-10, np.nextafter(k, np.inf), np.nextafter(k, -np.inf)])
+    return u[u >= 0.0]
 
 
 def stage2_rate_ranges(u):
@@ -410,12 +424,22 @@ class TestScipyKernels:
         got = np.array([cluster_mod._log_factorial(x) for x in u.tolist()])
         assert same_bytes(got, gammaln(u + 1.0))
 
+    def test_log_factorial_of_near_integer_counts(self):
+        u = np.concatenate([near_integers(np.arange(14.0)), near_integers(np.logspace(1, 12, 200).round())])
+        got = np.array([cluster_mod._log_factorial(x) for x in u.tolist()])
+        assert same_bytes(got, gammaln(u + 1.0))
+
     def test_u_log_a_of_every_rate_to_a_million(self):
+        # stage 2 multiplies the table by u and zeroes the terms of u = 0
         n = np.array([10**6 + 1])
         a = np.arange(n[0], dtype=float)
         logs, at = cluster_mod._rate_logs(np.zeros(1), n)
+        assert at.tolist() == [0]
         for u in (0.0, 1.0, 3.0, 1234.0):
-            got = cluster_mod._u_log_a(np.array([u]), logs, at, n)
+            with np.errstate(invalid="ignore"):
+                got = logs * u
+            if u == 0.0:
+                got[:] = 0.0
             assert same_bytes(got, xlogy(u, a))
 
     @settings(max_examples=100, deadline=None)

@@ -118,7 +118,7 @@ def _cmd_localize(args) -> int:
             snapshot = snapshot_with_forecast(text, history, measure)
         else:
             snapshot = parse_snapshot(text, measure)
-        cfg = LocalizeConfig(delta=args.delta, delta_exrc=args.delta_exrc)
+        cfg = LocalizeConfig(delta_exrc=args.delta_exrc)
     report = localize(snapshot, cfg)
 
     if args.hist_out:
@@ -212,7 +212,9 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     with _reading_input():
-        cfg = LocalizeConfig(delta=args.delta, delta_exrc=args.delta_exrc)
+        cfg = LocalizeConfig(delta_exrc=args.delta_exrc)
+        if args.workers < 1:
+            raise ValueError(f"--workers must be at least 1, not {args.workers}")
     report = run_benchmark(
         args.dataset, cfg, workers=args.workers, family_override=args.family
     )
@@ -251,20 +253,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="rootdrill", description="Multidimensional root cause localization."
     )
+    # no prefix matching: a removed flag such as --delta must not pass as --delta-exrc
     sub = p.add_subparsers(dest="command", required=True)
-    cfg = LocalizeConfig()  # the defaults of --delta and --delta-exrc
+    cfg = LocalizeConfig()
 
-    lo = sub.add_parser("localize", help="localize root causes in one snapshot")
+    lo = sub.add_parser("localize", help="localize root causes in one snapshot", allow_abbrev=False)
     lo.add_argument("--snapshot", required=True, help="snapshot CSV")
     lo.add_argument("--history", help="directory of historical CSVs for forecasting")
     lo.add_argument("--measure", default="fundamental:value", help="kind:op1[,op2][:family]")
-    lo.add_argument("--delta", type=float, default=cfg.delta, help="early-stop score threshold")
     lo.add_argument("--delta-exrc", type=float, default=cfg.delta_exrc, help="external flag threshold")
     lo.add_argument("--hist-out", help="write the score histogram CSV here")
     lo.add_argument("--out", required=True, help="report JSON path")
     lo.set_defaults(func=_cmd_localize)
 
-    si = sub.add_parser("simulate", help="generate a fault benchmark dataset")
+    si = sub.add_parser("simulate", help="generate a fault benchmark dataset", allow_abbrev=False)
     si.add_argument("--base", required=True, help="base CSV or synthetic:<attrs>x<values>[@mean]")
     si.add_argument("--measure", default="fundamental:value:poisson", help="measure of a CSV base")
     si.add_argument("--grid", required=True, help="cells, e.g. 1-3x1-3")
@@ -275,16 +277,15 @@ def build_parser() -> argparse.ArgumentParser:
     si.add_argument("--out", required=True, help="dataset directory")
     si.set_defaults(func=_cmd_simulate)
 
-    ev = sub.add_parser("evaluate", help="score localization over a dataset")
+    ev = sub.add_parser("evaluate", help="score localization over a dataset", allow_abbrev=False)
     ev.add_argument("--dataset", required=True)
     ev.add_argument("--workers", type=int, default=1)
     ev.add_argument("--family", choices=["none", "poisson"], help="override distribution family")
-    ev.add_argument("--delta", type=float, default=cfg.delta)
     ev.add_argument("--delta-exrc", type=float, default=cfg.delta_exrc)
     ev.add_argument("--out", required=True, help="report JSON path")
     ev.set_defaults(func=_cmd_evaluate)
 
-    ex = sub.add_parser("exrc-threshold", help="derive the external flag threshold")
+    ex = sub.add_parser("exrc-threshold", help="derive the external flag threshold", allow_abbrev=False)
     ex.add_argument("--history", required=True, help="JSON array of historical min_gps values")
     ex.set_defaults(func=_cmd_exrc_threshold)
     return p

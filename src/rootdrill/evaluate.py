@@ -135,12 +135,16 @@ def run_benchmark(
     ``family_override``, are skipped with a warning naming the reason, and
     counted; an error raised while localizing a fault propagates.  Results
     are aggregated in directory order, so reports are reproducible
-    regardless of worker count.
+    regardless of worker count.  At most one process runs per fault
+    directory, since the pool starts every worker up front.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, not {workers}")
     cfg = cfg or LocalizeConfig()
     dirs = find_fault_dirs(dataset_dir)
     jobs = [(str(d), cfg, family_override) for d in dirs]
-    if workers > 1 and len(jobs) > 1:
+    workers = min(workers, len(jobs))
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_eval_dir, jobs, chunksize=4))
     else:

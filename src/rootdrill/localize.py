@@ -48,21 +48,14 @@ from .ripple import deviation_score, measure_values
 class LocalizeConfig:
     """Tunables of the localization pipeline.
 
-    delta
-        early-stop score: once a layer produces a candidate this good,
-        deeper (less interpretable) layers are not searched.  Even at 1.0
-        the search skips the layers that cannot win (``localize_cluster``).
     delta_exrc
         flag the fault as externally caused when the weakest cluster
         explanation scores below this.
     """
 
-    delta: float = 0.9
     delta_exrc: float = 0.8
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.delta <= 1.0:
-            raise ValueError("delta must lie in (0, 1]")
         if not 0.0 < self.delta_exrc <= 1.0:
             raise ValueError("delta_exrc must lie in (0, 1]")
 
@@ -382,7 +375,6 @@ def localize_cluster(
     membership: np.ndarray,
     exclude: np.ndarray,
     weight: float,
-    cfg: LocalizeConfig,
 ) -> RootCauseCandidate:
     """Layered search over cuboids; argmax of score·weight − complexity.
 
@@ -392,11 +384,11 @@ def localize_cluster(
     Cuboid winners are ranked on their numbers alone; only the winners tied
     at the top are decoded into combinations, whose names break the tie.
 
-    Layers are searched shallow to deep until one holds a candidate with gps
-    ≥ ``cfg.delta``.  The search also stops before layer ℓ once the best key
-    ranks strictly above ``weight − ℓ²``: gps ≤ 1, ``weight`` > 0 and
-    complexity ≥ ℓ², so no candidate there or deeper can reach it.  A tie with that ceiling is still
-    searched, so the verdict is the one ``delta`` alone would give.
+    Layers are searched shallow to deep, and the search stops before layer ℓ
+    once the best key ranks strictly above ``weight − ℓ²``.  That bound is
+    exact: gps ≤ 1, ``weight`` > 0 and a layer-ℓ candidate costs at least ℓ²,
+    so no candidate there or deeper can reach it.  A tie with the ceiling is
+    still searched, so the result is the argmax over every cuboid of every layer.
     """
     held = membership != 0.0
     leaves, membership = leaves[held], membership[held]
@@ -406,7 +398,6 @@ def localize_cluster(
     for layer, cuboids in groupby(cuboids_by_layer(snapshot.schema), attrgetter("layer")):
         if found and min(f[0][0] for f in found) < -round(weight - layer**2, 9):
             break
-        stop = False
         for cuboid in cuboids:
             idx = snapshot.cuboid_index(cuboid)
             gps, groups = _best_prefix(scorer, idx, leaves, membership)
@@ -414,9 +405,6 @@ def localize_cluster(
             # 2-attribute combinations (8) read as worse than one plus context (4 + 1)
             key = _rank_key(gps, groups.size * layer**2, weight)
             found.append((key, cuboid, idx, gps, groups))
-            stop |= gps >= cfg.delta
-        if stop:
-            break
     top = min(f[0] for f in found)
     tied = [
         RootCauseCandidate(tuple(idx.combination(g) for g in groups), gps, cuboid)
@@ -496,7 +484,7 @@ def localize(snapshot: Snapshot, cfg: LocalizeConfig | None = None) -> Localizat
         exclude = np.zeros(n, dtype=bool)
         exclude[abnormal] = total_membership - c.membership > 0.5
         weight = tradeoff_weight(num_cluster, num_attr, c.mass / n)
-        cand = localize_cluster(arrays, abnormal, c.membership, exclude, weight, cfg)
+        cand = localize_cluster(arrays, abnormal, c.membership, exclude, weight)
         results.append(ClusterResult(c.bounds, cand))
 
     min_gps = min(r.candidate.gps for r in results)

@@ -199,7 +199,7 @@ class TestLocalizeCommand:
         assert capsys.readouterr().err.startswith(message)
 
     @pytest.mark.parametrize(
-        "extra", [["--measure", "ratio:x"], ["--measure", "a:b:c:d"], ["--delta", "0"]]
+        "extra", [["--measure", "ratio:x"], ["--measure", "a:b:c:d"], ["--delta-exrc", "0"]]
     )
     def test_bad_argument_is_input_error(self, snapshot_file, tmp_path, extra):
         args = ["localize", "--snapshot", str(snapshot_file), "--out", str(tmp_path / "r.json")]
@@ -444,9 +444,29 @@ class TestSimulateEvaluateCommands:
         assert "nope" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_bad_delta_is_input_error(self, tmp_path):
-        rc = main(["evaluate", "--dataset", str(tmp_path), "--delta", "0", "--out", "e.json"])
+    def test_bad_delta_exrc_is_input_error(self, tmp_path):
+        out = tmp_path / "e.json"
+        rc = main(["evaluate", "--dataset", str(tmp_path), "--delta-exrc", "0", "--out", str(out)])
         assert rc == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_bad_worker_count_is_input_error(self, tmp_path, capsys, workers):
+        out = tmp_path / "e.json"
+        rc = main(["evaluate", "--dataset", str(tmp_path), "--workers", workers, "--out", str(out)])
+        assert rc == 1
+        assert "--workers must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, args",
+        [("localize", ["--snapshot", "s.csv"]), ("evaluate", ["--dataset", "ds"])],
+    )
+    def test_the_removed_delta_flag_is_unrecognized(self, tmp_path, capsys, command, args):
+        out = tmp_path / "out.json"
+        assert main([command, *args, "--delta", "0.9", "--out", str(out)]) == 1
+        assert "unrecognized arguments: --delta 0.9" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_synthetic_spec_is_input_error(self, tmp_path):
         rc = main(

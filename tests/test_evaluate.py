@@ -111,6 +111,34 @@ class TestRunBenchmark:
         assert parallel.per_setting == serial.per_setting
         assert parallel.overall_f1 == serial.overall_f1
 
+    def test_no_more_workers_than_fault_directories(self, small_dataset, monkeypatch):
+        # the pool forks every worker up front; this one records how many it
+        # was asked for and maps in this process, so it starts none
+        asked = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs, chunksize=1):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(evaluate_mod, "ProcessPoolExecutor", InProcessPool)
+        report = run_benchmark(small_dataset, LocalizeConfig(), workers=64)
+        assert asked == [4]
+        assert report.n_cases == 4
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_a_worker_count_below_one_raises(self, small_dataset, workers):
+        with pytest.raises(ValueError, match="workers must be at least 1"):
+            run_benchmark(small_dataset, LocalizeConfig(), workers=workers)
+
     def test_empty_dataset(self, tmp_path):
         report = run_benchmark(tmp_path, LocalizeConfig())
         assert report.n_cases == 0

@@ -493,21 +493,15 @@ class _RecordingScorer(_PrefixScorer):
         return self.seen[1]
 
 
-def reference_localize_cluster(snapshot, leaves, membership, exclude, weight, cfg):
-    """The selection that decodes and sorts every cuboid's winner, then takes
-    the least by ``candidate_sort_key``; layers stop as in the search."""
+def reference_localize_cluster(snapshot, leaves, membership, exclude, weight):
+    """The selection that decodes and sorts the winner of every cuboid of
+    every layer, then takes the least by ``candidate_sort_key``."""
     dense = np.zeros(snapshot.n_leaves)
     dense[leaves] = membership
-    candidates = []
-    for layer in range(1, snapshot.schema.n_attributes + 1):
-        found = [
-            reference_search(snapshot, dense, exclude, cuboid)[2]
-            for cuboid in cuboids_by_layer(snapshot.schema)
-            if cuboid.layer == layer
-        ]
-        candidates += found
-        if any(c.gps >= cfg.delta for c in found):
-            break
+    candidates = [
+        reference_search(snapshot, dense, exclude, cuboid)[2]
+        for cuboid in cuboids_by_layer(snapshot.schema)
+    ]
     return min(candidates, key=lambda c: candidate_sort_key(c, weight))
 
 
@@ -553,8 +547,7 @@ def twin_cluster_cases(draw):
     snap = snapshot_from_rows(("A", "B", twin), rows, {"value": v}, {"value": f}, MeasureSpec())
     # at 4 and 9 the ceiling weight − layer² of layer 2 or 3 sits at 0
     weight = draw(st.sampled_from([0.5, 1.0, 3.0, 4.0, 9.0, 10.0]))
-    delta = draw(st.sampled_from([0.5, 0.9, 1.0]))
-    return snap, leaves, membership, exclude, weight, LocalizeConfig(delta=delta)
+    return snap, leaves, membership, exclude, weight
 
 
 def example_cluster_case(attrs, rows, v, f, leaves, membership, exclude):
@@ -617,12 +610,11 @@ class TestSearch:
                 [0, 0, 0], [0, 0, 0], [0], [5e-324], [False] * 3,
             ),
             0.5,
-            LocalizeConfig(delta=0.5),
         )
     )
     def test_search_matches_the_decode_everything_selection(self, case):
-        snap, leaves, membership, exclude, weight, cfg = case
-        args = (leaves, membership, exclude, weight, cfg)
+        snap, leaves, membership, exclude, weight = case
+        args = (leaves, membership, exclude, weight)
         got = localize_cluster(_SnapshotArrays(snap), *args)
         assert got == reference_localize_cluster(snap, *args)
 
@@ -653,8 +645,7 @@ class TestSearch:
         # layer 1's best, gps 0.988, stays below layer 2's ceiling of 996 at
         # this weight, so every layer is searched
         weight = 1000.0
-        cfg = LocalizeConfig(delta=1.0)
-        want = reference_localize_cluster(snap, abnormal, membership, exclude, weight, cfg)
+        want = reference_localize_cluster(snap, abnormal, membership, exclude, weight)
         assert want.combinations == (combo(A="a0"),)
 
         decoded = []
@@ -665,7 +656,7 @@ class TestSearch:
             return orig(self, g)
 
         monkeypatch.setattr(_CuboidIndex, "combination", spy)
-        got = localize_cluster(arrays, abnormal, membership, exclude, weight, cfg)
+        got = localize_cluster(arrays, abnormal, membership, exclude, weight)
         assert got == want
         assert len(decoded) == 1
 
@@ -682,12 +673,7 @@ class TestSearch:
         exclude = np.zeros(snap.n_leaves, dtype=bool)
 
         got = localize_cluster(
-            _SnapshotArrays(snap),
-            abnormal,
-            clusters[0].membership,
-            exclude,
-            weight,
-            LocalizeConfig(delta=1.0),
+            _SnapshotArrays(snap), abnormal, clusters[0].membership, exclude, weight
         )
 
         best_score, best = -np.inf, None
@@ -717,31 +703,6 @@ class TestSearch:
         rep = localize(snap, LocalizeConfig())
         assert len(rep.root_causes) == 1
         assert set(rep.root_causes[0]) == {combo(A="a0"), combo(A="a1")}
-
-    def test_early_stop_skips_deep_layers(self, monkeypatch):
-        snap = planted_snapshot(n_values=4, d=0.5, quiet_noise=0.01, seed=4)
-        v, f = snap.leaf_values()
-        abnormal = np.flatnonzero(np.abs(v - f) > knee_threshold(np.abs(v - f)))
-        args = (abnormal, np.ones(abnormal.size), np.zeros(snap.n_leaves, dtype=bool))
-        seen = []
-        orig = localize_mod._best_prefix
-
-        def spy(scorer, idx, leaves, membership):
-            seen.append(len(idx.attrs))
-            return orig(scorer, idx, leaves, membership)
-
-        monkeypatch.setattr(localize_mod, "_best_prefix", spy)
-        # at this weight layer 2's ceiling (996) lies above layer 1's best
-        # (gps 0.988, key 987.1), so only delta can stop the search there
-        weight = 1000.0
-        localize_cluster(_SnapshotArrays(snap), *args, weight, LocalizeConfig(delta=0.9))
-        stopped = list(seen)
-        seen.clear()
-        localize_cluster(_SnapshotArrays(snap), *args, weight, LocalizeConfig(delta=1.0))
-        exhaustive = list(seen)
-        # the planted fault is explainable at layer 1 above 0.9 but below 1.0
-        assert set(stopped) == {1}
-        assert 2 in exhaustive
 
     def test_sort_key_prefers_score_then_simplicity(self):
         # one 1-attribute combination (1) before one 2-attribute one (4)
@@ -774,9 +735,8 @@ class TestLayerBound:
 
         monkeypatch.setattr(localize_mod, "_best_prefix", fake)
         exclude = np.zeros(snap.n_leaves, dtype=bool)
-        cfg = LocalizeConfig(delta=1.0)
         got = localize_cluster(
-            _SnapshotArrays(snap), np.array([0]), np.array([1.0]), exclude, weight, cfg
+            _SnapshotArrays(snap), np.array([0]), np.array([1.0]), exclude, weight
         )
         return sorted(set(seen)), got.cuboid.layer
 
@@ -800,9 +760,64 @@ class TestLayerBound:
     ):
         assert self.search(monkeypatch, weight, gps_of_layer) == (searched, chosen)
 
+    @staticmethod
+    def wide_clusters(cause):
+        """A 6-attribute x 2-value snapshot (64 leaves, 63 cuboids) with
+        ``cause`` planted under 5% noise on every leaf, and per cluster the
+        leaves, membership and exclusion mask ``localize`` searches it with,
+        beside the weight ``tradeoff_weight`` gives it."""
+        base = synthetic_base(n_attrs=6, n_values=2, seed=0, family="none")
+        rng = np.random.default_rng(0)
+        f = base.forecast["value"].astype(float)
+        v = f * (1 + 0.05 * rng.standard_normal(f.size))
+        mask = base.leaf_mask(combo(**cause))
+        v[mask] = f[mask] * (1 - 0.5) / (1 + 0.5)
+        snap = Snapshot(base.schema, base.codes, {"value": v}, {"value": f}, base.measure)
+        resid = np.abs(v - f)
+        abnormal = np.flatnonzero(resid > knee_threshold(resid))
+        clusters = cluster_distributions(leaf_distributions(v[abnormal], f[abnormal], "none"))
+        total = np.sum([c.membership for c in clusters], axis=0)
+        cases = []
+        for c in clusters:
+            exclude = np.zeros(snap.n_leaves, dtype=bool)
+            exclude[abnormal] = total - c.membership > 0.5
+            weight = tradeoff_weight(len(clusters), 6, c.mass / snap.n_leaves)
+            cases.append(((abnormal, c.membership, exclude), weight))
+        return snap, cases
+
+    @pytest.mark.parametrize(
+        "cause",
+        [{"A": "a00"}, {"A": "a00", "C": "c01"}, {"A": "a01", "B": "b00", "D": "d01"}],
+        ids=["layer-1", "layer-2", "layer-3"],
+    )
+    def test_the_bound_is_exact_on_a_wide_schema(self, cause):
+        snap, cases = self.wide_clusters(cause)
+        for args, weight in cases:
+            for w in (weight, 50.0):
+                got = localize_cluster(_SnapshotArrays(snap), *args, w)
+                assert got == reference_localize_cluster(snap, *args, w)
+
+    def test_a_good_layer_one_winner_below_the_ceiling_goes_on(self, monkeypatch):
+        # at weight 50 the layer-1 winner, gps 0.913, keys 0.913·50 − 1 =
+        # 44.7, below layer 2's ceiling of 46: the search goes on to layer 2,
+        # where a stop at gps ≥ 0.9 would have ended it
+        snap, [(args, _)] = self.wide_clusters({"A": "a00"})
+        seen = []
+        orig = localize_mod._best_prefix
+
+        def spy(scorer, idx, leaves, membership):
+            seen.append(len(idx.attrs))
+            return orig(scorer, idx, leaves, membership)
+
+        monkeypatch.setattr(localize_mod, "_best_prefix", spy)
+        got = localize_cluster(_SnapshotArrays(snap), *args, 50.0)
+        assert got.combinations == (combo(A="a00"),)
+        assert 0.9 <= got.gps < 0.94
+        assert set(seen) == {1, 2}
+
     def test_a_rate_pin_builds_no_index_past_layer_two(self, monkeypatch):
-        # delta alone would search layer 3 for this snapshot, but every
-        # cluster's best key beats layer 3's ceiling, so no index of it is built
+        # every cluster's best key beats layer 3's ceiling, so no index of
+        # layer 3 is built for this snapshot
         fault = ("rate", 1, 1, 1, ())
         snap = planted(*fault)
         layers = []
@@ -917,8 +932,6 @@ class TestLocalizeReport:
         assert rep.min_gps is None or rep.min_gps < 0.8
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            LocalizeConfig(delta=0.0)
         with pytest.raises(ValueError):
             LocalizeConfig(delta_exrc=1.5)
 

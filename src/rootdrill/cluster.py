@@ -281,7 +281,7 @@ def leaf_distributions(v: np.ndarray, f: np.ndarray, family: str) -> ScoreMass:
     # the kept rates of each distinct count and their normalized likelihoods
     log_fact = np.array([_log_factorial(x) for x in u.tolist()])
     known = np.zeros(0)
-    kept, total = [np.zeros(0, np.int64)], [np.zeros(0)]
+    kept = [np.zeros(0, np.int64)]
     rates, weights = [np.zeros(0)], [np.zeros(0)]
     for s, e in _blocks(n_rates):
         n = n_rates[s:e]
@@ -313,8 +313,7 @@ def leaf_distributions(v: np.ndarray, f: np.ndarray, family: str) -> ScoreMass:
         kept.append(per_count - 1)
         rates.append(a)
         weights.append(w / t[c])
-        total.append(t)
-    kept, rates, weights, total = map(np.concatenate, (kept, rates, weights, total))
+    kept, rates, weights = map(np.concatenate, (kept, rates, weights))
     start = np.cumsum(kept) - kept
 
     # each distinct pair's row of the grid, its nonzero bins in order
@@ -329,9 +328,10 @@ def leaf_distributions(v: np.ndarray, f: np.ndarray, family: str) -> ScoreMass:
             weights=weights[t],
             minlength=(e - s) * N_BINS,
         ).reshape(e - s, N_BINS)
-        # a zero forecast scores every positive rate -1: its row holds only
-        # the observed bin, which the spike sets to exactly 1
-        spike = np.flatnonzero((pf[s:e] == 0.0) | (total[c] == 0.0))
+        # a zero forecast scores every positive rate -1, and a count with no
+        # kept rate has an empty row: either row holds only the observed bin,
+        # which the spike sets to exactly 1
+        spike = np.flatnonzero((pf[s:e] == 0.0) | (kept[c] == 0))
         grid[spike, observed[first[s:e]][spike]] = 1.0
         nz = np.flatnonzero(grid)
         counts.append(np.bincount(nz // N_BINS, minlength=e - s))

@@ -17,7 +17,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .ripple import derived_value, measure_values
+from .ripple import UndefinedValueError, measure_values
 
 _MEASURE_KINDS = ("fundamental", "quotient", "product")
 _FAMILIES = ("none", "poisson")
@@ -327,11 +327,8 @@ class Snapshot:
 
     def leaf_weights(self) -> np.ndarray:
         """Evidence weight per leaf: how much data stands behind its value."""
-        m = self.measure
-        if m.kind == "fundamental":
-            col = m.operands[0]
-        else:
-            col = m.operands[1]  # denominator / second factor carries the volume
+        # the last operand carries the volume: the only one, a denominator or a second factor
+        col = self.measure.operands[-1]
         return self.real[col] + self.forecast[col]
 
     # -- cuboid machinery --------------------------------------------------
@@ -635,7 +632,9 @@ def aggregate(
     m = snapshot.measure
     v_ops = [float(snapshot.real[c][mask].sum()) for c in m.operands]
     f_ops = [float(snapshot.forecast[c][mask].sum()) for c in m.operands]
-    return derived_value(m, v_ops), derived_value(m, f_ops)
+    if m.kind == "quotient" and 0 in (v_ops[1], f_ops[1]):
+        raise UndefinedValueError("quotient measure with zero denominator")
+    return float(measure_values(m.kind, v_ops)), float(measure_values(m.kind, f_ops))
 
 
 def drop_attributes(snapshot: Snapshot, attrs: Iterable[str]) -> Snapshot:

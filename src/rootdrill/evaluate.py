@@ -8,7 +8,6 @@ The external-root-cause flag gets its own binary F1.
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
@@ -136,7 +135,8 @@ def run_benchmark(
     counted; an error raised while localizing a fault propagates.  Results
     are aggregated in directory order, so reports are reproducible
     regardless of worker count.  At most one process runs per fault
-    directory, since the pool starts every worker up front.
+    directory, since the pool starts every worker up front, and each takes
+    one directory at a time.
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, not {workers}")
@@ -145,8 +145,11 @@ def run_benchmark(
     jobs = [(str(d), cfg, family_override) for d in dirs]
     workers = min(workers, len(jobs))
     if workers > 1:
+        # imported here: multiprocessing costs every other launch start-up time
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_eval_dir, jobs, chunksize=4))
+            results = list(pool.map(_eval_dir, jobs))
     else:
         results = [_eval_dir(job) for job in jobs]
 

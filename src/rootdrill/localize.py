@@ -353,7 +353,7 @@ def _best_prefix(
     inside = np.bincount(of, minlength=idx.n_groups)
     held = np.flatnonzero(inside)
     member, inside = member[held], inside[held]
-    sizes = np.diff(idx.starts)
+    sizes = scorer.arrays.tallies(idx).size
     ratio = member / (member + (sizes[held] - inside))
     # stable, and the held ids ascend: ties fall to the group id
     order = held[np.lexsort((-member, -ratio))]

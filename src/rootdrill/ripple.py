@@ -19,12 +19,9 @@ one of these formulas reaches every caller.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
-
-if TYPE_CHECKING:
-    from .data import MeasureSpec
 
 
 class UndefinedValueError(ArithmeticError):
@@ -95,17 +92,3 @@ def measure_values(kind: str, operands: Sequence) -> np.ndarray:
         return np.divide(a, b, out=np.zeros_like(a), where=b > 0.0)
     raise ValueError(f"unknown measure kind: {kind!r}")
 
-
-def derived_value(measure: "MeasureSpec", operands: Sequence[float]) -> float:
-    """Compose one measure value from its fundamental operand values.
-
-    Like :func:`measure_values`, but a quotient with zero denominator raises
-    :class:`UndefinedValueError` instead of evaluating to 0.
-    """
-    kind = measure.kind
-    want = 1 if kind == "fundamental" else 2
-    if len(operands) != want:
-        raise ValueError(f"{kind} measure takes exactly {want} operand value(s)")
-    if kind == "quotient" and operands[1] == 0:
-        raise UndefinedValueError("quotient measure with zero denominator")
-    return float(measure_values(kind, operands))

@@ -12,7 +12,7 @@ detected and discarded.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Iterable
 
@@ -38,6 +38,10 @@ _MEASURE_KINDS = ("fundamental", "success_rate")
 # interchangeable as explanations, making the planted truth ambiguous
 JACCARD_CUTOFF = 0.95
 
+# planted magnitudes are kept at least this far apart, so distinct causes
+# stay distinguishable on the score axis
+MIN_SCORE_SEPARATION = 0.05
+
 
 @dataclass(frozen=True)
 class SimulationParams:
@@ -45,8 +49,7 @@ class SimulationParams:
 
     n_element combinations are planted, each in a (possibly repeated) cuboid
     of layer ``cuboid_layer``.  Each gets its own deviation magnitude from
-    ``magnitude_range``; magnitudes are kept at least ``min_score_separation``
-    apart so distinct causes stay distinguishable on the score axis.
+    ``magnitude_range``, at least ``MIN_SCORE_SEPARATION`` from the others.
     """
 
     n_element: int
@@ -54,7 +57,6 @@ class SimulationParams:
     base_noise_sigma: float = 0.0
     leaf_noise_sigma: float = 0.05
     magnitude_range: tuple[float, float] = (0.2, 1.0)
-    min_score_separation: float = 0.05
     seed: int | None = None
     measure_kind: str = "fundamental"
 
@@ -78,20 +80,22 @@ class SimulationParams:
 class SimulatedFault:
     """A planted fault and its ground truth.
 
-    ``ground_truth`` lists the localizable root-cause combinations in planting
-    order, and ``magnitudes`` maps exactly those combinations, in the same
-    order, to the deviation score each was planted with.
+    ``magnitudes`` maps each localizable root-cause combination, in planting
+    order, to the deviation score it was planted with.
     """
 
     snapshot: Snapshot
-    ground_truth: tuple[AttributeCombination, ...]
     params: SimulationParams
-    magnitudes: dict[AttributeCombination, float] = field(default_factory=dict)
+    magnitudes: dict[AttributeCombination, float]
     external: bool = False
     dropped_attributes: tuple[str, ...] = ()
 
+    @property
+    def ground_truth(self) -> tuple[AttributeCombination, ...]:
+        return tuple(self.magnitudes)
+
     def truth_combinations(self) -> set[AttributeCombination]:
-        return set(self.ground_truth)
+        return set(self.magnitudes)
 
 
 # -- fault construction ----------------------------------------------------
@@ -104,10 +108,10 @@ def _draw_magnitudes(params: SimulationParams, rng: np.random.Generator) -> np.n
         if params.n_element == 1:
             return m
         gaps = np.diff(np.sort(m))
-        if gaps.min() >= params.min_score_separation:
+        if gaps.min() >= MIN_SCORE_SEPARATION:
             return m
     raise ValueError(
-        f"could not draw {params.n_element} magnitudes {params.min_score_separation} "
+        f"could not draw {params.n_element} magnitudes {MIN_SCORE_SEPARATION} "
         f"apart within {params.magnitude_range}"
     )
 
@@ -190,7 +194,7 @@ def simulate_fault(
     forecast = {c: base.real[c].astype(float) for c in m.operands}
     snapshot = Snapshot(base.schema, base.codes, real, forecast, m)
     combos = tuple(base.cuboid_index(c).combination(g) for c, g, _ in picks)
-    return SimulatedFault(snapshot, combos, params, dict(zip(combos, map(float, mags))))
+    return SimulatedFault(snapshot, params, dict(zip(combos, map(float, mags))))
 
 
 # -- validity --------------------------------------------------------------
@@ -299,13 +303,12 @@ def eliminate_attributes(fault: SimulatedFault, attrs: Iterable[str]) -> Simulat
     localizable truth, and only their magnitudes are kept.
     """
     dropped = tuple(sorted(set(attrs)))
-    kept = tuple(c for c in fault.ground_truth if not set(c.attributes) & set(dropped))
+    kept = {c: m for c, m in fault.magnitudes.items() if not set(c.attributes) & set(dropped)}
     return SimulatedFault(
         drop_attributes(fault.snapshot, dropped),
-        kept,
         fault.params,
-        {c: fault.magnitudes[c] for c in kept},
-        external=len(kept) < len(fault.ground_truth),
+        kept,
+        external=len(kept) < len(fault.magnitudes),
         dropped_attributes=dropped,
     )
 
@@ -360,7 +363,6 @@ def read_fault(directory: str | Path) -> SimulatedFault:
     sim = SimulationParams(**sim_fields)
     return SimulatedFault(
         snapshot,
-        truth,
         sim,
         {c: params["magnitudes"][str(c)] for c in truth},
         external=params.get("external", False),

@@ -28,7 +28,7 @@ from rootdrill import (
 )
 from rootdrill.cluster import cluster_distributions, leaf_distributions
 from rootdrill.evaluate import EvalCase, exrc_f1
-from rootdrill.ripple import derived_value, expected_abnormal_value
+from rootdrill.ripple import expected_abnormal_value, measure_values
 
 
 def verdict(criterion: int, ok: bool, detail: str) -> None:
@@ -97,10 +97,10 @@ def test_criterion_2_closure_suite():
     for i in range(n):
         m = measures[kinds[i]]
         f1l, f2l = share[i] * f1_total[i], share[i] * f2_total[i]
-        v_total = derived_value(m, [r1[i] * f1_total[i], r2[i] * f2_total[i]])
-        f_total = derived_value(m, [f1_total[i], f2_total[i]])
-        v_leaf = derived_value(m, [r1[i] * f1l, r2[i] * f2l])
-        f_leaf = derived_value(m, [f1l, f2l])
+        v_total = float(measure_values(m.kind, [r1[i] * f1_total[i], r2[i] * f2_total[i]]))
+        f_total = float(measure_values(m.kind, [f1_total[i], f2_total[i]]))
+        v_leaf = float(measure_values(m.kind, [r1[i] * f1l, r2[i] * f2l]))
+        f_leaf = float(measure_values(m.kind, [f1l, f2l]))
         d = deviation_score(v_total, f_total)
         d_leaf = deviation_score(v_leaf, f_leaf)
         worst = max(worst, abs(d_leaf - d) / max(abs(d), 1e-12))

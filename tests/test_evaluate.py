@@ -113,8 +113,9 @@ class TestRunBenchmark:
 
     def test_no_more_workers_than_fault_directories(self, small_dataset, monkeypatch):
         # the pool forks every worker up front; this one records how many it
-        # was asked for and maps in this process, so it starts none
-        asked = []
+        # was asked for and how many chunks the jobs were cut into, and maps
+        # in this process, so it starts none
+        asked, chunks = [], []
 
         class InProcessPool:
             def __init__(self, max_workers):
@@ -127,12 +128,17 @@ class TestRunBenchmark:
                 return False
 
             def map(self, fn, jobs, chunksize=1):
+                jobs = list(jobs)
+                chunks.append(-(-len(jobs) // chunksize))
                 return map(fn, jobs)
 
-        monkeypatch.setattr(evaluate_mod, "ProcessPoolExecutor", InProcessPool)
-        report = run_benchmark(small_dataset, LocalizeConfig(), workers=64)
-        assert asked == [4]
-        assert report.n_cases == 4
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InProcessPool)
+        for workers in (4, 64):
+            report = run_benchmark(small_dataset, LocalizeConfig(), workers=workers)
+            assert report.n_cases == 4
+        assert asked == [4, 4]
+        # each started worker can take a directory of its own
+        assert min(chunks) >= 4
 
     @pytest.mark.parametrize("workers", [0, -3])
     def test_a_worker_count_below_one_raises(self, small_dataset, workers):

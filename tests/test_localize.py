@@ -19,6 +19,7 @@ from rootdrill import (
     LocalizeConfig,
     MeasureSpec,
     SimulationParams,
+    aggregate,
     explanation_score,
     knee_threshold,
     localize,
@@ -38,7 +39,7 @@ from rootdrill.data import (
     drop_attributes,
 )
 from rootdrill.forecast import render_table
-from rootdrill.ripple import UndefinedValueError, derived_value, measure_values
+from rootdrill.ripple import UndefinedValueError, measure_values
 from rootdrill.localize import (
     RootCauseCandidate,
     _best_prefix,
@@ -219,10 +220,8 @@ def naive_explanation_score(snapshot, combinations, exclude=None):
         pool &= ~exclude
 
     v, f = snapshot.leaf_values()
-    m = snapshot.measure
     try:
-        v_s = derived_value(m, [float(snapshot.real[c][le].sum()) for c in m.operands])
-        f_s = derived_value(m, [float(snapshot.forecast[c][le].sum()) for c in m.operands])
+        v_s, f_s = aggregate(snapshot, combinations)
     except UndefinedValueError:
         v_s = f_s = 0.0
     if f_s <= 0.0:

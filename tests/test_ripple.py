@@ -5,11 +5,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rootdrill import MeasureSpec, deviation_score
+from rootdrill import (
+    AttributeCombination,
+    MeasureSpec,
+    aggregate,
+    deviation_score,
+    snapshot_from_rows,
+)
 from rootdrill.ripple import (
     MeaninglessPairError,
     UndefinedValueError,
-    derived_value,
     expected_abnormal_value,
     measure_values,
 )
@@ -88,23 +93,18 @@ def test_expected_abnormal_value_round_trip(f, d):
     assert deviation_score(a, f) == pytest.approx(d, abs=1e-9)
 
 
-def test_derived_value_fundamental():
-    m = MeasureSpec()
-    assert derived_value(m, [42.0]) == 42.0
-    with pytest.raises(ValueError):
-        derived_value(m, [1.0, 2.0])
-
-
-def test_derived_value_quotient():
+def test_aggregate_of_a_quotient_slice_without_total_is_undefined():
     m = MeasureSpec("quotient", ("succ", "total"))
-    assert derived_value(m, [30.0, 40.0]) == 0.75
-    with pytest.raises(UndefinedValueError):
-        derived_value(m, [30.0, 0.0])
-
-
-def test_derived_value_product():
-    m = MeasureSpec("product", ("price", "count"))
-    assert derived_value(m, [2.5, 4.0]) == 10.0
+    snap = snapshot_from_rows(
+        ["A"],
+        [("a0",), ("a1",)],
+        {"succ": [0.0, 30.0], "total": [0.0, 40.0]},
+        {"succ": [0.0, 30.0], "total": [0.0, 40.0]},
+        m,
+    )
+    assert aggregate(snap, [AttributeCombination.from_bindings({"A": "a1"})]) == (0.75, 0.75)
+    with pytest.raises(UndefinedValueError, match="zero denominator"):
+        aggregate(snap, [AttributeCombination.from_bindings({"A": "a0"})])
 
 
 def test_measure_values_elementwise():
@@ -124,11 +124,6 @@ def test_expected_abnormal_value_arrays():
     assert deviation_score(a[:2], f[:2]).tolist() == pytest.approx([0.5, 0.5])
 
 
-def test_derived_value_arity():
-    with pytest.raises(ValueError):
-        derived_value(MeasureSpec("quotient", ("a", "b")), [1.0])
-
-
 # When both operand columns of a derived measure deviate by fixed per-column
 # ratios, every slice of the derived measure lands on one shared deviation
 # score, and the expected-value formula reproduces the observed slice value.
@@ -141,13 +136,12 @@ def test_derived_value_arity():
     kind=st.sampled_from(["quotient", "product"]),
 )
 def test_derived_measure_score_closure(f1_total, f2_total, r1, r2, share, kind):
-    m = MeasureSpec(kind, ("m1", "m2"))
     f1_leaf, f2_leaf = share * f1_total, share * f2_total
 
-    v_total = derived_value(m, [r1 * f1_total, r2 * f2_total])
-    f_total = derived_value(m, [f1_total, f2_total])
-    v_leaf = derived_value(m, [r1 * f1_leaf, r2 * f2_leaf])
-    f_leaf = derived_value(m, [f1_leaf, f2_leaf])
+    v_total = float(measure_values(kind, [r1 * f1_total, r2 * f2_total]))
+    f_total = float(measure_values(kind, [f1_total, f2_total]))
+    v_leaf = float(measure_values(kind, [r1 * f1_leaf, r2 * f2_leaf]))
+    f_leaf = float(measure_values(kind, [f1_leaf, f2_leaf]))
 
     d = deviation_score(v_total, f_total)
     assert deviation_score(v_leaf, f_leaf) == pytest.approx(d, rel=1e-9, abs=1e-12)

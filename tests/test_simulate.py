@@ -18,6 +18,7 @@ from rootdrill.data import Snapshot, parse_snapshot
 from rootdrill.evaluate import run_benchmark
 from rootdrill.forecast import render_table
 from rootdrill.simulate import (
+    MIN_SCORE_SEPARATION,
     SimulatedFault,
     generate_dataset,
     read_fault,
@@ -90,7 +91,7 @@ class TestSimulateFault:
         mags = sorted(fault.magnitudes.values())
         lo, hi = params.magnitude_range
         assert all(lo <= m <= hi for m in mags)
-        assert min(b - a for a, b in zip(mags, mags[1:])) >= params.min_score_separation
+        assert min(b - a for a, b in zip(mags, mags[1:])) >= MIN_SCORE_SEPARATION
 
     def test_planted_combinations_do_not_overlap(self, base):
         params = SimulationParams(n_element=3, cuboid_layer=2, seed=5)
@@ -239,7 +240,7 @@ class TestValidity:
             ("A", "B"), rows, {"value": v}, {"value": f}, MeasureSpec()
         )
         params = SimulationParams(n_element=1, cuboid_layer=1, seed=0)
-        fault = SimulatedFault(snap, (combo(A="a0"),), params, {combo(A="a0"): 0.5})
+        fault = SimulatedFault(snap, params, {combo(A="a0"): 0.5})
         assert not validity_check(fault)
 
     def test_background_shift_invalidates(self, base):
@@ -256,7 +257,6 @@ class TestValidity:
                 fault.snapshot.forecast,
                 fault.snapshot.measure,
             ),
-            ground_truth=fault.ground_truth,
             params=fault.params,
             magnitudes=fault.magnitudes,
         )
@@ -400,6 +400,25 @@ class TestRoundTrip:
         assert back.ground_truth == fault.ground_truth
         assert back.magnitudes == fault.magnitudes
 
+    def test_a_dataset_holding_the_old_separation_key_still_reads(self, base, tmp_path):
+        # files written while the separation was a SimulationParams field hold it
+        params = SimulationParams(n_element=2, cuboid_layer=1, seed=27)
+        fault = simulate_fault(base, params, np.random.default_rng(27))
+        write_fault(fault, tmp_path / "n2_l1" / "0000")
+        path = tmp_path / "n2_l1" / "0000" / "params.json"
+        old = json.loads(path.read_text())
+        old["min_score_separation"] = 0.05
+        path.write_text(json.dumps(old, sort_keys=True, indent=1) + "\n")
+        back = read_fault(path.parent)
+        assert back.params == fault.params
+        assert back.magnitudes == fault.magnitudes
+        assert back.ground_truth == fault.ground_truth
+        assert (back.external, back.dropped_attributes) == (False, ())
+        assert back.snapshot.measure == fault.snapshot.measure
+        assert render_table(back.snapshot) == render_table(fault.snapshot)
+        report = run_benchmark(tmp_path)
+        assert (report.n_cases, report.skipped) == (1, 0)
+
     def test_written_bytes_deterministic(self, base, tmp_path):
         params = SimulationParams(n_element=1, cuboid_layer=1, seed=24)
         for run in ("a", "b"):
@@ -420,12 +439,12 @@ class TestRoundTrip:
             "planted": {
                 "snapshot.csv": "dc9337f991d9b027b95cf9de77ad3798b1908975d1a761ae22f586e604881c96",
                 "truth.json": "58472e1abacf1f01d1d395d6e40911abbbffdef5d3d68862b9a53561024f702e",
-                "params.json": "2212ca490460e20b30b15125e2a9e900f8e76df0d26dbeab430aad48e191df08",
+                "params.json": "805bc84830936823e7242500667af251769d16189662ab33f9b320a35ae7e4a6",
             },
             "external": {
                 "snapshot.csv": "0d1656e9b28e22cafd91c44cb7ad40c0d1b1b3ec7f72941af40cc5e0113d16ee",
                 "truth.json": "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570",
-                "params.json": "fb288e2f1b544027c3dee131f439baceca1e57da9bcf5a20ed649e1fecd6a589",
+                "params.json": "99f3d0c0a3f7a5a89db74adbe616d7f918a35b9f9efdeb6fdc72538eaf810aed",
             },
         }
         for name, f in (("planted", fault), ("external", eliminate_attributes(fault, ["A"]))):

@@ -1,12 +1,13 @@
 """Root cause search: per-cluster drill-down and report assembly.
 
-Given clustered abnormal leaves, each cluster is explained independently.
-Cuboids are visited shallow to deep; inside a cuboid, combinations are ranked
-by how exclusively their leaves belong to the cluster, and growing prefixes of
-that ranking are scored.  The score rewards candidates whose leaves deviate in
-lockstep (the ripple pattern an upstream cause produces) and whose complement
-looks undisturbed.  Across cuboids, a tradeoff weight balances that score
-against the verbosity of the candidate.
+Given clustered abnormal leaves, each cluster is explained independently,
+though all of them are searched in one pass per layer.  Cuboids are visited
+shallow to deep; inside a cuboid, combinations are ranked by how
+exclusively their leaves belong to the cluster, and growing prefixes of that
+ranking are scored.  The score rewards candidates whose leaves deviate in
+lockstep (the ripple pattern an upstream cause produces) and whose
+complement looks undisturbed.  Across cuboids, a tradeoff weight balances
+that score against the verbosity of the candidate.
 """
 
 from __future__ import annotations
@@ -106,8 +107,7 @@ def tradeoff_weight(num_cluster: int, num_attr: int, coverage: float) -> float:
 
 
 class _SnapshotArrays:
-    """Per-leaf arrays of the explanation score, built once per verdict, and
-    the per-cuboid group tallies that every cluster of the verdict shares.
+    """Per-leaf arrays of the explanation score, built once per verdict.
 
     Values are non-negative (``Snapshot`` rejects negative ones).  For
     f > 0, |v − r·f| = f·|q − r| with q = v/f.  A leaf with f = 0 misfits
@@ -117,9 +117,7 @@ class _SnapshotArrays:
     Over the leaves of a prefix of ranked groups, Σ |v − r·f| =
     (V − 2·V≤) − r·(F − 2·F≤): V and F sum v and f over those leaves, V≤
     and F≤ over the ones with q ≤ r.  The f = 0 leaves, above every r,
-    bring their v into V.  :class:`_GroupTallies` holds these sums per
-    group of one cuboid; they live as long as this object, never on the
-    ``Snapshot``.
+    bring their v into V.
     """
 
     def __init__(self, snapshot: Snapshot) -> None:
@@ -135,60 +133,45 @@ class _SnapshotArrays:
         self.q_sorted = q[self.by_rank]
         self.rank = np.empty(v.size, dtype=np.intp)
         self.rank[self.by_rank] = np.arange(v.size)
-        self._tallies: dict[tuple[str, ...], _GroupTallies] = {}
 
-    def tallies(self, idx: _CuboidIndex) -> _GroupTallies:
-        """The group tallies of ``idx``'s cuboid, built on first use."""
-        found = self._tallies.get(idx.attrs)
-        if found is None:
-            found = self._tallies[idx.attrs] = _GroupTallies(self, idx)
-        return found
-
-    def misfits(
+    def fine_misfits(
         self, idx: _CuboidIndex, order: np.ndarray, k: np.ndarray, r: np.ndarray
     ) -> np.ndarray:
         """Σ |v − r_j·f| over the leaves of ``idx``'s groups ``order[:k[j] + 1]``,
-        for ascending ``k``.
+        for ascending ``k``, from a table built for these prefixes.
 
         A :meth:`_rank_table` over ranked blocks of groups, cumulated over
-        the blocks, sums v and f over each prefix's whole blocks.  A coarse
-        cuboid's blocks are its groups (:class:`_GroupTallies`).  A fine
-        cuboid's are built on each call and end at prefix ends, one at or
-        past each multiple of ``side`` leaves; ``side`` balances the table's
-        N·L/side² cells (N leaves ranked, L in all) against the K·side
-        leaves that K prefixes gather, and keeps the table within
-        ``cluster.BLOCK_TERMS`` cells.  The rest is gathered leaf by leaf, in
-        chunks of at most that many leaves: the leaves of r's partial rank
-        block before the prefix's last block end, and for a fine cuboid the
+        the blocks, sums v and f over each prefix's whole blocks.  The blocks
+        end at prefix ends, one at or past each multiple of ``side`` leaves;
+        ``side`` balances the table's N·L/side² cells (N leaves ranked, L in
+        all) against the K·side leaves that K prefixes gather, and keeps the
+        table within ``cluster.BLOCK_TERMS`` cells.  The rest is gathered
+        leaf by leaf, in chunks of at most that many leaves: the leaves of
+        r's partial rank block before the prefix's last block end, and the
         prefix's groups past that end.
         """
-        tl = self.tallies(idx)
         order = order[: k[-1] + 1]
         position = np.full(idx.n_groups, order.size)  # past every prefix when not ranked
         position[order] = np.arange(order.size)
         # leaves with q ≤ r are exactly those ranked below t
         t = np.searchsorted(self.q_sorted, r, "right")
-        fine = tl.rows is None
-        if not fine:
-            table, side, blocks, last, before = tl.rows, tl.side, order, k, k + 1
-        else:
-            run = idx.starts[order + 1] - idx.starts[order]
-            seq = idx.order[_runs(idx.starts[order], run)]
-            bounds = np.concatenate(([0], np.cumsum(run)))  # leaves of the first m groups
-            cuts = bounds[k + 1]
-            span = seq.size * self.rank.size
-            side = max(1, round((span / k.size) ** (1 / 3)), isqrt(span // cluster.BLOCK_TERMS))
-            # groups before each block end; the first end is k[0] + 1, so
-            # every prefix holds a block
-            at_side = k[np.searchsorted(cuts, np.arange(0, seq.size, side))] + 1
-            stops = np.unique(np.append(at_side, order.size))
-            blocks = np.arange(stops.size)
-            of_leaf = np.repeat(blocks, np.diff(bounds[np.append(0, stops)]))
-            table = self._rank_table(of_leaf, stops.size, side, seq)
-            last = np.searchsorted(stops, k + 1, "right") - 1
-            before = stops[last]
-            end = bounds[before]
-            tail = cuts - end  # positions [end, cut), any rank
+        run = idx.starts[order + 1] - idx.starts[order]
+        seq = idx.order[_runs(idx.starts[order], run)]
+        bounds = np.concatenate(([0], np.cumsum(run)))  # leaves of the first m groups
+        cuts = bounds[k + 1]
+        span = seq.size * self.rank.size
+        side = max(1, round((span / k.size) ** (1 / 3)), isqrt(span // cluster.BLOCK_TERMS))
+        # groups before each block end; the first end is k[0] + 1, so every
+        # prefix holds a block
+        at_side = k[np.searchsorted(cuts, np.arange(0, seq.size, side))] + 1
+        stops = np.unique(np.append(at_side, order.size))
+        blocks = np.arange(stops.size)
+        of_leaf = np.repeat(blocks, np.diff(bounds[np.append(0, stops)]))
+        table = self._rank_table(of_leaf, stops.size, side, seq)
+        last = np.searchsorted(stops, k + 1, "right") - 1
+        before = stops[last]
+        end = bounds[before]
+        tail = cuts - end  # positions [end, cut), any rank
         col = t // side
         # the rank blocks below each r's, and every rank, summed over the ranked blocks
         need = np.zeros(table.shape[2], dtype=bool)
@@ -198,124 +181,354 @@ class _SnapshotArrays:
         # signed sums, + above r and − at or below it: V − 2·V≤ and F − 2·F≤
         sv, sf = upto[:, last, -1] - 2.0 * upto[:, last, at]
         head = t - col * side  # ranks [col·side, t), in the groups before the last block end
-        for lo, hi in _blocks(head + tail if fine else head):
+        for lo, hi in _blocks(head + tail):
             j = np.arange(hi - lo)
             jh = np.repeat(j, head[lo:hi])
             leaf = self.by_rank[_runs(col[lo:hi] * side, head[lo:hi])]
             coef = np.where(position[idx.group_of[leaf]] < before[lo:hi][jh], -2.0, 0.0)
-            parts = [(jh, leaf, coef)]
-            if fine:
-                jt = np.repeat(j, tail[lo:hi])
-                leaf = seq[_runs(end[lo:hi], tail[lo:hi])]
-                parts.append((jt, leaf, np.where(self.rank[leaf] < t[lo:hi][jt], -1.0, 1.0)))
-            for jj, leaf, coef in parts:
+            jt = np.repeat(j, tail[lo:hi])
+            tail_leaf = seq[_runs(end[lo:hi], tail[lo:hi])]
+            tail_coef = np.where(self.rank[tail_leaf] < t[lo:hi][jt], -1.0, 1.0)
+            for jj, leaf, coef in ((jh, leaf, coef), (jt, tail_leaf, tail_coef)):
                 sv[lo:hi] += np.bincount(jj, weights=coef * self.v[leaf], minlength=j.size)
                 sf[lo:hi] += np.bincount(jj, weights=coef * self.f[leaf], minlength=j.size)
         return sv - r * sf
 
-    def _rank_table(self, block, n_blocks: int, side: int, leaves=slice(None)) -> np.ndarray:
+    def _rank_table(
+        self, block, n_blocks: int, side: int, leaves=slice(None), out: np.ndarray | None = None
+    ) -> np.ndarray:
         """Sums of v and f over ``leaves`` (all by default) in ``block``, per
         block and rank block of ``side`` ranks, cumulated along ranks: cell
-        ``[:, i, c]`` sums block i's leaves ranked below c·side."""
+        ``[:, i, c]`` sums block i's leaves ranked below c·side.  Written
+        into ``out`` when given, which must hold zeros."""
         n_rank = -(-self.rank.size // side)
         cell = block * n_rank + self.rank[leaves] // side
-        table = np.zeros((2, n_blocks, n_rank + 1))
+        table = np.zeros((2, n_blocks, n_rank + 1)) if out is None else out
         for i, w in enumerate((self.v, self.f)):
             per_cell = np.bincount(cell, weights=w[leaves], minlength=n_blocks * n_rank)
             table[i, :, 1:] = per_cell.reshape(n_blocks, n_rank)
         return np.cumsum(table, axis=2, out=table)
 
 
-class _GroupTallies:
-    """One cuboid's per-group sums, shared by every cluster of a verdict.
-
-    ``size`` counts each group's leaves; ``absres``, ``op_real`` and
-    ``op_fcst`` sum |v − f| and each real and forecast operand column over
-    the group's run of ``idx.order``, so that a cumulative sum over ranked
-    groups equals the sum over their leaves taken run by run.
-
-    When the groups average at least √L leaves (G² ≤ L, L leaves), ``rows``
-    is their :meth:`_SnapshotArrays._rank_table`, one block per group and
-    ``side`` ≈ √L ranks per rank block: at most about 2·L cells.  Deeper
-    cuboids have ``rows = None``; ``misfits`` builds theirs on each call.
-    """
-
-    def __init__(self, arrays: _SnapshotArrays, idx: _CuboidIndex) -> None:
-        self.size = np.diff(idx.starts)
-        heads = idx.starts[:-1]
-
-        def per_group(x):
-            return np.add.reduceat(x[idx.order], heads)
-
-        self.absres = per_group(arrays.absres)
-        self.op_real = [per_group(c) for c in arrays.op_real]
-        self.op_fcst = [per_group(c) for c in arrays.op_fcst]
-        n_leaves, n_groups = arrays.rank.size, idx.n_groups
-        self.rows = None
-        if n_groups * n_groups <= n_leaves:
-            self.side = isqrt(n_leaves)
-            self.rows = arrays._rank_table(idx.group_of, n_groups, self.side)
-
-
-class _PrefixScorer:
-    """Explanation scores of prefixes of ranked groups, for one cluster.
+class _Cluster:
+    """One cluster as the search sees it: the leaves it holds member mass on,
+    and the complement pool its candidates are compared against.
 
     ``exclude`` marks leaves claimed by other clusters: they never count in
-    the complement pool a candidate is compared against.  They are taken
-    once here, and each cuboid tallies them per group with one pass over
-    them alone.
+    the pool.  They are taken once here, and each row tallies them per group.
     """
 
-    def __init__(self, arrays: _SnapshotArrays, exclude: np.ndarray) -> None:
-        self.arrays = arrays
+    def __init__(
+        self, arrays: _SnapshotArrays, leaves: np.ndarray, membership: np.ndarray,
+        exclude: np.ndarray,
+    ) -> None:
+        held = membership != 0.0
+        self.leaves, self.mass = leaves[held], membership[held]
         self.excluded = np.flatnonzero(exclude)
         self.excluded_res = arrays.absres[self.excluded]
         self.pool_res = float(arrays.absres[~exclude].sum())
         self.pool_n = exclude.size - self.excluded.size
 
-    def scores(self, idx: _CuboidIndex, order: np.ndarray) -> np.ndarray:
-        """:func:`explanation_score` of the groups ``order[:k]`` of ``idx``, for k = 1 .. K.
 
-        ``d_va`` compares the candidate's leaves against the values the ripple
-        pattern implies for them, ``d_vf`` against their forecasts, and
-        ``d_pf`` compares every other pooled leaf against its forecast.
-        ``d_va`` is the mean of |v − r·f| over the candidate's leaves, r being
-        its ripple ratio v_s/f_s.  With f ≥ 0, a leaf's term is v − r·f when
-        q = v/f lies above r (always when f = 0) and r·f − v otherwise, so
-        the candidate's sum is (V − 2·V≤) − r·(F − 2·F≤): V and F sum v and
-        f over its leaves, V≤ and F≤ over the ones with q ≤ r.  Every other
-        sum is a cumulative sum of the cuboid's group tallies;
-        :meth:`_SnapshotArrays.misfits` takes the misfit sums for every prefix
-        at once from one ranking of q.
+class _Layer:
+    """The cuboids of one layer and their per-group sums, which every cluster
+    of a verdict shares; built once per verdict and layer.
+
+    Cuboid i's groups take rows ``offset[i]:offset[i + 1]`` of the tallies.
+    ``size`` counts each group's leaves; ``absres``, ``op_real`` and
+    ``op_fcst`` sum |v − f| and each real and forecast operand column over
+    the group's run of ``idx.order``, so that a cumulative sum over ranked
+    groups equals the sum over their leaves taken run by run.
+
+    A cuboid is coarse when its groups average at least √L leaves (G² ≤ L,
+    L leaves).  Its groups then also take rows ``tab_offset[i]:`` of
+    ``table``, their :meth:`_SnapshotArrays._rank_table` with ``side`` ≈ √L
+    ranks per rank block: at most about 2·L cells per cuboid.  A fine
+    cuboid's table is built per row, from the prefixes the row scores
+    (:meth:`_SnapshotArrays.fine_misfits`).
+    """
+
+    def __init__(self, arrays: _SnapshotArrays, idxs: list[_CuboidIndex]) -> None:
+        self.arrays, self.idxs = arrays, idxs
+        self.n_groups = np.array([idx.n_groups for idx in idxs])
+        self.offset = np.cumsum(self.n_groups) - self.n_groups
+
+        def per_group(x):
+            return np.concatenate([np.add.reduceat(x[idx.order], idx.starts[:-1]) for idx in idxs])
+
+        self.size = np.concatenate([np.diff(idx.starts) for idx in idxs])
+        self.absres = per_group(arrays.absres)
+        self.op_real = [per_group(c) for c in arrays.op_real]
+        self.op_fcst = [per_group(c) for c in arrays.op_fcst]
+        n_leaves = arrays.rank.size
+        self.coarse = self.n_groups * self.n_groups <= n_leaves
+        self.side = isqrt(n_leaves)
+        self.n_rank = -(-n_leaves // self.side)
+        rows = np.where(self.coarse, self.n_groups, 0)
+        self.tab_offset = np.cumsum(rows) - rows
+        self.table = np.zeros((2, rows.sum(), self.n_rank + 1))
+        for idx, at, n in zip(idxs, self.tab_offset, rows):
+            if n:
+                arrays._rank_table(idx.group_of, n, self.side, out=self.table[:, at:at + n])
+
+    def rank(self, clusters: list[_Cluster], cub: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The groups that hold member mass, ranked, row after row, and their
+        count per row.  Row i is ``clusters[i]`` on cuboid ``cub[i]``.
+
+        Groups rank by the share of their leaves the cluster holds, then by
+        its mass on them, then by id, which is the order of their value
+        names.  ``bincount`` tallies every (row, group) at once and one
+        ``lexsort`` ranks them, the row first, in chunks whose tallies and
+        keys stay within ``cluster.BLOCK_TERMS`` cells.
         """
-        tl = self.arrays.tallies(idx)
-        size = tl.size[order]
-        cuts = np.cumsum(size)
-        absres = tl.absres[order]
-        d_vf = np.cumsum(absres) / cuts
-        of = idx.group_of[self.excluded]
-        out_res = np.bincount(of, weights=self.excluded_res, minlength=idx.n_groups)[order]
-        out_n = np.bincount(of, minlength=idx.n_groups)[order]
-        pool_res = self.pool_res - np.cumsum(absres - out_res)
-        pool_n = self.pool_n - np.cumsum(size - out_n)
-        d_pf = np.divide(pool_res, pool_n, out=np.zeros(cuts.size), where=pool_n > 0)
+        ranked, counts = [], []
+        n_groups = self.n_groups[cub]
+        for s, e in _blocks(n_groups + [c.leaves.size for c in clusters]):
+            off = np.cumsum(n_groups[s:e]) - n_groups[s:e]
+            keys = np.concatenate(
+                [self.idxs[i].group_of[c.leaves] + o for c, i, o in zip(clusters[s:e], cub[s:e], off)]
+            )
+            mass = np.concatenate([c.mass for c in clusters[s:e]])
+            n_bins = off[-1] + n_groups[e - 1]
+            member = np.bincount(keys, weights=mass, minlength=n_bins)
+            inside = np.bincount(keys, minlength=n_bins)
+            held = np.flatnonzero(inside)
+            row = np.searchsorted(off, held, "right") - 1
+            group = held - off[row]
+            member, inside = member[held], inside[held]
+            ratio = member / (member + (self.size[self.offset[cub[s:e]][row] + group] - inside))
+            # stable, and each row's groups ascend: ties fall to the group id
+            ranked.append(group[np.lexsort((-member, -ratio, row))])
+            counts.append(np.bincount(row, minlength=e - s))
+        return np.concatenate(ranked), np.concatenate(counts)
 
-        kind = self.arrays.snapshot.measure.kind
-        v_s = measure_values(kind, [np.cumsum(c[order]) for c in tl.op_real])
-        f_s = measure_values(kind, [np.cumsum(c[order]) for c in tl.op_fcst])
+    def best_prefixes(
+        self, clusters: list[_Cluster], cub: np.ndarray
+    ) -> list[tuple[float, np.ndarray]]:
+        """Each row's best prefix of its ranked groups (:meth:`rank`): its
+        gps and its groups, in rank order.
+
+        Rows are scored by falling group count, in chunks whose (row × rank)
+        arrays and (row × group) tallies each stay within
+        ``cluster.BLOCK_TERMS`` cells, so a chunk carries little padding.
+        """
+        ranked, counts = self.rank(clusters, cub)
+        start = np.cumsum(counts) - counts
+        by = np.argsort(-counts, kind="stable")
+        n_groups = self.n_groups[cub[by]]
+        ends = np.cumsum(n_groups)
+        out: list = [None] * len(clusters)
+        budget = cluster.BLOCK_TERMS
+        s = 0
+        while s < by.size:
+            e = int(np.searchsorted(ends, ends[s] - n_groups[s] + budget, "right"))
+            e = max(s + 1, min(e, s + budget // counts[by[s]]))
+            rows = by[s:e]
+            k = counts[rows]
+            order = ranked[start[rows][:, None] + np.minimum(np.arange(k[0]), k[:, None] - 1)]
+            best, gps = _Rows(self, [clusters[r] for r in rows], cub[rows], order, k).best()
+            for r, o, b, g in zip(rows.tolist(), order, best.tolist(), gps.tolist()):
+                out[r] = (g, o[: b + 1])
+            s = e
+        return out
+
+
+class _Rows:
+    """Explanation scores of the prefixes of a chunk of rows, each one
+    cluster's ranked groups in one cuboid of a layer.
+
+    Row i ranks the groups ``order[i, :K[i]]`` of ``layer.idxs[cub[i]]``;
+    past ``K[i]`` it is padding.  ``d_va`` compares a candidate's leaves
+    against the values the ripple pattern implies for them, ``d_vf`` against
+    their forecasts, and ``d_pf`` compares every other pooled leaf against
+    its forecast.  ``d_va`` is the mean of |v − r·f| over the candidate's
+    leaves, r being its ripple ratio v_s/f_s; every other sum is a
+    cumulative sum of the layer's group tallies along the row.  Each sum
+    runs along its row alone, so a score is the same to the bit whichever
+    rows share the chunk.
+    """
+
+    def __init__(
+        self, layer: _Layer, clusters: list[_Cluster], cub: np.ndarray, order: np.ndarray,
+        K: np.ndarray,
+    ) -> None:
+        self.layer, self.cub, self.order = layer, cub, order
+        self.valid = np.arange(order.shape[1]) < K[:, None]
+        at = layer.offset[cub][:, None] + order
+        size = layer.size[at]
+        self.cuts = np.cumsum(size, axis=1)
+        absres = layer.absres[at]
+        self.d_vf = np.cumsum(absres, axis=1) / self.cuts
+        # the leaves other clusters claim, tallied per (row, group)
+        n_groups = layer.n_groups[cub]
+        off = np.cumsum(n_groups) - n_groups
+        of = np.concatenate(
+            [layer.idxs[i].group_of[c.excluded] + o for c, i, o in zip(clusters, cub, off)]
+        )
+        res = np.concatenate([c.excluded_res for c in clusters])
+        ranked = off[:, None] + order
+        out_res = np.bincount(of, weights=res, minlength=n_groups.sum())[ranked]
+        out_n = np.bincount(of, minlength=n_groups.sum())[ranked]
+        pool_res = np.array([[c.pool_res] for c in clusters]) - np.cumsum(absres - out_res, axis=1)
+        pool_n = np.array([[c.pool_n] for c in clusters]) - np.cumsum(size - out_n, axis=1)
+        self.d_pf = np.divide(pool_res, pool_n, out=np.zeros(pool_res.shape), where=pool_n > 0)
+
+        kind = layer.arrays.snapshot.measure.kind
+        v_s = measure_values(kind, [np.cumsum(c[at], axis=1) for c in layer.op_real])
+        f_s = measure_values(kind, [np.cumsum(c[at], axis=1) for c in layer.op_fcst])
         # without forecast mass the ripple ratio is undefined: the slice is
-        # taken as-is.  A zero real denominator needs no case of its own,
-        # since every leaf rate under it is 0 as well.
-        d_va = np.zeros(cuts.size)
-        fit = np.flatnonzero(f_s > 0.0)
-        if fit.size:
-            d_va[fit] = self.arrays.misfits(idx, order, fit, v_s[fit] / f_s[fit]) / cuts[fit]
+        # taken as-is (d_va = 0).  A zero real denominator needs no case of
+        # its own, since every leaf rate under it is 0 as well.
+        self.fit = (f_s > 0.0) & self.valid
+        self.ratio = np.divide(v_s, f_s, out=np.zeros(f_s.shape), where=self.fit)
+        bounded = self.fit & layer.coarse[cub][:, None]
+        self.bounds = _Misfits(layer, cub, order, K, *np.nonzero(bounded), self.ratio[bounded])
 
-        denom = d_vf + d_pf
-        gps = 1.0 - (d_va + d_pf) / np.where(denom > 0.0, denom, 1.0)
+    def gps(self, misfit: np.ndarray) -> np.ndarray:
+        """:func:`explanation_score` of every prefix, from its Σ |v − r·f|
+        (0 where it has no fit)."""
+        denom = self.d_vf + self.d_pf
+        gps = 1.0 - (misfit / self.cuts + self.d_pf) / np.where(denom > 0.0, denom, 1.0)
         # a misfit sum that rounds below 0 would lift gps past 1, where the
         # search's layer bound no longer holds
         return np.where(denom > 0.0, np.minimum(gps, 1.0), 0.0)
+
+    def exact(self, want: np.ndarray) -> np.ndarray:
+        """Σ |v − r·f| of the fit prefixes ``want``, 0 elsewhere.  A fine
+        row's table depends on the prefixes it sums, so its ``want`` is
+        every fit prefix or none."""
+        misfit = np.zeros(want.shape)
+        b = self.bounds
+        sel = np.flatnonzero(want[b.row, b.j])
+        misfit[b.row[sel], b.j[sel]] = b.exact(sel)
+        for i in np.flatnonzero(want.any(axis=1) & ~self.layer.coarse[self.cub]):
+            k = np.flatnonzero(want[i])
+            idx = self.layer.idxs[self.cub[i]]
+            misfit[i, k] = self.layer.arrays.fine_misfits(idx, self.order[i], k, self.ratio[i, k])
+        return misfit
+
+    def best(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each row's first best prefix and its gps.
+
+        A fine row sums every prefix.  A coarse row takes its gps ceilings
+        from the misfit floors (:class:`_Misfits`), sums the prefix with the
+        highest ceiling first and then every prefix whose ceiling reaches
+        the best gps summed so far.  A prefix left out scores strictly below
+        that best, so the argmax and its first-index tie rule are those over
+        every prefix.
+        """
+        fine = self.fit & ~self.layer.coarse[self.cub][:, None]
+        misfit = self.exact(fine)
+        done = self.valid & (fine | ~self.fit)
+        b = self.bounds
+        lower = misfit.copy()
+        lower[b.row, b.j] = b.floor
+        ceiling = np.where(self.valid, self.gps(lower), -np.inf)
+        rows = np.arange(self.cub.size)
+        want = np.zeros(done.shape, dtype=bool)
+        want[rows, np.argmax(ceiling, axis=1)] = True
+        for _ in range(2):
+            want &= ~done
+            misfit = np.where(want, self.exact(want), misfit)
+            done |= want
+            gps = np.where(done, self.gps(misfit), -np.inf)
+            # then every prefix whose ceiling reaches the best summed so far:
+            # ≥, and a NaN best leaves nothing out
+            want = self.valid & ~(ceiling < gps.max(axis=1, keepdims=True))
+        best = np.argmax(gps, axis=1)
+        return best, gps[rows, best]
+
+
+class _Misfits:
+    """Σ |v − r·f| over prefixes of ranked groups in a layer's coarse cuboids.
+
+    Prefix p holds the groups ``order[row[p], :j[p] + 1]`` of cuboid
+    ``layer.idxs[cub[row[p]]]`` and has ripple ratio ``r[p]``; ``row``
+    ascends.  Its leaves with q ≤ r are those ranked below t.  The layer's
+    table sums v and f over the prefix's leaves ranked below each multiple
+    of ``side``, cumulated over the row's ranked groups along lanes, one per
+    (row, table column) that some prefix reads, in chunks of at most
+    ``cluster.BLOCK_TERMS`` cells.
+
+    ``floor`` bounds each sum from below from the table alone.  With col =
+    ⌊t / side⌋, the leaves ranked below col·side all sit at or below r and
+    bring r·F − V exactly, the leaves ranked from (col + 1)·side on all sit
+    above it and bring V − r·F exactly, and r's own rank block brings at
+    least |V − r·F|.  :meth:`exact` adds the leaves of r's block ranked
+    below t, gathered one by one, to the table's V − 2·V≤ and F − 2·F≤.
+    """
+
+    def __init__(
+        self, layer: _Layer, cub: np.ndarray, order: np.ndarray, K: np.ndarray,
+        row: np.ndarray, j: np.ndarray, r: np.ndarray,
+    ) -> None:
+        arrays, side, n_rank = layer.arrays, layer.side, layer.n_rank
+        self.layer, self.cub, self.row, self.j, self.r = layer, cub, row, j, r
+        self.t = np.searchsorted(arrays.q_sorted, r, "right")
+        self.col = self.t // side
+        width = n_rank + 1
+        reads = np.stack([self.col, np.minimum(self.col + 1, n_rank), np.full(r.size, n_rank)])
+        lanes, lane_of = np.unique(reads + row * width, return_inverse=True)
+        lane_of = lane_of.reshape(reads.shape)
+        lane_row, lane_col = np.divmod(lanes, width)
+        tab = layer.tab_offset[cub][:, None] + order
+        n_lanes = np.bincount(lane_row, minlength=cub.size)
+        lane_at = np.cumsum(n_lanes) - n_lanes
+        p_at = np.searchsorted(row, np.arange(cub.size + 1))
+        sums = np.empty((2, 3, r.size))
+        for s, e in _blocks(2 * order.shape[1] * n_lanes):
+            l0, l1 = lane_at[s], lane_at[e - 1] + n_lanes[e - 1]
+            p0, p1 = p_at[s], p_at[e]
+            upto = layer.table[:, tab[lane_row[l0:l1]], lane_col[l0:l1, None]]
+            np.cumsum(upto, axis=2, out=upto)
+            sums[:, :, p0:p1] = upto[:, lane_of[:, p0:p1] - l0, j[p0:p1]]
+        (vl, vh, v), (fl, fh, f) = sums
+        # signed sums, + above r and − at or below it, but for r's rank
+        # block: V − 2·V≤ and F − 2·F≤ once :meth:`exact` adds that block
+        self.sv, self.sf = v - 2.0 * vl, f - 2.0 * fl
+        # Every table sum adds at most L non-negative leaf values (L leaves),
+        # so it is off by at most L·eps/2 of the prefix's V (or F).  The floor
+        # reads five such sums, the exact sum three plus r's block of at most
+        # side ≤ L gathered leaves, and each takes a few more roundings of
+        # size at most 3·eps·(V + r·F): together less than (5·L + 30)·eps·
+        # (V + r·F), so with this slack a floor never passes its exact sum.
+        slack = 16.0 * (arrays.rank.size + 2) * np.finfo(float).eps * (v + r * f)
+        self.floor = (r * fl - vl) + ((v - vh) - r * (f - fh)) + np.abs((vh - vl) - r * (fh - fl))
+        self.floor -= slack
+        # each row's ranked groups by position, for the gather
+        n_groups = np.where(layer.coarse[cub], layer.n_groups[cub], 0)
+        self.group_at = np.cumsum(n_groups) - n_groups
+        ranked = (np.arange(order.shape[1]) < K[:, None]) & (n_groups > 0)[:, None]
+        self.position = np.full(n_groups.sum(), order.shape[1])  # past every prefix when not ranked
+        self.position[(self.group_at[:, None] + order)[ranked]] = np.nonzero(ranked)[1]
+
+    def exact(self, sel: np.ndarray) -> np.ndarray:
+        """The sums of the prefixes ``sel``.  Each gathers r's rank block
+        ranked below t, in chunks of at most ``cluster.BLOCK_TERMS`` leaves,
+        and counts the leaves of its own groups."""
+        layer, arrays, side = self.layer, self.layer.arrays, self.layer.side
+        by_cuboid = np.argsort(self.cub[self.row[sel]], kind="stable")
+        sel = sel[by_cuboid]
+        row, j, col = self.row[sel], self.j[sel], self.col[sel]
+        head = self.t[sel] - col * side  # ranks [col·side, t)
+        sv, sf = self.sv[sel], self.sf[sel]
+        for lo, hi in _blocks(head):
+            jh = np.repeat(np.arange(hi - lo), head[lo:hi])
+            if not jh.size:
+                continue
+            leaf = arrays.by_rank[_runs(col[lo:hi] * side, head[lo:hi])]
+            at = row[lo:hi][jh]
+            cub = self.cub[at]
+            group = np.empty_like(leaf)
+            cut = np.flatnonzero(np.diff(cub)) + 1
+            for a, z in zip([0, *cut], [*cut, cub.size]):
+                group[a:z] = layer.idxs[cub[a]].group_of[leaf[a:z]]
+            coef = np.where(self.position[self.group_at[at] + group] <= j[lo:hi][jh], -2.0, 0.0)
+            sv[lo:hi] += np.bincount(jh, weights=coef * arrays.v[leaf], minlength=hi - lo)
+            sf[lo:hi] += np.bincount(jh, weights=coef * arrays.f[leaf], minlength=hi - lo)
+        out = np.empty(sel.size)
+        out[by_cuboid] = sv - self.r[sel] * sf
+        return out
 
 
 def explanation_score(snapshot: Snapshot, combinations: Sequence[AttributeCombination]) -> float:
@@ -331,36 +544,14 @@ def explanation_score(snapshot: Snapshot, combinations: Sequence[AttributeCombin
     if outside.all():
         raise ValueError("empty candidate, or one with no descended leaves")
     idx = _CuboidIndex((), (), *_group_rows(outside[:, None], [2]))
-    scorer = _PrefixScorer(_SnapshotArrays(snapshot), np.zeros(snapshot.n_leaves, dtype=bool))
-    return float(scorer.scores(idx, np.array([0]))[0])
+    arrays = _SnapshotArrays(snapshot)
+    pool = _Cluster(arrays, np.empty(0, dtype=np.intp), np.empty(0), np.zeros(outside.size, bool))
+    zero = np.zeros(1, dtype=np.intp)
+    _, gps = _Rows(_Layer(arrays, [idx]), [pool], zero, zero[:, None], zero + 1).best()
+    return float(gps[0])
 
 
-# -- per-cluster search ----------------------------------------------------
-
-
-def _best_prefix(
-    scorer: _PrefixScorer, idx: _CuboidIndex, leaves: np.ndarray, membership: np.ndarray
-) -> tuple[float, np.ndarray]:
-    """Score and group ids of the best prefix of one cuboid's ranked groups.
-
-    ``leaves`` is not empty and ``membership`` is nonzero on each of them.
-    The groups holding them rank by the share of their leaves the cluster
-    holds, then by its mass on them, then by id, which is the order of their
-    value names.  The ids come ascending, the sorted order of their combinations.
-    """
-    of = idx.group_of[leaves]
-    member = np.bincount(of, weights=membership, minlength=idx.n_groups)
-    inside = np.bincount(of, minlength=idx.n_groups)
-    held = np.flatnonzero(inside)
-    member, inside = member[held], inside[held]
-    sizes = scorer.arrays.tallies(idx).size
-    ratio = member / (member + (sizes[held] - inside))
-    # stable, and the held ids ascend: ties fall to the group id
-    order = held[np.lexsort((-member, -ratio))]
-
-    gps = scorer.scores(idx, order)
-    best = int(np.argmax(gps))
-    return float(gps[best]), np.sort(order[: best + 1])
+# -- the search ------------------------------------------------------------
 
 
 def _rank_key(gps: float, complexity: int, weight: float) -> tuple[float, float, int]:
@@ -372,42 +563,59 @@ def _rank_key(gps: float, complexity: int, weight: float) -> tuple[float, float,
 def localize_cluster(
     arrays: _SnapshotArrays,
     leaves: np.ndarray,
-    membership: np.ndarray,
-    exclude: np.ndarray,
-    weight: float,
-) -> RootCauseCandidate:
-    """Layered search over cuboids; argmax of score·weight − complexity.
+    memberships: np.ndarray,
+    excludes: np.ndarray,
+    weights: Sequence[float],
+) -> list[RootCauseCandidate]:
+    """Layered search over cuboids for every kept cluster of a verdict: per
+    cluster, the argmax of score·weight − complexity.
 
-    ``membership`` is the cluster's mass on each of ``leaves`` (ascending); other leaves hold none.
-    It is nonzero on at least one leaf, so every cuboid has a winner.
-    ``arrays`` are the snapshot's, shared by every cluster of one verdict.
-    Cuboid winners are ranked on their numbers alone; only the winners tied
-    at the top are decoded into combinations, whose names break the tie.
+    Cluster c has mass ``memberships[c]`` on each of ``leaves`` (ascending)
+    and none on other leaves.  It must be nonzero on some leaf, so that every
+    cuboid has a winner.  ``excludes[c]`` marks the leaves that other
+    clusters claim, which leave c's complement pool, and ``weights[c]`` is
+    c's tradeoff weight.  ``arrays`` are the snapshot's.  One candidate
+    comes back per cluster, in order.
 
-    Layers are searched shallow to deep, and the search stops before layer ℓ
-    once the best key ranks strictly above ``weight − ℓ²``.  That bound is
-    exact: gps ≤ 1, ``weight`` > 0 and a layer-ℓ candidate costs at least ℓ²,
-    so no candidate there or deeper can reach it.  A tie with the ceiling is
-    still searched, so the result is the argmax over every cuboid of every layer.
+    Layers are searched shallow to deep, one pass per layer: each cluster
+    still searching is paired with each cuboid of the layer, and each pair is
+    a row of :meth:`_Layer.best_prefixes`.  A cluster stops before layer ℓ
+    once its best key ranks strictly above ``weight − ℓ²``.  That bound is
+    exact: gps ≤ 1, ``weight`` > 0 and a layer-ℓ candidate costs at least
+    ℓ², so no candidate there or deeper can reach it.  A tie with the ceiling
+    is still searched, so each result is the argmax over every cuboid of
+    every layer.  Within a cuboid, a prefix goes unsummed only when a floor
+    on its misfit sum caps its gps strictly below the best one summed
+    (:meth:`_Rows.best`), so that pruning is exact as well.  Cuboid winners
+    are ranked on their numbers alone; only the winners tied at the top are
+    decoded into combinations, whose names break the tie.
     """
-    held = membership != 0.0
-    leaves, membership = leaves[held], membership[held]
-    scorer = _PrefixScorer(arrays, exclude)
     snapshot = arrays.snapshot
-    found = []  # (rank key, cuboid, its index, gps, ascending group ids)
+    clusters = [_Cluster(arrays, leaves, m, e) for m, e in zip(memberships, excludes)]
+    found: list[list] = [[] for _ in clusters]  # (rank key, cuboid, its index, gps, groups)
     for layer, cuboids in groupby(cuboids_by_layer(snapshot.schema), attrgetter("layer")):
-        if found and min(f[0][0] for f in found) < -round(weight - layer**2, 9):
+        searching = [
+            c for c, f in enumerate(found)
+            if not (f and min(k[0][0] for k in f) < -round(weights[c] - layer**2, 9))
+        ]
+        if not searching:
             break
-        for cuboid in cuboids:
-            idx = snapshot.cuboid_index(cuboid)
-            gps, groups = _best_prefix(scorer, idx, leaves, membership)
+        cuboids = list(cuboids)
+        tallies = _Layer(arrays, [snapshot.cuboid_index(cuboid) for cuboid in cuboids])
+        rows = [(c, i) for i in range(len(cuboids)) for c in searching]
+        best = tallies.best_prefixes([clusters[c] for c, _ in rows], np.array([i for _, i in rows]))
+        for (c, i), (gps, groups) in zip(rows, best):
             # complexity sums each combination's squared size, so that two
             # 2-attribute combinations (8) read as worse than one plus context (4 + 1)
-            key = _rank_key(gps, groups.size * layer**2, weight)
-            found.append((key, cuboid, idx, gps, groups))
+            key = _rank_key(gps, groups.size * layer**2, weights[c])
+            found[c].append((key, cuboids[i], tallies.idxs[i], gps, groups))
+    return [_decode_winner(f) for f in found]
+
+
+def _decode_winner(found: list) -> RootCauseCandidate:
     top = min(f[0] for f in found)
     tied = [
-        RootCauseCandidate(tuple(idx.combination(g) for g in groups), gps, cuboid)
+        RootCauseCandidate(tuple(idx.combination(g) for g in np.sort(groups)), gps, cuboid)
         for key, cuboid, idx, gps, groups in found
         if key == top
     ]
@@ -474,18 +682,17 @@ def localize(snapshot: Snapshot, cfg: LocalizeConfig | None = None) -> Localizat
     num_cluster = len(clusters)
     num_attr = snapshot.schema.n_attributes
     arrays = _SnapshotArrays(snapshot)
-    results: list[ClusterResult] = []
-    total_membership = np.sum([c.membership for c in clusters], axis=0)
+    memberships = np.array([c.membership for c in clusters])
+    total_membership = memberships.sum(axis=0)
+    # a leaf mostly explained by the other clusters combined leaves the
+    # complement pool, even when no single cluster claims it outright
+    excludes = np.zeros((num_cluster, n), dtype=bool)
+    excludes[:, abnormal] = total_membership - memberships > 0.5
+    weights = [tradeoff_weight(num_cluster, num_attr, c.mass / n) for c in clusters]
     # a kept cluster holds at least MIN_CLUSTER_MASS, so some leaf has member
     # mass and the search always finds a candidate
-    for c in clusters:
-        # a leaf mostly explained by the other clusters combined leaves the
-        # complement pool, even when no single cluster claims it outright
-        exclude = np.zeros(n, dtype=bool)
-        exclude[abnormal] = total_membership - c.membership > 0.5
-        weight = tradeoff_weight(num_cluster, num_attr, c.mass / n)
-        cand = localize_cluster(arrays, abnormal, c.membership, exclude, weight)
-        results.append(ClusterResult(c.bounds, cand))
+    candidates = localize_cluster(arrays, abnormal, memberships, excludes, weights)
+    results = [ClusterResult(c.bounds, cand) for c, cand in zip(clusters, candidates)]
 
     min_gps = min(r.candidate.gps for r in results)
     external = min_gps < cfg.delta_exrc

@@ -42,9 +42,11 @@ from rootdrill.forecast import render_table
 from rootdrill.ripple import UndefinedValueError, measure_values
 from rootdrill.localize import (
     RootCauseCandidate,
-    _best_prefix,
-    _PrefixScorer,
+    _Cluster,
+    _Layer,
+    _Misfits,
     _rank_key,
+    _Rows,
     _SnapshotArrays,
     localize_cluster,
     tradeoff_weight,
@@ -146,10 +148,10 @@ def test_member_ratio(province_snapshot, cuboid, target, members, want):
     # the search ranks the held groups alone, the target first here
     if members:
         leaves = np.array(sorted(members))
-        scorer = _RecordingScorer(_SnapshotArrays(province_snapshot), np.zeros(9, dtype=bool))
-        _best_prefix(scorer, idx, leaves, membership[leaves])
-        order, _ = scorer.seen
-        assert order.tolist() == [g]
+        arrays = _SnapshotArrays(province_snapshot)
+        cluster = _Cluster(arrays, leaves, membership[leaves], np.zeros(9, dtype=bool))
+        order, counts = _Layer(arrays, [idx]).rank([cluster], ONE_ROW)
+        assert order.tolist() == [g] and counts.tolist() == [1]
 
 
 class TestExplanationScore:
@@ -165,8 +167,9 @@ class TestExplanationScore:
         beijing = [idx.combination(g) for g in range(idx.n_groups)].index(
             combo(Province="Beijing")
         )
-        scorer = _PrefixScorer(_SnapshotArrays(province_snapshot), excl)
-        (gps,) = scorer.scores(idx, np.array([beijing]))
+        rows = scored_rows(_SnapshotArrays(province_snapshot), idx, [beijing], excl)
+        ((gps,),) = all_prefix_scores(rows)
+        assert rows.best()[1].tolist() == [gps]
         # pool residuals drop from 18.2/7 to 8.2/6
         assert gps == pytest.approx(1.0 - (8.2 / 6) / (7.5 + 8.2 / 6), abs=1e-12)
 
@@ -276,6 +279,34 @@ class _LeafValues:
 
     def leaf_values(self):
         return self.real["value"], self.forecast["value"]
+
+
+# the search's rows, one at a time: row 0 on cuboid 0 of a one-cuboid layer
+ONE_ROW = np.zeros(1, dtype=np.intp)
+
+
+def scored_rows(arrays, idx, order, exclude):
+    """A one-row ``_Rows``: the ranked groups ``order`` of ``idx``, against
+    the pool of leaves outside ``exclude``."""
+    pool = _Cluster(arrays, np.empty(0, dtype=np.intp), np.empty(0), exclude)
+    order = np.asarray(order, dtype=np.intp)
+    return _Rows(_Layer(arrays, [idx]), [pool], ONE_ROW, order[None, :], np.array([order.size]))
+
+
+def all_prefix_scores(rows):
+    """Every prefix's gps, each misfit summed exactly: no prefix is pruned."""
+    return rows.gps(rows.exact(rows.fit))
+
+
+def misfit_sums(arrays, idx, order, k, r):
+    """Σ |v − r_j·f| over the groups ``order[:k[j] + 1]`` of ``idx``, and the
+    floors the search reads from a coarse cuboid's table (None when fine)."""
+    layer = _Layer(arrays, [idx])
+    if not layer.coarse[0]:
+        return arrays.fine_misfits(idx, order, k, r), None
+    rows = ONE_ROW.repeat(k.size)
+    bounds = _Misfits(layer, ONE_ROW, order[None, :], np.array([order.size]), rows, k, r)
+    return bounds.exact(np.arange(k.size)), bounds.floor
 
 
 def per_cut_prefix_scores(arr, exclude, seq, cuts):
@@ -398,11 +429,11 @@ class TestGpsKernel:
         snap, cuboid, groups, exclude = case
         idx = snap.cuboid_index(cuboid)
         combos = [idx.combination(g) for g in groups]
-        scorer = _PrefixScorer(
-            _SnapshotArrays(snap),
+        rows = scored_rows(
+            _SnapshotArrays(snap), idx, groups,
             np.zeros(snap.n_leaves, dtype=bool) if exclude is None else exclude,
         )
-        got = scorer.scores(idx, np.array(groups))
+        (got,) = all_prefix_scores(rows)
         for k in range(len(combos)):
             want = naive_explanation_score(snap, combos[: k + 1], exclude)
             assert got[k] == pytest.approx(want, abs=1e-12)
@@ -418,12 +449,14 @@ class TestGpsKernel:
         values, idx, order, prefixes, r, _, budget = case
         v, f = values.leaf_values()
         with mock.patch.object(cluster_mod, "BLOCK_TERMS", budget):
-            got = _SnapshotArrays(values).misfits(idx, order, prefixes, r)
+            got, floor = misfit_sums(_SnapshotArrays(values), idx, order, prefixes, r)
         seq, cuts = ranked_sequence(idx, order)
         for k, (n, rk) in enumerate(zip(cuts[prefixes], r)):
             terms = np.abs(v[seq[:n]] - f[seq[:n]] * rk)
             scale = float(np.sum(np.abs(v[seq[:n]]) + np.abs(f[seq[:n]] * rk)))
             assert abs(got[k] - terms.sum()) <= 1e-12 * scale
+            # a coarse cuboid's floor, read from its table alone
+            assert floor is None or floor[k] <= terms.sum()
 
     @settings(max_examples=500, deadline=None)
     @given(group_cases())
@@ -435,7 +468,7 @@ class TestGpsKernel:
         values, idx, order, _, _, exclude, budget = case
         arrays = _SnapshotArrays(values)
         with mock.patch.object(cluster_mod, "BLOCK_TERMS", budget):
-            got = _PrefixScorer(arrays, exclude).scores(idx, order)
+            (got,) = all_prefix_scores(scored_rows(arrays, idx, order, exclude))
         want = per_cut_prefix_scores(arrays, exclude, *ranked_sequence(idx, order))
         # cuts without forecast mass take the slice as-is in both
         assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
@@ -447,14 +480,16 @@ class TestGpsKernel:
     def test_no_prefix_scores_above_one(self, case):
         values, idx, order, _, _, exclude, budget = case
         with mock.patch.object(cluster_mod, "BLOCK_TERMS", budget):
-            gps = _PrefixScorer(_SnapshotArrays(values), exclude).scores(idx, order)
-        assert np.all(gps <= 1.0)
+            rows = scored_rows(_SnapshotArrays(values), idx, order, exclude)
+            gps = all_prefix_scores(rows)
+            _, best = rows.best()
+        assert np.all(gps <= 1.0) and np.all(best <= 1.0)
 
     def test_a_misfit_sum_below_zero_scores_one(self):
         values, idx, order, k, r, exclude, _ = _BELOW_ZERO
         arrays = _SnapshotArrays(values)
-        assert arrays.misfits(idx, order, k, r)[0] < 0.0
-        assert _PrefixScorer(arrays, exclude).scores(idx, order).tolist() == [1.0]
+        assert misfit_sums(arrays, idx, order, k, r)[0][0] < 0.0
+        assert all_prefix_scores(scored_rows(arrays, idx, order, exclude)).tolist() == [[1.0]]
         snap = snapshot_from_rows(
             ("A", "B"), [("a0", "b0"), ("a0", "b1")],
             {"value": _V_AT_RATIO}, {"value": _F_AT_RATIO}, MeasureSpec(),
@@ -478,18 +513,10 @@ def reference_search(snapshot, membership, exclude, cuboid):
     n_pos = int(np.count_nonzero(member > 0.0))
     keys = [idx.group_codes[:, j] for j in range(idx.group_codes.shape[1] - 1, -1, -1)]
     order = np.lexsort(keys + [-member, -ratio])[:n_pos]
-    gps = _PrefixScorer(_SnapshotArrays(snapshot), exclude).scores(idx, order)
+    (gps,) = all_prefix_scores(scored_rows(_SnapshotArrays(snapshot), idx, order, exclude))
     best = int(np.argmax(gps))
     combos = tuple(sorted(idx.combination(gi) for gi in order[: best + 1]))
     return order, gps, RootCauseCandidate(combos, float(gps[best]), cuboid)
-
-
-class _RecordingScorer(_PrefixScorer):
-    """The scorer, keeping the last ranked groups and scores it gave."""
-
-    def scores(self, idx, order):
-        self.seen = (order, super().scores(idx, order))
-        return self.seen[1]
 
 
 def reference_localize_cluster(snapshot, leaves, membership, exclude, weight):
@@ -549,6 +576,32 @@ def twin_cluster_cases(draw):
     return snap, leaves, membership, exclude, weight
 
 
+@st.composite
+def verdict_cases(draw):
+    """A ``twin_cluster_cases`` snapshot with one to five clusters on its
+    leaves, as ``localize`` hands them to the search in one call.  Each
+    further cluster holds mass on leaves of its own, disjoint from the
+    clusters before it while any leaf is free, or on any leaves, and has its
+    own exclusion mask and weight.  A block budget down to one cell splits
+    every chunk of the search."""
+    snap, leaves, first, exclude, weight = draw(twin_cluster_cases())
+    mass = st.just(0.0) | st.floats(0.0, 1.0) | st.sampled_from([0.25, 0.5, 1.0])
+    memberships, excludes, weights = [first], [exclude], [weight]
+    for _ in range(draw(st.integers(0, 4))):
+        free = np.flatnonzero(~np.any(np.array(memberships) != 0.0, axis=0))
+        pick = free if free.size and draw(st.booleans()) else np.arange(leaves.size)
+        held = draw(st.lists(st.sampled_from(pick.tolist()), min_size=1, unique=True))
+        membership = np.zeros(leaves.size)
+        membership[held] = draw(st.lists(mass, min_size=len(held), max_size=len(held)))
+        membership[held[0]] = draw(st.floats(0.0, 1.0, exclude_min=True))
+        memberships.append(membership)
+        n = snap.n_leaves
+        excludes.append(np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n))))
+        weights.append(draw(st.sampled_from([0.5, 1.0, 3.0, 4.0, 9.0, 10.0])))
+    budget = draw(st.sampled_from([1, 64, cluster_mod.BLOCK_TERMS]))
+    return snap, leaves, np.array(memberships), np.array(excludes), weights, budget
+
+
 def example_cluster_case(attrs, rows, v, f, leaves, membership, exclude):
     """A ``cluster_cases`` draw written out."""
     values = ({"value": np.array(x, dtype=float)} for x in (v, f))
@@ -583,19 +636,20 @@ class TestSearch:
         snap, leaves, membership, exclude = case
         dense = np.zeros(snap.n_leaves)
         dense[leaves] = membership
+        arrays = _SnapshotArrays(snap)
+        cluster = _Cluster(arrays, leaves, membership, exclude)
         for cuboid in cuboids_by_layer(snap.schema):
-            want = reference_search(snap, dense, exclude, cuboid)
+            order, gps, cand = reference_search(snap, dense, exclude, cuboid)
             idx = snap.cuboid_index(cuboid)
-            scorer = _RecordingScorer(_SnapshotArrays(snap), exclude)
-            # as ``localize_cluster`` passes them: the leaves with member mass
-            held = membership != 0.0
-            got = _best_prefix(scorer, idx, leaves[held], membership[held])
-            order, gps, cand = want
-            got_order, got_gps = scorer.seen
-            assert np.array_equal(got_order, order)
-            assert np.array_equal(got_gps, gps)
-            best_gps, groups = got
-            decoded = tuple(idx.combination(g) for g in groups)
+            layer = _Layer(arrays, [idx])
+            got_order, counts = layer.rank([cluster], ONE_ROW)
+            assert np.array_equal(got_order, order) and counts.tolist() == [order.size]
+            # the winner, its misfits bounded first and summed only where the
+            # bounds cannot decide, is the argmax over every prefix
+            ((best_gps, groups),) = layer.best_prefixes([cluster], ONE_ROW)
+            assert np.array_equal(groups, order[: groups.size])
+            assert groups.size - 1 == int(np.argmax(gps))
+            decoded = tuple(idx.combination(g) for g in np.sort(groups))
             assert RootCauseCandidate(decoded, best_gps, cuboid) == cand
 
     @settings(max_examples=300, deadline=None)
@@ -613,9 +667,23 @@ class TestSearch:
     )
     def test_search_matches_the_decode_everything_selection(self, case):
         snap, leaves, membership, exclude, weight = case
-        args = (leaves, membership, exclude, weight)
-        got = localize_cluster(_SnapshotArrays(snap), *args)
-        assert got == reference_localize_cluster(snap, *args)
+        got = localize_cluster(
+            _SnapshotArrays(snap), leaves, membership[None], exclude[None], [weight]
+        )
+        assert got == [reference_localize_cluster(snap, leaves, membership, exclude, weight)]
+
+    @settings(max_examples=200, deadline=None)
+    @given(verdict_cases())
+    def test_one_call_matches_the_per_cluster_references(self, case):
+        snap, leaves, memberships, excludes, weights, budget = case
+        with mock.patch.object(cluster_mod, "BLOCK_TERMS", budget):
+            got = localize_cluster(_SnapshotArrays(snap), leaves, memberships, excludes, weights)
+        want = [
+            reference_localize_cluster(snap, leaves, m, e, w)
+            for m, e, w in zip(memberships, excludes, weights)
+        ]
+        assert got == want
+        assert [c.gps.hex() for c in got] == [c.gps.hex() for c in want]
 
     @settings(max_examples=300, deadline=None)
     @given(cluster_cases())
@@ -628,11 +696,14 @@ class TestSearch:
     )
     def test_no_scored_prefix_above_one(self, case):
         snap, leaves, membership, exclude = case
-        held = membership != 0.0
+        arrays = _SnapshotArrays(snap)
+        cluster = _Cluster(arrays, leaves, membership, exclude)
         for cuboid in cuboids_by_layer(snap.schema):
-            scorer = _RecordingScorer(_SnapshotArrays(snap), exclude)
-            _best_prefix(scorer, snap.cuboid_index(cuboid), leaves[held], membership[held])
-            assert np.all(scorer.seen[1] <= 1.0)
+            layer = _Layer(arrays, [snap.cuboid_index(cuboid)])
+            order, counts = layer.rank([cluster], ONE_ROW)
+            rows = _Rows(layer, [cluster], ONE_ROW, order[None, :], counts)
+            assert np.all(all_prefix_scores(rows)[rows.valid] <= 1.0)
+            assert np.all(rows.best()[1] <= 1.0)
 
     def test_only_the_winner_is_decoded(self, monkeypatch):
         snap = planted_snapshot(n_values=4, d=0.5, quiet_noise=0.01, seed=4)
@@ -655,8 +726,8 @@ class TestSearch:
             return orig(self, g)
 
         monkeypatch.setattr(_CuboidIndex, "combination", spy)
-        got = localize_cluster(arrays, abnormal, membership, exclude, weight)
-        assert got == want
+        got = localize_cluster(arrays, abnormal, membership[None], exclude[None], [weight])
+        assert got == [want]
         assert len(decoded) == 1
 
     def test_prefix_search_matches_exhaustive(self):
@@ -671,8 +742,8 @@ class TestSearch:
         weight = tradeoff_weight(1, 2, min(clusters[0].mass / snap.n_leaves, 1.0))
         exclude = np.zeros(snap.n_leaves, dtype=bool)
 
-        got = localize_cluster(
-            _SnapshotArrays(snap), abnormal, clusters[0].membership, exclude, weight
+        (got,) = localize_cluster(
+            _SnapshotArrays(snap), abnormal, clusters[0].membership[None], exclude[None], [weight]
         )
 
         best_score, best = -np.inf, None
@@ -722,42 +793,52 @@ class TestLayerBound:
     search stops before the first layer whose ceiling the best key beats."""
 
     @staticmethod
-    def search(monkeypatch, weight, gps_of_layer):
-        """The layers searched and the layer of the candidate chosen when each
-        cuboid of layer ℓ wins with one group at gps ``gps_of_layer[ℓ]``."""
+    def search(monkeypatch, weights, gps_of_layer):
+        """Per cluster, the layers searched and the layer of the candidate
+        chosen when each cuboid of layer ℓ wins with one group at gps
+        ``gps_of_layer[ℓ]``.  Cluster c holds mass c + 1 on leaf 0."""
         snap = synthetic_base(n_attrs=3, n_values=2, seed=0, family="none")
-        seen = []
+        seen = {}
 
-        def fake(scorer, idx, leaves, membership):
-            seen.append(len(idx.attrs))
-            return gps_of_layer[len(idx.attrs)], np.array([0])
+        def fake(self, clusters, cub):
+            layer = len(self.idxs[0].attrs)
+            for c in clusters:
+                seen.setdefault(int(c.mass[0]) - 1, set()).add(layer)
+            return [(gps_of_layer[layer], np.array([0])) for _ in clusters]
 
-        monkeypatch.setattr(localize_mod, "_best_prefix", fake)
-        exclude = np.zeros(snap.n_leaves, dtype=bool)
-        got = localize_cluster(
-            _SnapshotArrays(snap), np.array([0]), np.array([1.0]), exclude, weight
-        )
-        return sorted(set(seen)), got.cuboid.layer
+        monkeypatch.setattr(localize_mod._Layer, "best_prefixes", fake)
+        n = len(weights)
+        excludes = np.zeros((n, snap.n_leaves), dtype=bool)
+        memberships = np.arange(1.0, n + 1.0)[:, None]
+        got = localize_cluster(_SnapshotArrays(snap), np.array([0]), memberships, excludes, weights)
+        return [sorted(seen[c]) for c in range(n)], [g.cuboid.layer for g in got]
 
     @pytest.mark.parametrize(
-        "weight, gps_of_layer, searched, chosen",
+        "weights, gps_of_layer, searched, chosen",
         [
             # 0.75·6 − 1 = 3.5 beats layer 2's ceiling of 2 and layer 3's of −3
-            pytest.param(6.0, {1: 0.75, 2: 1.0, 3: 1.0}, [1], 1, id="above-the-ceiling"),
+            pytest.param([6.0], {1: 0.75, 2: 1.0, 3: 1.0}, [[1]], [1], id="above-the-ceiling"),
             # 0.5·6 − 1 = 2 only ties layer 2's ceiling, which its gps-1
             # candidate reaches and wins on gps; layer 3's (−3) stays below
-            pytest.param(6.0, {1: 0.5, 2: 1.0, 3: 1.0}, [1, 2], 2, id="at-the-ceiling"),
+            pytest.param([6.0], {1: 0.5, 2: 1.0, 3: 1.0}, [[1, 2]], [2], id="at-the-ceiling"),
             # 4 lies below layer 2's ceiling of 6 but above layer 3's of 1
-            pytest.param(10.0, {1: 0.5, 2: 0.5, 3: 1.0}, [1, 2], 1, id="stops-at-layer-3"),
+            pytest.param([10.0], {1: 0.5, 2: 0.5, 3: 1.0}, [[1, 2]], [1], id="stops-at-layer-3"),
             # weights in (0, 1]: −0.75 beats −3.5, but −4 does not beat −3
-            pytest.param(0.5, {1: 0.5, 2: 1.0, 3: 1.0}, [1], 1, id="small-weight"),
-            pytest.param(1.0, {1: -3.0, 2: -3.0, 3: 1.0}, [1, 2], 1, id="unit-weight"),
+            pytest.param([0.5], {1: 0.5, 2: 1.0, 3: 1.0}, [[1]], [1], id="small-weight"),
+            pytest.param([1.0], {1: -3.0, 2: -3.0, 3: 1.0}, [[1, 2]], [1], id="unit-weight"),
+            # in one pass, each cluster keeps its own bound: at weight 20,
+            # 0.75·20 − 1 = 14 lies below layer 2's ceiling of 16, while the
+            # weight-6 cluster stops after layer 1 as above
+            pytest.param(
+                [6.0, 20.0, 6.0], {1: 0.75, 2: 1.0, 3: 1.0}, [[1], [1, 2], [1]], [1, 2, 1],
+                id="per-cluster",
+            ),
         ],
     )
     def test_layers_that_cannot_win_are_skipped(
-        self, monkeypatch, weight, gps_of_layer, searched, chosen
+        self, monkeypatch, weights, gps_of_layer, searched, chosen
     ):
-        assert self.search(monkeypatch, weight, gps_of_layer) == (searched, chosen)
+        assert self.search(monkeypatch, weights, gps_of_layer) == (searched, chosen)
 
     @staticmethod
     def wide_clusters(cause):
@@ -791,25 +872,34 @@ class TestLayerBound:
     )
     def test_the_bound_is_exact_on_a_wide_schema(self, cause):
         snap, cases = self.wide_clusters(cause)
+        want = []
         for args, weight in cases:
             for w in (weight, 50.0):
-                got = localize_cluster(_SnapshotArrays(snap), *args, w)
-                assert got == reference_localize_cluster(snap, *args, w)
+                want.append(reference_localize_cluster(snap, *args, w))
+        # every cluster at both weights in one pass
+        leaves = cases[0][0][0]
+        memberships = [args[1] for args, _ in cases for _ in range(2)]
+        excludes = [args[2] for args, _ in cases for _ in range(2)]
+        weights = [w for _, weight in cases for w in (weight, 50.0)]
+        got = localize_cluster(_SnapshotArrays(snap), leaves, memberships, excludes, weights)
+        assert got == want
 
     def test_a_good_layer_one_winner_below_the_ceiling_goes_on(self, monkeypatch):
         # at weight 50 the layer-1 winner, gps 0.913, keys 0.913·50 − 1 =
         # 44.7, below layer 2's ceiling of 46: the search goes on to layer 2,
         # where a stop at gps ≥ 0.9 would have ended it
-        snap, [(args, _)] = self.wide_clusters({"A": "a00"})
+        snap, [((leaves, membership, exclude), _)] = self.wide_clusters({"A": "a00"})
         seen = []
-        orig = localize_mod._best_prefix
+        orig = localize_mod._Layer.best_prefixes
 
-        def spy(scorer, idx, leaves, membership):
-            seen.append(len(idx.attrs))
-            return orig(scorer, idx, leaves, membership)
+        def spy(self, clusters, cub):
+            seen.extend(len(self.idxs[i].attrs) for i in cub)
+            return orig(self, clusters, cub)
 
-        monkeypatch.setattr(localize_mod, "_best_prefix", spy)
-        got = localize_cluster(_SnapshotArrays(snap), *args, 50.0)
+        monkeypatch.setattr(localize_mod._Layer, "best_prefixes", spy)
+        (got,) = localize_cluster(
+            _SnapshotArrays(snap), leaves, membership[None], exclude[None], [50.0]
+        )
         assert got.combinations == (combo(A="a00"),)
         assert 0.9 <= got.gps < 0.94
         assert set(seen) == {1, 2}
@@ -837,10 +927,10 @@ class TestSharedTallies:
         snap = TestRowOrder.count_fault().snapshot
         built, looked_up = [], []
 
-        class SpyTallies(localize_mod._GroupTallies):
-            def __init__(self, arrays, idx):
-                built.append(idx.attrs)
-                super().__init__(arrays, idx)
+        class SpyLayer(localize_mod._Layer):
+            def __init__(self, arrays, idxs):
+                built.extend(idx.attrs for idx in idxs)
+                super().__init__(arrays, idxs)
 
         cuboid_index = Snapshot.cuboid_index
 
@@ -848,19 +938,142 @@ class TestSharedTallies:
             looked_up.append(cuboid.attrs)
             return cuboid_index(self, cuboid)
 
-        monkeypatch.setattr(localize_mod, "_GroupTallies", SpyTallies)
+        monkeypatch.setattr(localize_mod, "_Layer", SpyLayer)
         monkeypatch.setattr(Snapshot, "cuboid_index", spy_index)
-        reports = []
+        reports, tallied = [], []
         for _ in range(2):
             built.clear()
             looked_up.clear()
             reports.append(localize(snap))
-            # several clusters look the same cuboids up; each is tallied once,
-            # and the second verdict on the snapshot starts cold again
+            # every cluster searches each cuboid, yet each is looked up and
+            # tallied exactly once per verdict
             assert len(reports[-1].per_cluster) > 1
-            assert len(looked_up) > len(set(looked_up))
-            assert sorted(built) == sorted(set(looked_up))
+            assert len(looked_up) == len(set(looked_up))
+            assert built == looked_up
+            tallied.append(list(built))
+        # the second verdict on the snapshot starts cold again
+        assert tallied[1] == tallied[0]
         assert report_signature(reports[1]) == report_signature(reports[0])
+
+
+@st.composite
+def bound_cases(draw):
+    """A snapshot of any measure kind on a subset of the A x B grid, with
+    small integer operands, zeros included (so f = 0 and tied q = v/f are
+    common), as they are or lifted or scaled to about 1e15, and a seed that
+    ranks each cuboid's groups."""
+    kind = draw(st.sampled_from(["fundamental", "product", "quotient"]))
+    grid = [(f"a{i}", f"b{j}") for i in range(4) for j in range(4)]
+    rows = draw(st.lists(st.sampled_from(grid), min_size=1, unique=True))
+    n = len(rows)
+    scale, lift = draw(st.sampled_from([(1.0, 0.0), (1e15, 0.0), (1.0, 1e15)]))
+    column = st.lists(st.integers(0, 20), min_size=n, max_size=n).map(
+        lambda xs: scale * np.array(xs, dtype=float) + lift
+    )
+    operands = ("x",) if kind == "fundamental" else ("x", "y")
+    real = {c: draw(column) for c in operands}
+    forecast = {c: draw(column) for c in operands}
+    snap = snapshot_from_rows(("A", "B"), rows, real, forecast, MeasureSpec(kind, operands))
+    return snap, draw(st.integers(0, 2**32 - 1))
+
+
+def ranked_runs(snap, seed):
+    """Each cuboid's index with a ranked run of its groups drawn from ``seed``."""
+    rng = np.random.default_rng(seed)
+    for cuboid in cuboids_by_layer(snap.schema):
+        idx = snap.cuboid_index(cuboid)
+        yield idx, rng.permutation(idx.n_groups)[: rng.integers(1, idx.n_groups + 1)]
+
+
+class TestMisfitBounds:
+    """A coarse cuboid's floors never pass the misfit sums, and the prefixes
+    they prune never change a winner."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(bound_cases())
+    def test_floors_never_pass_the_naive_sum(self, case):
+        snap, seed = case
+        arrays = _SnapshotArrays(snap)
+        v, f = snap.leaf_values()
+        exclude = np.zeros(snap.n_leaves, dtype=bool)
+        for idx, order in ranked_runs(snap, seed):
+            rows = scored_rows(arrays, idx, order, exclude)
+            if not rows.layer.coarse[0]:
+                continue
+            seq, cuts = ranked_sequence(idx, order)
+            # every fit prefix of the row is bounded
+            assert rows.bounds.j.tolist() == np.flatnonzero(rows.fit[0]).tolist()
+            for floor, j, r in zip(rows.bounds.floor, rows.bounds.j, rows.bounds.r):
+                n = cuts[j]
+                assert floor <= np.abs(v[seq[:n]] - f[seq[:n]] * r).sum()
+
+    @settings(max_examples=300, deadline=None)
+    @given(bound_cases())
+    def test_the_pruned_winner_is_the_argmax_over_every_prefix(self, case):
+        snap, seed = case
+        arrays = _SnapshotArrays(snap)
+        exclude = np.zeros(snap.n_leaves, dtype=bool)
+        for idx, order in ranked_runs(snap, seed):
+            rows = scored_rows(arrays, idx, order, exclude)
+            (every,) = all_prefix_scores(rows)
+            (best,), (gps,) = rows.best()
+            assert best == np.argmax(every)
+            assert gps.hex() == every[best].hex()
+            # floors anywhere up to the sums: each at its sum or unbounded
+            exact = rows.exact(rows.fit)[0][rows.bounds.j]
+            for tight in (0, 1):
+                rows.bounds.floor = np.where(np.arange(exact.size) % 2 == tight, exact, -np.inf)
+                assert rows.best()[0].tolist() == [best]
+
+    def test_an_exact_tie_falls_to_the_first_prefix(self):
+        # four groups of four leaves on a coarse cuboid (4² ≤ 16): a0 deviates
+        # unevenly, a1 holds only zeros, a2 and a3 are quiet.  The pool stays
+        # quiet, so gps = 1 − Σ|v − r·f| / Σ|v − f|, and a1 doubles both
+        # means' leaf count exactly: prefixes 0 and 1 tie to the bit at 0.4
+        rows = [(f"a{i}", f"b{j}") for i in range(4) for j in range(4)]
+        v = [3, 6, 3, 6] + [0] * 4 + [5] * 8
+        f = [2] * 4 + [0] * 4 + [5] * 8
+        snap = snapshot_from_rows(
+            ("A", "B"), rows, {"value": np.array(v, float)}, {"value": np.array(f, float)},
+            MeasureSpec(),
+        )
+        idx = snap.cuboid_index(Cuboid(("A",)))
+        scored = scored_rows(_SnapshotArrays(snap), idx, [0, 1, 2, 3], np.zeros(16, dtype=bool))
+        assert scored.layer.coarse[0]
+        (every,) = all_prefix_scores(scored)
+        assert every[0] == every[1] == 0.4 and every[2:].max() < 0.4
+        (best,), (gps,) = scored.best()
+        assert (best, gps) == (0, 0.4)
+        # any floors up to the sums give the same winner: with prefix 0's
+        # floor at its sum and prefix 1's unbounded, prefix 1 is summed first,
+        # and prefix 0, whose ceiling only reaches that best, still wins
+        exact = scored.exact(scored.fit)[0]
+        scored.bounds.floor = np.array([exact[0], -np.inf, exact[2], exact[3]])
+        (best,), (gps,) = scored.best()
+        assert (best, gps) == (0, 0.4)
+
+
+class TestChunks:
+    """The search's chunks bound its memory, not its results."""
+
+    @staticmethod
+    def many_clusters():
+        base = synthetic_base(4, 12, mean_rate=50.0, seed=7, family="poisson")
+        params = SimulationParams(3, 1, base_noise_sigma=0.05, leaf_noise_sigma=0.05)
+        return simulate_fault(base, params, np.random.default_rng(8)).snapshot
+
+    @pytest.mark.parametrize("make", ["many_clusters", "rate_fault"])
+    def test_the_block_budget_does_not_change_the_report(self, make):
+        if make == "many_clusters":
+            snap = self.many_clusters()
+        else:
+            snap = TestRowOrder.rate_fault().snapshot
+        want = localize(snap)
+        assert len(want.per_cluster) >= (8 if make == "many_clusters" else 1)
+        for budget in (1, 64, 2**40):
+            with mock.patch.object(cluster_mod, "BLOCK_TERMS", budget):
+                got = localize(snap)
+            assert report_signature(got) == report_signature(want)
 
 
 class TestLocalizeReport:

@@ -15,7 +15,7 @@ import shutil
 import sys
 import tempfile
 import traceback
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from pathlib import Path
 
 from .cluster import N_BINS, bin_center
@@ -99,6 +99,22 @@ def report_json(report: LocalizationReport) -> dict:
     return payload
 
 
+def _write_all(texts: dict[Path, str]) -> None:
+    """Write each text to its path, or none of them: each is written into a
+    staging directory beside its path, and all move in once every one is."""
+    with ExitStack() as stack:
+        staged = []
+        for path, text in texts.items():
+            if path.is_dir():
+                raise IsADirectoryError(f"{path} is a directory")
+            staging = tempfile.TemporaryDirectory(prefix=f".{path.name}-", dir=path.parent)
+            tmp = Path(stack.enter_context(staging)) / path.name
+            tmp.write_text(text, encoding="utf-8")
+            staged.append((tmp, path))
+        for tmp, path in staged:
+            tmp.replace(path)
+
+
 def _cmd_localize(args) -> int:
     with _reading_input():
         measure = parse_measure(args.measure)
@@ -121,13 +137,13 @@ def _cmd_localize(args) -> int:
         cfg = LocalizeConfig(delta_exrc=args.delta_exrc)
     report = localize(snapshot, cfg)
 
+    texts = {Path(args.out): json.dumps(report_json(report), indent=1) + "\n"}
     if args.hist_out:
         density = report.score_density
         lines = ["bin_center,density"]
         lines += [f"{float(bin_center(i)):.2f},{float(density[i]):.10g}" for i in range(N_BINS)]
-        Path(args.hist_out).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-    Path(args.out).write_text(json.dumps(report_json(report), indent=1) + "\n", encoding="utf-8")
+        texts[Path(args.hist_out)] = "\n".join(lines) + "\n"
+    _write_all(texts)
     n = len({c for g in report.root_causes for c in g})
     flag = "external" if report.external_root_cause else "internal"
     gps = "n/a" if report.min_gps is None else f"{report.min_gps:.4f}"

@@ -134,81 +134,6 @@ class _SnapshotArrays:
         self.rank = np.empty(v.size, dtype=np.intp)
         self.rank[self.by_rank] = np.arange(v.size)
 
-    def fine_misfits(
-        self, idx: _CuboidIndex, order: np.ndarray, k: np.ndarray, r: np.ndarray
-    ) -> np.ndarray:
-        """Σ |v − r_j·f| over the leaves of ``idx``'s groups ``order[:k[j] + 1]``,
-        for ascending ``k``, from a table built for these prefixes.
-
-        A :meth:`_rank_table` over ranked blocks of groups, cumulated over
-        the blocks, sums v and f over each prefix's whole blocks.  The blocks
-        end at prefix ends, one at or past each multiple of ``side`` leaves;
-        ``side`` balances the table's N·L/side² cells (N leaves ranked, L in
-        all) against the K·side leaves that K prefixes gather, and keeps the
-        table within ``cluster.BLOCK_TERMS`` cells.  The rest is gathered
-        leaf by leaf, in chunks of at most that many leaves: the leaves of
-        r's partial rank block before the prefix's last block end, and the
-        prefix's groups past that end.
-        """
-        order = order[: k[-1] + 1]
-        position = np.full(idx.n_groups, order.size)  # past every prefix when not ranked
-        position[order] = np.arange(order.size)
-        # leaves with q ≤ r are exactly those ranked below t
-        t = np.searchsorted(self.q_sorted, r, "right")
-        run = idx.starts[order + 1] - idx.starts[order]
-        seq = idx.order[_runs(idx.starts[order], run)]
-        bounds = np.concatenate(([0], np.cumsum(run)))  # leaves of the first m groups
-        cuts = bounds[k + 1]
-        span = seq.size * self.rank.size
-        side = max(1, round((span / k.size) ** (1 / 3)), isqrt(span // cluster.BLOCK_TERMS))
-        # groups before each block end; the first end is k[0] + 1, so every
-        # prefix holds a block
-        at_side = k[np.searchsorted(cuts, np.arange(0, seq.size, side))] + 1
-        stops = np.unique(np.append(at_side, order.size))
-        blocks = np.arange(stops.size)
-        of_leaf = np.repeat(blocks, np.diff(bounds[np.append(0, stops)]))
-        table = self._rank_table(of_leaf, stops.size, side, seq)
-        last = np.searchsorted(stops, k + 1, "right") - 1
-        before = stops[last]
-        end = bounds[before]
-        tail = cuts - end  # positions [end, cut), any rank
-        col = t // side
-        # the rank blocks below each r's, and every rank, summed over the ranked blocks
-        need = np.zeros(table.shape[2], dtype=bool)
-        need[col] = need[-1] = True
-        at = np.cumsum(need)[col] - 1
-        upto = np.cumsum(table[:, blocks[:, None], np.flatnonzero(need)], axis=1)
-        # signed sums, + above r and − at or below it: V − 2·V≤ and F − 2·F≤
-        sv, sf = upto[:, last, -1] - 2.0 * upto[:, last, at]
-        head = t - col * side  # ranks [col·side, t), in the groups before the last block end
-        for lo, hi in _blocks(head + tail):
-            j = np.arange(hi - lo)
-            jh = np.repeat(j, head[lo:hi])
-            leaf = self.by_rank[_runs(col[lo:hi] * side, head[lo:hi])]
-            coef = np.where(position[idx.group_of[leaf]] < before[lo:hi][jh], -2.0, 0.0)
-            jt = np.repeat(j, tail[lo:hi])
-            tail_leaf = seq[_runs(end[lo:hi], tail[lo:hi])]
-            tail_coef = np.where(self.rank[tail_leaf] < t[lo:hi][jt], -1.0, 1.0)
-            for jj, leaf, coef in ((jh, leaf, coef), (jt, tail_leaf, tail_coef)):
-                sv[lo:hi] += np.bincount(jj, weights=coef * self.v[leaf], minlength=j.size)
-                sf[lo:hi] += np.bincount(jj, weights=coef * self.f[leaf], minlength=j.size)
-        return sv - r * sf
-
-    def _rank_table(
-        self, block, n_blocks: int, side: int, leaves=slice(None), out: np.ndarray | None = None
-    ) -> np.ndarray:
-        """Sums of v and f over ``leaves`` (all by default) in ``block``, per
-        block and rank block of ``side`` ranks, cumulated along ranks: cell
-        ``[:, i, c]`` sums block i's leaves ranked below c·side.  Written
-        into ``out`` when given, which must hold zeros."""
-        n_rank = -(-self.rank.size // side)
-        cell = block * n_rank + self.rank[leaves] // side
-        table = np.zeros((2, n_blocks, n_rank + 1)) if out is None else out
-        for i, w in enumerate((self.v, self.f)):
-            per_cell = np.bincount(cell, weights=w[leaves], minlength=n_blocks * n_rank)
-            table[i, :, 1:] = per_cell.reshape(n_blocks, n_rank)
-        return np.cumsum(table, axis=2, out=table)
-
 
 class _Cluster:
     """One cluster as the search sees it: the leaves it holds member mass on,
@@ -238,14 +163,9 @@ class _Layer:
     ``size`` counts each group's leaves; ``absres``, ``op_real`` and
     ``op_fcst`` sum |v − f| and each real and forecast operand column over
     the group's run of ``idx.order``, so that a cumulative sum over ranked
-    groups equals the sum over their leaves taken run by run.
-
-    A cuboid is coarse when its groups average at least √L leaves (G² ≤ L,
-    L leaves).  Its groups then also take rows ``tab_offset[i]:`` of
-    ``table``, their :meth:`_SnapshotArrays._rank_table` with ``side`` ≈ √L
-    ranks per rank block: at most about 2·L cells per cuboid.  A fine
-    cuboid's table is built per row, from the prefixes the row scores
-    (:meth:`_SnapshotArrays.fine_misfits`).
+    groups equals the sum over their leaves taken run by run.  The misfit
+    sums need each leaf's rank as well, so :class:`_Misfits` tables them
+    per chunk of rows, over the groups those rows rank.
     """
 
     def __init__(self, arrays: _SnapshotArrays, idxs: list[_CuboidIndex]) -> None:
@@ -260,16 +180,6 @@ class _Layer:
         self.absres = per_group(arrays.absres)
         self.op_real = [per_group(c) for c in arrays.op_real]
         self.op_fcst = [per_group(c) for c in arrays.op_fcst]
-        n_leaves = arrays.rank.size
-        self.coarse = self.n_groups * self.n_groups <= n_leaves
-        self.side = isqrt(n_leaves)
-        self.n_rank = -(-n_leaves // self.side)
-        rows = np.where(self.coarse, self.n_groups, 0)
-        self.tab_offset = np.cumsum(rows) - rows
-        self.table = np.zeros((2, rows.sum(), self.n_rank + 1))
-        for idx, at, n in zip(idxs, self.tab_offset, rows):
-            if n:
-                arrays._rank_table(idx.group_of, n, self.side, out=self.table[:, at:at + n])
 
     def rank(self, clusters: list[_Cluster], cub: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The groups that hold member mass, ranked, row after row, and their
@@ -310,18 +220,23 @@ class _Layer:
 
         Rows are scored by falling group count, in chunks whose (row × rank)
         arrays and (row × group) tallies each stay within
-        ``cluster.BLOCK_TERMS`` cells, so a chunk carries little padding.
+        ``cluster.BLOCK_TERMS`` cells, so a chunk carries little padding.  A
+        row that ranks K > √L groups (L leaves) also counts the misfit table
+        it reads alone, at most L + 2·K cells (:class:`_Misfits`); rows that
+        rank fewer share one per cuboid.
         """
         ranked, counts = self.rank(clusters, cub)
         start = np.cumsum(counts) - counts
         by = np.argsort(-counts, kind="stable")
-        n_groups = self.n_groups[cub[by]]
-        ends = np.cumsum(n_groups)
+        n_leaves, n_ranked = self.arrays.rank.size, counts[by]
+        alone = np.where(n_ranked > isqrt(n_leaves), n_leaves + 2 * n_ranked, 0)
+        cost = self.n_groups[cub[by]] + alone
+        ends = np.cumsum(cost)
         out: list = [None] * len(clusters)
         budget = cluster.BLOCK_TERMS
         s = 0
         while s < by.size:
-            e = int(np.searchsorted(ends, ends[s] - n_groups[s] + budget, "right"))
+            e = int(np.searchsorted(ends, ends[s] - cost[s] + budget, "right"))
             e = max(s + 1, min(e, s + budget // counts[by[s]]))
             rows = by[s:e]
             k = counts[rows]
@@ -342,17 +257,16 @@ class _Rows:
     against the values the ripple pattern implies for them, ``d_vf`` against
     their forecasts, and ``d_pf`` compares every other pooled leaf against
     its forecast.  ``d_va`` is the mean of |v − r·f| over the candidate's
-    leaves, r being its ripple ratio v_s/f_s; every other sum is a
-    cumulative sum of the layer's group tallies along the row.  Each sum
-    runs along its row alone, so a score is the same to the bit whichever
-    rows share the chunk.
+    leaves, r being its ripple ratio v_s/f_s, and :class:`_Misfits` bounds
+    and sums it; every other sum is a cumulative sum of the layer's group
+    tallies along the row.  Each sum runs along its row alone, so a score is
+    the same to the bit whichever rows share the chunk.
     """
 
     def __init__(
         self, layer: _Layer, clusters: list[_Cluster], cub: np.ndarray, order: np.ndarray,
         K: np.ndarray,
     ) -> None:
-        self.layer, self.cub, self.order = layer, cub, order
         self.valid = np.arange(order.shape[1]) < K[:, None]
         at = layer.offset[cub][:, None] + order
         size = layer.size[at]
@@ -381,8 +295,7 @@ class _Rows:
         # its own, since every leaf rate under it is 0 as well.
         self.fit = (f_s > 0.0) & self.valid
         self.ratio = np.divide(v_s, f_s, out=np.zeros(f_s.shape), where=self.fit)
-        bounded = self.fit & layer.coarse[cub][:, None]
-        self.bounds = _Misfits(layer, cub, order, K, *np.nonzero(bounded), self.ratio[bounded])
+        self.bounds = _Misfits(layer, cub, order, K, *np.nonzero(self.fit), self.ratio[self.fit])
 
     def gps(self, misfit: np.ndarray) -> np.ndarray:
         """:func:`explanation_score` of every prefix, from its Σ |v − r·f|
@@ -394,37 +307,30 @@ class _Rows:
         return np.where(denom > 0.0, np.minimum(gps, 1.0), 0.0)
 
     def exact(self, want: np.ndarray) -> np.ndarray:
-        """Σ |v − r·f| of the fit prefixes ``want``, 0 elsewhere.  A fine
-        row's table depends on the prefixes it sums, so its ``want`` is
-        every fit prefix or none."""
+        """Σ |v − r·f| of the fit prefixes ``want``, 0 elsewhere."""
         misfit = np.zeros(want.shape)
         b = self.bounds
         sel = np.flatnonzero(want[b.row, b.j])
         misfit[b.row[sel], b.j[sel]] = b.exact(sel)
-        for i in np.flatnonzero(want.any(axis=1) & ~self.layer.coarse[self.cub]):
-            k = np.flatnonzero(want[i])
-            idx = self.layer.idxs[self.cub[i]]
-            misfit[i, k] = self.layer.arrays.fine_misfits(idx, self.order[i], k, self.ratio[i, k])
         return misfit
 
     def best(self) -> tuple[np.ndarray, np.ndarray]:
         """Each row's first best prefix and its gps.
 
-        A fine row sums every prefix.  A coarse row takes its gps ceilings
-        from the misfit floors (:class:`_Misfits`), sums the prefix with the
-        highest ceiling first and then every prefix whose ceiling reaches
-        the best gps summed so far.  A prefix left out scores strictly below
-        that best, so the argmax and its first-index tie rule are those over
-        every prefix.
+        Each fit prefix takes a gps ceiling from its misfit floor
+        (:class:`_Misfits`).  The prefix with the row's highest ceiling is
+        summed first, then every prefix whose ceiling reaches the best gps
+        summed so far.  A prefix left out scores strictly below that best,
+        so the argmax and its first-index tie rule are those over every
+        prefix.
         """
-        fine = self.fit & ~self.layer.coarse[self.cub][:, None]
-        misfit = self.exact(fine)
-        done = self.valid & (fine | ~self.fit)
         b = self.bounds
+        misfit = np.zeros(self.valid.shape)
         lower = misfit.copy()
         lower[b.row, b.j] = b.floor
         ceiling = np.where(self.valid, self.gps(lower), -np.inf)
-        rows = np.arange(self.cub.size)
+        done = self.valid & ~self.fit
+        rows = np.arange(ceiling.shape[0])
         want = np.zeros(done.shape, dtype=bool)
         want[rows, np.argmax(ceiling, axis=1)] = True
         for _ in range(2):
@@ -440,15 +346,23 @@ class _Rows:
 
 
 class _Misfits:
-    """Σ |v − r·f| over prefixes of ranked groups in a layer's coarse cuboids.
+    """Σ |v − r·f| over prefixes of ranked groups, for a chunk of rows.
 
     Prefix p holds the groups ``order[row[p], :j[p] + 1]`` of cuboid
     ``layer.idxs[cub[row[p]]]`` and has ripple ratio ``r[p]``; ``row``
-    ascends.  Its leaves with q ≤ r are those ranked below t.  The layer's
-    table sums v and f over the prefix's leaves ranked below each multiple
-    of ``side``, cumulated over the row's ranked groups along lanes, one per
-    (row, table column) that some prefix reads, in chunks of at most
-    ``cluster.BLOCK_TERMS`` cells.
+    ascends.  Its leaves with q ≤ r are those ranked below t.
+
+    ``table`` sums v and f per ranked group and block of ranks, cumulated
+    along ranks.  Row i's blocks hold ``side[i]`` = max(√L, K[i]) ranks (L
+    leaves), so its K[i] groups take at most L + 2·K[i] cells, while each
+    prefix summed exactly gathers at most ``side[i]`` leaves.  The rows of
+    one cuboid and side share a table over the groups any of them ranks,
+    built with one ``bincount`` of v and one of f over the cuboid's leaves;
+    the leaves of the other groups fall into one last row, which no prefix
+    reads.  A side set by its row alone keeps each sum the same to the bit
+    whichever rows share the chunk.  Lanes, one per (row, table column) that
+    some prefix reads, cumulate the table over the row's ranked groups, in
+    chunks of at most ``cluster.BLOCK_TERMS`` cells.
 
     ``floor`` bounds each sum from below from the table alone.  With col =
     ⌊t / side⌋, the leaves ranked below col·side all sit at or below r and
@@ -462,16 +376,50 @@ class _Misfits:
         self, layer: _Layer, cub: np.ndarray, order: np.ndarray, K: np.ndarray,
         row: np.ndarray, j: np.ndarray, r: np.ndarray,
     ) -> None:
-        arrays, side, n_rank = layer.arrays, layer.side, layer.n_rank
+        arrays = layer.arrays
+        n_leaves = arrays.rank.size
         self.layer, self.cub, self.row, self.j, self.r = layer, cub, row, j, r
-        self.t = np.searchsorted(arrays.q_sorted, r, "right")
-        self.col = self.t // side
+        self.side = np.maximum(isqrt(n_leaves), K)
+        n_rank = -(-n_leaves // self.side)
+        valid = np.arange(order.shape[1]) < K[:, None]
+        # one table per (cuboid, side): the groups its rows rank, in group
+        # order, take its first rows, and the others share its last row
+        keys, tab_of = np.unique(cub * (n_leaves + 1) + self.side, return_inverse=True)
+        tab_cub, tab_side = np.divmod(keys, n_leaves + 1)
+        tab_groups = layer.n_groups[tab_cub]
+        group_at = np.cumsum(tab_groups) - tab_groups
+        ranked = np.zeros(tab_groups.sum(), dtype=bool)
+        ranked[(group_at[tab_of][:, None] + order)[valid]] = True
+        ranked = np.flatnonzero(ranked)
+        tab = np.searchsorted(group_at, ranked, "right") - 1
+        n = np.bincount(tab, minlength=keys.size)
+        group_row = np.repeat(n, tab_groups)
+        group_row[ranked] = np.arange(ranked.size) - (np.cumsum(n) - n)[tab]
+        heights, cols = n + 1, -(-n_leaves // tab_side)
+        size = heights * (cols + 1)
+        tab_at = np.cumsum(size) - size
+        self.table = np.zeros((2, size.sum()))
+        rank_block = {side: arrays.rank // side for side in set(tab_side.tolist())}
+        for t, (u, side) in enumerate(zip(tab_cub.tolist(), tab_side.tolist())):
+            h, c = heights[t], cols[t]
+            cell = group_row[group_at[t]:group_at[t] + tab_groups[t]][layer.idxs[u].group_of]
+            cell *= c
+            cell += rank_block[side]
+            for i, w in enumerate((arrays.v, arrays.f)):
+                table = self.table[i, tab_at[t]:tab_at[t] + size[t]].reshape(h, c + 1)
+                table[:, 1:] = np.bincount(cell, weights=w, minlength=h * c).reshape(h, c)
+                np.cumsum(table, axis=1, out=table)
+        # the first cell of each ranked group's table row, by row and rank
         width = n_rank + 1
-        reads = np.stack([self.col, np.minimum(self.col + 1, n_rank), np.full(r.size, n_rank)])
-        lanes, lane_of = np.unique(reads + row * width, return_inverse=True)
+        at_row = group_row[group_at[tab_of][:, None] + order]
+        cells = tab_at[tab_of][:, None] + at_row * width[:, None]
+        self.t = np.searchsorted(arrays.q_sorted, r, "right")
+        self.col = self.t // self.side[row]
+        last, lane_width = n_rank[row], width.max()
+        reads = np.stack([self.col, np.minimum(self.col + 1, last), last])
+        lanes, lane_of = np.unique(reads + row * lane_width, return_inverse=True)
         lane_of = lane_of.reshape(reads.shape)
-        lane_row, lane_col = np.divmod(lanes, width)
-        tab = layer.tab_offset[cub][:, None] + order
+        lane_row, lane_col = np.divmod(lanes, lane_width)
         n_lanes = np.bincount(lane_row, minlength=cub.size)
         lane_at = np.cumsum(n_lanes) - n_lanes
         p_at = np.searchsorted(row, np.arange(cub.size + 1))
@@ -479,7 +427,7 @@ class _Misfits:
         for s, e in _blocks(2 * order.shape[1] * n_lanes):
             l0, l1 = lane_at[s], lane_at[e - 1] + n_lanes[e - 1]
             p0, p1 = p_at[s], p_at[e]
-            upto = layer.table[:, tab[lane_row[l0:l1]], lane_col[l0:l1, None]]
+            upto = self.table[:, cells[lane_row[l0:l1]] + lane_col[l0:l1, None]]
             np.cumsum(upto, axis=2, out=upto)
             sums[:, :, p0:p1] = upto[:, lane_of[:, p0:p1] - l0, j[p0:p1]]
         (vl, vh, v), (fl, fh, f) = sums
@@ -492,31 +440,31 @@ class _Misfits:
         # side ≤ L gathered leaves, and each takes a few more roundings of
         # size at most 3·eps·(V + r·F): together less than (5·L + 30)·eps·
         # (V + r·F), so with this slack a floor never passes its exact sum.
-        slack = 16.0 * (arrays.rank.size + 2) * np.finfo(float).eps * (v + r * f)
+        slack = 16.0 * (n_leaves + 2) * np.finfo(float).eps * (v + r * f)
         self.floor = (r * fl - vl) + ((v - vh) - r * (f - fh)) + np.abs((vh - vl) - r * (fh - fl))
         self.floor -= slack
         # each row's ranked groups by position, for the gather
-        n_groups = np.where(layer.coarse[cub], layer.n_groups[cub], 0)
+        n_groups = layer.n_groups[cub]
         self.group_at = np.cumsum(n_groups) - n_groups
-        ranked = (np.arange(order.shape[1]) < K[:, None]) & (n_groups > 0)[:, None]
         self.position = np.full(n_groups.sum(), order.shape[1])  # past every prefix when not ranked
-        self.position[(self.group_at[:, None] + order)[ranked]] = np.nonzero(ranked)[1]
+        self.position[(self.group_at[:, None] + order)[valid]] = np.nonzero(valid)[1]
 
     def exact(self, sel: np.ndarray) -> np.ndarray:
         """The sums of the prefixes ``sel``.  Each gathers r's rank block
         ranked below t, in chunks of at most ``cluster.BLOCK_TERMS`` leaves,
         and counts the leaves of its own groups."""
-        layer, arrays, side = self.layer, self.layer.arrays, self.layer.side
+        layer, arrays = self.layer, self.layer.arrays
         by_cuboid = np.argsort(self.cub[self.row[sel]], kind="stable")
         sel = sel[by_cuboid]
-        row, j, col = self.row[sel], self.j[sel], self.col[sel]
-        head = self.t[sel] - col * side  # ranks [col·side, t)
+        row, j = self.row[sel], self.j[sel]
+        start = self.col[sel] * self.side[row]
+        head = self.t[sel] - start  # ranks [col·side, t)
         sv, sf = self.sv[sel], self.sf[sel]
         for lo, hi in _blocks(head):
             jh = np.repeat(np.arange(hi - lo), head[lo:hi])
             if not jh.size:
                 continue
-            leaf = arrays.by_rank[_runs(col[lo:hi] * side, head[lo:hi])]
+            leaf = arrays.by_rank[_runs(start[lo:hi], head[lo:hi])]
             at = row[lo:hi][jh]
             cub = self.cub[at]
             group = np.empty_like(leaf)

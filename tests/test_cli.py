@@ -121,6 +121,25 @@ class TestLocalizeCommand:
         # the histogram comes from the verdict's own stage 2
         assert len(calls) == 1
 
+    @pytest.mark.parametrize(
+        "out, hist",
+        [("missing/report.json", "hist.csv"), ("report.json", "a_dir")],
+        ids=["out-in-a-missing-directory", "histogram-on-a-directory"],
+    )
+    def test_an_unwritable_output_writes_neither_file(self, snapshot_file, tmp_path, out, hist):
+        (tmp_path / "a_dir").mkdir()
+        rc = main(
+            [
+                "localize",
+                "--snapshot", str(snapshot_file),
+                "--out", str(tmp_path / out),
+                "--hist-out", str(tmp_path / hist),
+            ]
+        )
+        assert rc == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a_dir", "snap.csv"]
+        assert not any((tmp_path / "a_dir").iterdir())
+
     def test_note_for_quiet_snapshot(self, tmp_path):
         snap = tmp_path / "quiet.csv"
         snap.write_text("a,real,predict\nx,1,1\ny,2,2\nz,3,3\n")

@@ -300,10 +300,8 @@ def all_prefix_scores(rows):
 
 def misfit_sums(arrays, idx, order, k, r):
     """Σ |v − r_j·f| over the groups ``order[:k[j] + 1]`` of ``idx``, and the
-    floors the search reads from a coarse cuboid's table (None when fine)."""
+    floors the search reads from its table."""
     layer = _Layer(arrays, [idx])
-    if not layer.coarse[0]:
-        return arrays.fine_misfits(idx, order, k, r), None
     rows = ONE_ROW.repeat(k.size)
     bounds = _Misfits(layer, ONE_ROW, order[None, :], np.array([order.size]), rows, k, r)
     return bounds.exact(np.arange(k.size)), bounds.floor
@@ -335,17 +333,18 @@ def per_cut_prefix_scores(arr, exclude, seq, cuts):
 @st.composite
 def group_cases(draw):
     """Non-negative leaf values with zero forecasts and repeated ratios v/f,
-    the leaves split into groups, few enough for per-group rank rows
-    (G² ≤ L) or too many, a ranked subset of the groups, ascending prefix
-    indices (a first prefix of one group included), a non-negative ripple
-    ratio per prefix that may equal a leaf's v/f, lie above every one, or
-    lie below every one when none is 0, a mask of leaves claimed elsewhere
-    and a term budget down to one leaf, for the table and the gather."""
+    the leaves split into at most √L groups (G² ≤ L) or more, a ranked
+    subset of the groups, whose rank blocks widen past √L ranks once more
+    than √L groups are ranked, ascending prefix indices (a first prefix of
+    one group included), a non-negative ripple ratio per prefix that may
+    equal a leaf's v/f, lie above every one, or lie below every one when
+    none is 0, a mask of leaves claimed elsewhere and a term budget down to
+    one leaf, for the table and the gather."""
     n = draw(st.integers(1, 40))
     value = st.integers(0, 8).map(float)
     v = np.array(draw(st.lists(value, min_size=n, max_size=n)))
     f = np.array(draw(st.lists(value, min_size=n, max_size=n)))
-    few = isqrt(n)  # up to this many groups take per-group rank rows
+    few = isqrt(n)  # up to this many groups ranked read blocks of √L ranks
     if n > 1 and draw(st.booleans()):
         n_groups = draw(st.integers(few + 1, n))
     else:
@@ -388,9 +387,10 @@ def group_case(v, f, labels, order, k, r, exclude, budget):
     )
 
 
-# nine leaves: three groups take per-group rank rows, five do not.  Each
-# prefix's ratio equals the v/f of some leaf, the first group has no
-# forecast mass (f_s = 0), and the excluded leaves sit in ranked groups
+# nine leaves, in blocks of three ranks with three groups ranked and of four
+# with four of five groups ranked (4 > √9).  Each prefix's ratio equals the
+# v/f of some leaf, the first group has no forecast mass (f_s = 0), and the
+# excluded leaves sit in ranked groups
 _V9 = [0, 3, 2, 4, 6, 1, 8, 2, 5]
 _F9 = [0, 0, 1, 2, 3, 1, 4, 2, 5]
 _EXCLUDE9 = [True, False, False, True, False, False, True, False, False]
@@ -403,7 +403,7 @@ _GROUP_EXAMPLES = [
                [2.0, 1.0, 2.0, 1.0], _EXCLUDE9, budget)
     for budget in (1, cluster_mod.BLOCK_TERMS)
 ]
-# sixteen leaves in four groups take per-group rank rows of four ranks; each
+# sixteen leaves in four ranked groups, in blocks of four ranks; each
 # ratio ends inside a rank block, so every prefix gathers leaves, and a
 # budget of three leaves splits the gather into chunks of two, one and one
 _CHUNKED_ROWS = group_case(
@@ -455,8 +455,8 @@ class TestGpsKernel:
             terms = np.abs(v[seq[:n]] - f[seq[:n]] * rk)
             scale = float(np.sum(np.abs(v[seq[:n]]) + np.abs(f[seq[:n]] * rk)))
             assert abs(got[k] - terms.sum()) <= 1e-12 * scale
-            # a coarse cuboid's floor, read from its table alone
-            assert floor is None or floor[k] <= terms.sum()
+            # the floor, read from the table alone
+            assert floor[k] <= terms.sum()
 
     @settings(max_examples=500, deadline=None)
     @given(group_cases())
@@ -977,6 +977,17 @@ def bound_cases(draw):
     return snap, draw(st.integers(0, 2**32 - 1))
 
 
+def wide_bound_case(seed):
+    """The full A x B grid of quotient operands in tenths, so that sums
+    round, and a ``bound_cases`` seed.  Every A x B group is one leaf
+    (G² > L), and seeds 5 and 10 rank 15 and 16 of them, past √L = 4."""
+    rows = [(f"a{i}", f"b{j}") for i in range(4) for j in range(4)]
+    rng = np.random.default_rng(3)
+    real, forecast = ({c: rng.integers(0, 21, 16) / 10.0 for c in ("x", "y")} for _ in range(2))
+    snap = snapshot_from_rows(("A", "B"), rows, real, forecast, MeasureSpec("quotient", ("x", "y")))
+    return snap, seed
+
+
 def ranked_runs(snap, seed):
     """Each cuboid's index with a ranked run of its groups drawn from ``seed``."""
     rng = np.random.default_rng(seed)
@@ -986,11 +997,13 @@ def ranked_runs(snap, seed):
 
 
 class TestMisfitBounds:
-    """A coarse cuboid's floors never pass the misfit sums, and the prefixes
-    they prune never change a winner."""
+    """Floors never pass the misfit sums, and the prefixes they prune never
+    change a winner."""
 
     @settings(max_examples=300, deadline=None)
     @given(bound_cases())
+    @example(wide_bound_case(5))
+    @example(wide_bound_case(10))
     def test_floors_never_pass_the_naive_sum(self, case):
         snap, seed = case
         arrays = _SnapshotArrays(snap)
@@ -998,8 +1011,8 @@ class TestMisfitBounds:
         exclude = np.zeros(snap.n_leaves, dtype=bool)
         for idx, order in ranked_runs(snap, seed):
             rows = scored_rows(arrays, idx, order, exclude)
-            if not rows.layer.coarse[0]:
-                continue
+            # blocks of √L ranks, or of K ranks once K > √L groups are ranked
+            assert rows.bounds.side.tolist() == [max(isqrt(snap.n_leaves), order.size)]
             seq, cuts = ranked_sequence(idx, order)
             # every fit prefix of the row is bounded
             assert rows.bounds.j.tolist() == np.flatnonzero(rows.fit[0]).tolist()
@@ -1009,6 +1022,8 @@ class TestMisfitBounds:
 
     @settings(max_examples=300, deadline=None)
     @given(bound_cases())
+    @example(wide_bound_case(5))
+    @example(wide_bound_case(10))
     def test_the_pruned_winner_is_the_argmax_over_every_prefix(self, case):
         snap, seed = case
         arrays = _SnapshotArrays(snap)
@@ -1025,11 +1040,29 @@ class TestMisfitBounds:
                 rows.bounds.floor = np.where(np.arange(exact.size) % 2 == tight, exact, -np.inf)
                 assert rows.best()[0].tolist() == [best]
 
+    def test_a_leaf_level_cuboid_takes_about_one_cell_per_leaf(self):
+        # every A x B group is one leaf, and two clusters rank them all.  A
+        # table of √L-rank blocks over every group would take G·(√L + 1) =
+        # 27,900 cells; with blocks of K = L ranks the rows share one table
+        # of a row per group, one for no group, and two columns
+        snap = synthetic_base(2, 30, seed=0, family="none")
+        n = snap.n_leaves
+        idx = snap.cuboid_index(Cuboid(("A", "B")))
+        assert idx.n_groups == n == 900
+        arrays = _SnapshotArrays(snap)
+        everything = [_Cluster(arrays, np.arange(n), np.ones(n), np.zeros(n, dtype=bool))] * 2
+        layer = _Layer(arrays, [idx])
+        cub = ONE_ROW.repeat(2)
+        order, K = layer.rank(everything, cub)
+        rows = _Rows(layer, everything, cub, order.reshape(2, n), K)
+        assert rows.bounds.side.tolist() == K.tolist() == [n, n]
+        assert rows.bounds.table.shape == (2, 2 * (n + 1))
+
     def test_an_exact_tie_falls_to_the_first_prefix(self):
-        # four groups of four leaves on a coarse cuboid (4² ≤ 16): a0 deviates
-        # unevenly, a1 holds only zeros, a2 and a3 are quiet.  The pool stays
-        # quiet, so gps = 1 − Σ|v − r·f| / Σ|v − f|, and a1 doubles both
-        # means' leaf count exactly: prefixes 0 and 1 tie to the bit at 0.4
+        # four groups of four leaves: a0 deviates unevenly, a1 holds only
+        # zeros, a2 and a3 are quiet.  The pool stays quiet, so gps = 1 −
+        # Σ|v − r·f| / Σ|v − f|, and a1 doubles both means' leaf count
+        # exactly: prefixes 0 and 1 tie to the bit at 0.4
         rows = [(f"a{i}", f"b{j}") for i in range(4) for j in range(4)]
         v = [3, 6, 3, 6] + [0] * 4 + [5] * 8
         f = [2] * 4 + [0] * 4 + [5] * 8
@@ -1039,7 +1072,6 @@ class TestMisfitBounds:
         )
         idx = snap.cuboid_index(Cuboid(("A",)))
         scored = scored_rows(_SnapshotArrays(snap), idx, [0, 1, 2, 3], np.zeros(16, dtype=bool))
-        assert scored.layer.coarse[0]
         (every,) = all_prefix_scores(scored)
         assert every[0] == every[1] == 0.4 and every[2:].max() < 0.4
         (best,), (gps,) = scored.best()

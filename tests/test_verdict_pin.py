@@ -1,8 +1,8 @@
-"""Verdicts of a dozen fixed faults, pinned so that a refactor which moves one fails here.
+"""Verdicts of sixteen fixed faults, pinned so that a refactor which moves one fails here.
 
-Each fault is planted from a fixed seed on a Poisson count base (layers 1-2),
-on a success-rate base, or on the count base with one or two attributes
-dropped afterwards.  Every pinned report stays the same when stage 2 sums
+Each fault is planted from a fixed seed on a Poisson count base or on a
+success-rate base (layers 1-3), or on the count base with one or two
+attributes dropped afterwards.  Every pinned report stays the same when stage 2 sums
 each leaf's score mass in another order, so the pins do not rest on
 last-bit ties between candidates.  Bounds and gps are compared rounded to
 1e-9.
@@ -97,6 +97,24 @@ PINS = {
         True,
         None,
     ),
+    # layer-3 winners, on cuboids of more groups than a group has leaves
+    # (G² > L); in seed 8 one cluster ranks more groups than √L
+    ("count", 1, 3, 1, ()): (
+        [
+            ((0.52, 0.61), ("A=a03&C=c05&D=d04",), "AxCxD", 0.949073737),
+        ],
+        False,
+        None,
+    ),
+    ("count", 2, 3, 8, ()): (
+        [
+            ((0.25, 0.34), ("C=c00", "C=c03"), "C", -0.008177571),
+            ((0.34, 0.41), ("A=a00&B=b01&D=d01",), "AxBxD", 0.934502274),
+            ((0.43, 0.63), ("A=a00&B=b01&D=d01",), "AxBxD", 0.934502274),
+        ],
+        True,
+        None,
+    ),
     ("count", 3, 1, 8, ()): (
         [],
         True,
@@ -118,6 +136,14 @@ PINS = {
             ((0.43, 1.0), ("A=a4",), "A", 0.937315822),
         ],
         True,
+        None,
+    ),
+    # a layer-3 winner on the leaf-level cuboid
+    ("rate", 1, 3, 8, ()): (
+        [
+            ((-1.0, 1.0), ("A=a3&B=b0&C=c0",), "AxBxC", 0.976585877),
+        ],
+        False,
         None,
     ),
     ("rate", 2, 2, 17, ()): (

@@ -4,9 +4,10 @@ Three stages live here.  A knee threshold on absolute residuals separates
 abnormal leaves from background noise.  Each abnormal leaf then gets a
 distribution over deviation scores: a single spike when observed values are
 taken at face value, or a spread of scores weighted by Poisson likelihood when
-the measure is a count and sampling noise matters.  Finally the accumulated
-score density is cut at its local minima, so leaves whose scores plausibly
-agree end up in the same cluster and are explained together.
+the measure is a count, read as a whole number, and sampling noise matters.
+Finally the accumulated score density is cut at its local minima, so leaves
+whose scores plausibly agree end up in the same cluster and are explained
+together.
 """
 
 from __future__ import annotations
@@ -113,8 +114,7 @@ def _blocks(cost: np.ndarray):
 
 
 # Cephes ``lgam`` (scipy.special.gammaln): log sqrt(2 pi), the argument past
-# which the log gamma overflows, the Stirling series used below 1000, and the
-# rational function of the remainder in [2, 3) used below 13
+# which the log gamma overflows, and the Stirling series used below 1000
 _LS2PI = 0.91893853320467274178
 _MAXLGM = 2.556348e305
 _STIRLING = (
@@ -124,55 +124,21 @@ _STIRLING = (
     -2.77777777730099687205e-3,
     8.33333333333331927722e-2,
 )
-_B = (
-    -1.37825152569120859100e3,
-    -3.88016315134637840924e4,
-    -3.31612992738871184744e5,
-    -1.16237097492762307383e6,
-    -1.72173700820839662146e6,
-    -8.53555664245765465627e5,
-)
-# the denominator's leading coefficient, 1, is implied
-_C = (
-    -3.51815701436523470549e2,
-    -1.70642106651881159223e4,
-    -2.20528590553854454839e5,
-    -1.13933444367982507207e6,
-    -2.53252307177582951285e6,
-    -2.01889141433532773231e6,
-)
 
 
 def _log_factorial(u: float) -> float:
-    """log u! of a non-negative count, as Cephes ``lgam(u + 1)`` computes it.
+    """log u! of a whole count, as Cephes ``lgam(u + 1)`` computes it.
 
-    Every step is the C code's double operation in its order, and ``math.log``
-    is the C library's ``log`` it calls, so the result equals
-    ``scipy.special.gammaln(u + 1)`` bit for bit, also for the counts within
-    1e-9 of an integer that stage 2 accepts.  ``np.log`` would not: its SIMD
-    loops differ from the C library in the last bit on some integers.
+    Below 12 Cephes multiplies the integers down to 2, exactly in doubles, and
+    takes the log of the product, which is u!.  From 12 up every step is the C
+    code's double operation in its order.  ``math.log`` is the C library's
+    ``log`` it calls, so the result equals ``scipy.special.gammaln(u + 1)``
+    bit for bit.  ``np.log`` would not: its SIMD loops differ from the C
+    library in the last bit on some integers.
     """
     x = u + 1.0
     if x < 13.0:
-        # shift x into [2, 3) by the gamma recurrence; z holds the product
-        z, p, u = 1.0, 0.0, x
-        while u >= 3.0:
-            p -= 1.0
-            u = x + p
-            z *= u
-        while u < 2.0:
-            z /= u
-            p += 1.0
-            u = x + p
-        if u == 2.0:
-            return math.log(z)
-        x += p - 2.0
-        num, den = _B[0], x + _C[0]
-        for b in _B[1:]:
-            num = num * x + b
-        for c in _C[1:]:
-            den = den * x + c
-        return math.log(z) + x * num / den
+        return math.log(math.factorial(int(u)))
     if x > _MAXLGM:
         return math.inf
     q = (x - 0.5) * math.log(x) - x + _LS2PI
@@ -250,18 +216,20 @@ def leaf_distributions(v: np.ndarray, f: np.ndarray, family: str) -> ScoreMass:
     """Score mass of the leaves with real values ``v`` and forecasts ``f``.
 
     Under family "poisson" each observed count v is one draw from an unknown
-    rate.  Each candidate integer rate a receives the likelihood of observing
-    v under it, and contributes its own deviation score against the forecast.
-    Terms below ``PMF_CUTOFF`` are dropped and the rest renormalized per leaf.
-    A leaf with a zero forecast (every positive rate scores -1) or with no
-    term left, and every leaf of another family, keeps all its mass at its
-    observed score.  The likelihoods are evaluated once per distinct count
-    and binned once per distinct (count, forecast) pair; each leaf then takes
-    its pair's row, so leaves that repeat a pair get the same bits.
+    rate, and a count within 1e-9 of an integer is that integer.  Each
+    candidate integer rate a receives the likelihood of observing v under it,
+    and contributes its own deviation score against the forecast.  Terms
+    below ``PMF_CUTOFF`` are dropped and the rest renormalized per leaf.  A
+    leaf with a zero forecast (every positive rate scores -1) or with no term
+    left, such as every count past about 1.9e11, and every leaf of another
+    family, keeps all its mass at its observed score, that of v as given.
+    The likelihoods are evaluated once per distinct count and binned once per
+    distinct (count, forecast) pair; each leaf then takes its pair's row, so
+    leaves that repeat a pair get the same bits.
     """
     v, f = np.asarray(v, dtype=float), np.asarray(f, dtype=float)
-    poisson = family == "poisson"
-    if poisson and np.any((v < 0) | (np.abs(v - np.round(v)) > 1e-9)):
+    poisson, whole = family == "poisson", np.round(v)
+    if poisson and np.any((v < 0) | (np.abs(v - whole) > 1e-9)):
         raise ValueError("poisson treatment needs non-negative integer counts")
     if np.any(v + f <= 0.0):
         raise MeaninglessPairError("no observation and no forecast")
@@ -269,17 +237,21 @@ def leaf_distributions(v: np.ndarray, f: np.ndarray, family: str) -> ScoreMass:
     if not poisson:
         return ScoreMass(np.arange(v.size + 1), observed, np.ones(v.size))
 
-    # a rate's likelihood depends on the count alone, and a leaf's binned
-    # mass on its (count, forecast) pair: each is evaluated once
-    u, count = np.unique(v, return_inverse=True)
+    # a rate's likelihood depends on the whole count alone, and a leaf's
+    # binned mass on its (count, forecast) pair: each is evaluated once
+    u, count = np.unique(whole, return_inverse=True)
     _, fcode = np.unique(f, return_inverse=True)
     _, first, pair = np.unique(count * v.size + fcode, return_index=True, return_inverse=True)
-    spread = 10.0 * np.sqrt(u) + 30.0
-    lo = np.maximum(0.0, np.floor(u - spread))
-    n_rates = (np.ceil(u + spread) - lo + 1.0).astype(np.int64)
+    # no rate's likelihood reaches the cutoff past this count, since the best
+    # one's is at most 1/sqrt(2 pi u) (here with a margin of 1.1): the counts
+    # u[fit:] take no candidate rate
+    fit = int(np.searchsorted(u, 1.21 / (2.0 * math.pi * PMF_CUTOFF**2), "right"))
+    spread = 10.0 * np.sqrt(u[:fit]) + 30.0
+    lo = np.maximum(0.0, np.floor(u[:fit] - spread))
+    n_rates = (np.ceil(u[:fit] + spread) - lo + 1.0).astype(np.int64)
 
     # the kept rates of each distinct count and their normalized likelihoods
-    log_fact = np.array([_log_factorial(x) for x in u.tolist()])
+    log_fact = np.array([_log_factorial(x) for x in u[:fit].tolist()])
     known = np.zeros(0)
     kept = [np.zeros(0, np.int64)]
     rates, weights = [np.zeros(0)], [np.zeros(0)]
@@ -295,7 +267,7 @@ def leaf_distributions(v: np.ndarray, f: np.ndarray, family: str) -> ScoreMass:
         with np.errstate(invalid="ignore"):
             w *= np.repeat(u[s:e], n)
         w[np.repeat(u[s:e] == 0.0, n)] = 0.0
-        if e < u.size:
+        if e < fit:
             # the rates the next count shares with this block's last one
             known = logs[at[-1] + int(lo[e] - lo[e - 1]):at[-1] + n[-1]].copy()
         w -= log_fact[s:e][c]
@@ -313,13 +285,16 @@ def leaf_distributions(v: np.ndarray, f: np.ndarray, family: str) -> ScoreMass:
         kept.append(per_count - 1)
         rates.append(a)
         weights.append(w / t[c])
+    kept.append(np.zeros(u.size - fit, np.int64))
     kept, rates, weights = map(np.concatenate, (kept, rates, weights))
     start = np.cumsum(kept) - kept
 
-    # each distinct pair's row of the grid, its nonzero bins in order
+    # each distinct pair's row of the grid, its nonzero bins in order; a pair
+    # without rates still costs its row
     pc, pf = count[first], f[first]
+    cost = np.append(n_rates, np.full(u.size - fit, N_BINS))
     counts, bins, mass = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)], [np.zeros(0)]
-    for s, e in _blocks(n_rates[pc]):
+    for s, e in _blocks(cost[pc]):
         c = pc[s:e]
         p = np.repeat(np.arange(e - s), kept[c])
         t = _runs(start[c], kept[c])
@@ -330,7 +305,9 @@ def leaf_distributions(v: np.ndarray, f: np.ndarray, family: str) -> ScoreMass:
         ).reshape(e - s, N_BINS)
         # a zero forecast scores every positive rate -1, and a count with no
         # kept rate has an empty row: either row holds only the observed bin,
-        # which the spike sets to exactly 1
+        # which the spike sets to exactly 1.  All leaves of a pair share that
+        # bin: a zero forecast scores -1 whatever the count, and a count that
+        # keeps no rate is past 2^37, where no other double is within 1e-9
         spike = np.flatnonzero((pf[s:e] == 0.0) | (kept[c] == 0))
         grid[spike, observed[first[s:e]][spike]] = 1.0
         nz = np.flatnonzero(grid)

@@ -448,9 +448,10 @@ def _read_plain(
     quote, no NUL and no carriage return but before a ``\\n``, every line
     holds ``width`` fields, and every value field is a non-negative number.
     Without quotes every ``,`` and line end separates two fields; a line ends
-    at ``\\n`` or ``\\r\\n``, as ``csv.reader`` ends it.  A blank line has
-    too few fields and a blank full-width row fails ``float``, so both go to
-    the row-by-row read, which names a malformed row.
+    at ``\\n`` or ``\\r\\n``, as ``csv.reader`` ends it.  Blank lines at the
+    end are dropped.  Any other blank line has too few fields and a blank
+    full-width row fails ``float``, so both go to the row-by-row read, which
+    names a malformed row.
 
     Each attribute field becomes one key of its bytes, left-aligned and
     zero-padded: a ``uint64`` when the column's longest value has at most 8
@@ -464,9 +465,9 @@ def _read_plain(
         text = text.replace("\r\n", "\n")
     if '"' in text or "\r" in text or "\0" in text:
         return None
-    raw = text.encode("utf-8", "surrogatepass")
-    if raw.endswith(b"\n"):
-        raw = raw[:-1]  # the final line end closes the last row
+    # the final line end closes the last row, and blank lines after it are
+    # blank rows, which are skipped
+    raw = text.encode("utf-8", "surrogatepass").rstrip(b"\n")
     raw = bytes(_PAD) + raw + bytes(8)
     buf = np.frombuffer(raw, np.uint8)
     # "," and "\n" never occur inside a multi-byte UTF-8 sequence, nor inside

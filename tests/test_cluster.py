@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -265,13 +266,15 @@ def reference_leaf_distributions(v, f):
     Every leaf evaluates its own candidate rates and bins its own terms, so
     no count or (count, forecast) pair is shared between leaves.  The
     likelihoods come from scipy's ``gammaln`` and ``xlogy``, which stage 2
-    itself no longer imports.
+    itself no longer imports, and take each count as the whole number it
+    stands for; the observed score takes it as given.
     """
     v, f = np.asarray(v, dtype=float), np.asarray(f, dtype=float)
     observed = bin_of(deviation_score(v, f))
-    spread = 10.0 * np.sqrt(v) + 30.0
-    lo = np.maximum(0.0, np.floor(v - spread))
-    n_rates = (np.ceil(v + spread) - lo + 1.0).astype(np.int64)
+    u = np.round(v)
+    spread = 10.0 * np.sqrt(u) + 30.0
+    lo = np.maximum(0.0, np.floor(u - spread))
+    n_rates = (np.ceil(u + spread) - lo + 1.0).astype(np.int64)
     ends = np.cumsum(n_rates)
     counts, bins, mass = [np.zeros(1, np.int64)], [np.zeros(0, np.int64)], [np.zeros(0)]
     s = 0
@@ -281,7 +284,7 @@ def reference_leaf_distributions(v, f):
         n = n_rates[s:e]
         leaf = np.repeat(np.arange(e - s), n)
         a = cluster_mod._runs(lo[s:e], n)
-        w = np.exp(xlogy(v[s:e][leaf], a) - gammaln(v[s:e] + 1.0)[leaf] - a)
+        w = np.exp(xlogy(u[s:e][leaf], a) - gammaln(u[s:e] + 1.0)[leaf] - a)
         keep = w >= PMF_CUTOFF
         leaf, a, w = leaf[keep], a[keep], w[keep]
         per_leaf = np.bincount(leaf, minlength=e - s) + 1
@@ -386,18 +389,43 @@ class TestRepeatedLeaves:
         assert same_score_mass(got, reference_leaf_distributions(v, f))
 
     def test_near_integer_counts_match_the_per_leaf_loop(self):
-        # counts within 1e-9 of an integer pass validation and stay unrounded:
-        # below 12 they take Cephes' rational branch, not the integer product
+        # counts within 1e-9 of an integer pass validation and are scored as
+        # that integer; only a spike keeps the count as given
         v = np.array([2.9999999999999996, 3.0 + 1e-10, 1e-10, 0.5e-9, 12.0 - 5e-10, 7.0, 12.0 + 1e-10])
         f = np.array([2.0, 2.0, 1.0, 0.0, 9.0, 6.0, 12.0])
         got = leaf_distributions(v, f, "poisson")
         assert same_score_mass(got, reference_leaf_distributions(v, f))
 
+    @pytest.mark.parametrize("shift", [1e-10, -1e-10])
+    def test_counts_off_by_a_hair_give_the_same_bytes(self, shift):
+        # zero forecasts among positive ones, and counts below 12 and on both
+        # Stirling series of the log factorial (past 1e8 no double lies
+        # within 1e-9 of an integer but the integer itself)
+        v = np.array([1, 2, 3, 7, 11, 12, 13, 500, 999, 5000, 3, 12, 500], float)
+        f = np.array([2, 1, 3, 9, 11, 15, 10, 400, 900, 4000, 0, 0, 0])
+        want = leaf_distributions(v, f, "poisson")
+        got = leaf_distributions(v + shift, f, "poisson")
+        assert same_score_mass(got, want)
 
-def near_integers(k):
-    """Counts 1e-10 and one ulp off each integer in ``k``, the non-negative ones."""
-    u = np.concatenate([k + 1e-10, k - 1e-10, np.nextafter(k, np.inf), np.nextafter(k, -np.inf)])
-    return u[u >= 0.0]
+    @pytest.mark.parametrize("count", [1e40, 1e300])
+    def test_a_count_past_the_cutoff_keeps_its_spike(self, count):
+        v, f = np.array([3.0, count]), np.array([2.0, 0.5 * count])
+        got = leaf_distributions(v, f, "poisson")
+        three = leaf_distributions(v[:1], f[:1], "poisson")
+        assert same_score_mass(next(iter(got)), three)
+        assert got.ptr[2] - got.ptr[1] == 1
+        assert got.bins[-1] == bin_of(deviation_score(count, 0.5 * count))
+        assert got.mass[-1] == 1.0
+
+    def test_a_count_past_the_cutoff_costs_no_memory(self):
+        v, f = np.array([3.0, 1e12]), np.array([2.0, 7e11])
+        tracemalloc.start()
+        try:
+            leaf_distributions(v, f, "poisson")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 def stage2_rate_ranges(u):
@@ -421,11 +449,6 @@ class TestScipyKernels:
         # below 1000, the short one to 1e8, none above, and overflow
         branch = np.searchsorted([13.0, 1000.0, 1e8, cluster_mod._MAXLGM], u + 1.0, "right")
         assert np.all(np.bincount(branch, minlength=5) > 0)
-        got = np.array([cluster_mod._log_factorial(x) for x in u.tolist()])
-        assert same_bytes(got, gammaln(u + 1.0))
-
-    def test_log_factorial_of_near_integer_counts(self):
-        u = np.concatenate([near_integers(np.arange(14.0)), near_integers(np.logspace(1, 12, 200).round())])
         got = np.array([cluster_mod._log_factorial(x) for x in u.tolist()])
         assert same_bytes(got, gammaln(u + 1.0))
 

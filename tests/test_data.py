@@ -751,6 +751,19 @@ def test_plain_parse_runs_no_collection():
     assert snap.n_leaves == 20_736
 
 
+@pytest.mark.parametrize("end", ["\n\n", "\n\n\n", "\r\n\r\n"])
+def test_blank_lines_at_the_end_keep_the_plain_parse(end):
+    # as an editor leaves them: blank rows after the last one are skipped
+    # without the row-by-row read
+    text = render_table(synthetic_base(n_attrs=4, n_values=12, seed=3))
+    body = text[:-1].replace("\n", "\r\n") if end.startswith("\r") else text[:-1]
+    gc.collect()
+    before = gc.get_stats()[0]["collections"]
+    got = outcome(parse_snapshot, body + end, MeasureSpec())
+    assert gc.get_stats()[0]["collections"] == before
+    assert got == outcome(parse_snapshot, text, MeasureSpec())
+
+
 def quotient_table():
     """A success-rate table with integer ``succ``/``total`` columns."""
     base = synthetic_base(n_attrs=4, n_values=12, seed=3)

@@ -10,11 +10,15 @@ The snapshots are the benchmark's seed-101 to 103 cases of every workload
 (``bench/workloads.py``) and the faults of acceptance criteria 4 and 6
 (``tests/test_acceptance.py``), 474 in all.  Each line holds the snapshot's
 label, the sha256 of ``report_signature`` (raw gps included) and of the
-``score_density`` bytes, and the verdict with bounds and gps rounded to
-1e-9: the first field moves with any bit of the report, the second only
-with what the verdict states.  ``rootdrill`` is imported from ``--src``
-(default: this checkout's ``src/``), so one copy of the tool digests any
-checkout that keeps the same API.
+``score_density`` bytes, the sha256 of stage 2's score mass, and the
+verdict with bounds and gps rounded to 1e-9: the first hash moves with any
+bit of the report, the verdict only with what it states.  The score-mass
+hash covers the ``ptr``, ``bins`` and ``mass`` arrays of
+``leaf_distributions`` over every leaf of a Poisson snapshot, abnormal or
+not, except those with no count and no forecast, so it moves with any bit
+stage 2 computes; it reads ``-`` for other families.  ``rootdrill`` is
+imported from ``--src`` (default: this checkout's ``src/``), so one copy of
+the tool digests any checkout that keeps the same API.
 """
 
 from __future__ import annotations
@@ -44,10 +48,25 @@ def verdict(report) -> list:
     return [clusters, report.external_root_cause, report.note]
 
 
-def digest_line(label: str, report, report_signature) -> str:
+def score_mass_digest(snap) -> str:
+    """sha256 of stage 2's score mass over the snapshot's leaves, or ``-``."""
+    from rootdrill.cluster import leaf_distributions
+
+    if snap.measure.distribution_family != "poisson":
+        return "-"
+    v, f = snap.leaf_values()
+    some = v + f > 0.0
+    mass = leaf_distributions(v[some], f[some], "poisson")
+    h = hashlib.sha256()
+    for a in (mass.ptr, mass.bins, mass.mass):
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+def digest_line(label: str, snap, report, report_signature) -> str:
     h = hashlib.sha256(repr(report_signature(report)).encode())
     h.update(report.score_density.tobytes())
-    return f"{label} {h.hexdigest()} {json.dumps(verdict(report))}"
+    return f"{label} {h.hexdigest()} {score_mass_digest(snap)} {json.dumps(verdict(report))}"
 
 
 def bench_snapshots():
@@ -111,7 +130,7 @@ def main(argv: list[str] | None = None) -> int:
 
     for snapshots in (bench_snapshots(), acceptance_snapshots()):
         for label, snap in snapshots:
-            print(digest_line(label, localize(snap), report_signature), flush=True)
+            print(digest_line(label, snap, localize(snap), report_signature), flush=True)
     return 0
 
 

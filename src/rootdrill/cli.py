@@ -117,6 +117,8 @@ def _write_all(texts: dict[Path, str]) -> None:
 
 def _cmd_localize(args) -> int:
     with _reading_input():
+        if args.hist_out and Path(args.hist_out).resolve() == Path(args.out).resolve():
+            raise ValueError(f"--out and --hist-out name one file: {args.out}")
         measure = parse_measure(args.measure)
         snapshot_path = Path(args.snapshot)
         text = snapshot_path.read_text(encoding="utf-8")

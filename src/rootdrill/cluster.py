@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -99,7 +100,7 @@ def _runs(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
     return np.arange(lens.sum()) + np.repeat(starts - (ends - lens), lens)
 
 
-# candidate-rate terms evaluated at once: bounds the temporaries of stage 2
+# a stage-2 block's likelihood terms plus its range of rate logs stay within this
 BLOCK_TERMS = 1 << 16
 
 
@@ -154,37 +155,10 @@ def _log_factorial(u: float) -> float:
     return q + s / x
 
 
-def _rate_logs(
-    lo: np.ndarray, n_rates: np.ndarray, known: np.ndarray = np.zeros(0)
-) -> tuple[np.ndarray, np.ndarray]:
-    """``math.log`` of every candidate rate of a block of counts: ``(logs, at)``.
-
-    Count i's rates ``lo[i] + k`` for ``k < n_rates[i]`` have their logs at
-    ``logs[at[i] + k]``, and rate 0 has ``-inf``.  Both ends of the ranges
-    grow with the count, so overlapping ranges merge into one run of the
-    table, filled ``BLOCK_TERMS`` rates at a time.  ``known`` holds the logs
-    of the first rates from ``lo[0]`` on, which are copied, not recomputed.
-    """
-    lo = lo.astype(np.int64)
-    end = lo + n_rates
-    new = np.ones(lo.size, dtype=bool)
-    new[1:] = lo[1:] > end[:-1]
-    run = np.cumsum(new) - 1
-    # a run ends where the next one starts; new[0] rolls round to the last range
-    first, last = lo[new], end[np.roll(new, -1)]
-    size = last - first
-    base = np.cumsum(size) - size
-    logs = np.empty(size.sum())
-    logs[:known.size] = known
-    fill = first.copy()
-    fill[:1] += known.size
-    for c, r0, r1, b in zip(fill.tolist(), first.tolist(), last.tolist(), base.tolist()):
-        for c0 in range(max(c, 1), r1, BLOCK_TERMS):
-            c1 = min(c0 + BLOCK_TERMS, r1)
-            logs[b + c0 - r0:b + c1 - r0] = np.fromiter(map(math.log, range(c0, c1)), float, c1 - c0)
-    if lo.size and lo[0] == 0:
-        logs[0] = -math.inf
-    return logs, base[run] + lo - first[run]
+def _log_range(r0: int, r1: int) -> np.ndarray:
+    """``math.log`` of each rate from ``r0`` to ``r1 - 1``, with ``-inf`` for rate 0."""
+    logs = np.fromiter(map(math.log, range(max(r0, 1), r1)), float, r1 - max(r0, 1))
+    return np.concatenate(([-math.inf], logs)) if r0 == 0 else logs
 
 
 @dataclass(frozen=True, eq=False)
@@ -207,8 +181,9 @@ class ScoreMass:
         for lo, hi in zip(self.ptr[:-1], self.ptr[1:]):
             yield ScoreMass(np.array([0, hi - lo]), self.bins[lo:hi], self.mass[lo:hi])
 
+    @cached_property
     def histogram(self) -> np.ndarray:
-        """Mass per grid bin, summed over the leaves."""
+        """Mass per grid bin, summed over the leaves, on first read only."""
         return np.bincount(self.bins, weights=self.mass, minlength=N_BINS)
 
 
@@ -225,7 +200,9 @@ def leaf_distributions(v: np.ndarray, f: np.ndarray, family: str) -> ScoreMass:
     family, keeps all its mass at its observed score, that of v as given.
     The likelihoods are evaluated once per distinct count and binned once per
     distinct (count, forecast) pair; each leaf then takes its pair's row, so
-    leaves that repeat a pair get the same bits.
+    leaves that repeat a pair get the same bits.  Both ends of a count's
+    rate range grow with it, so a block of counts reads its terms from the
+    logs of one range, its terms plus that range within ``BLOCK_TERMS``.
     """
     v, f = np.asarray(v, dtype=float), np.asarray(f, dtype=float)
     poisson, whole = family == "poisson", np.round(v)
@@ -252,24 +229,19 @@ def leaf_distributions(v: np.ndarray, f: np.ndarray, family: str) -> ScoreMass:
 
     # the kept rates of each distinct count and their normalized likelihoods
     log_fact = np.array([_log_factorial(x) for x in u[:fit].tolist()])
-    known = np.zeros(0)
     kept = [np.zeros(0, np.int64)]
     rates, weights = [np.zeros(0)], [np.zeros(0)]
-    for s, e in _blocks(n_rates):
+    for s, e in _blocks(n_rates + np.diff(lo + n_rates, prepend=lo[:1])):
         n = n_rates[s:e]
         c = np.repeat(np.arange(e - s), n)
         a = _runs(lo[s:e], n)
         # log w = u log a - log u! - a, subtracted in this order (the mass
         # bits depend on it), in place to hold one term array fewer at once;
         # u log a is scipy's xlogy: 0 where u = 0, also at a = 0
-        logs, at = _rate_logs(lo[s:e], n, known)
-        w = logs[_runs(at, n)]
+        w = _log_range(int(a[0]), int(a[-1]) + 1)[(a - a[0]).astype(np.int64)]
         with np.errstate(invalid="ignore"):
             w *= np.repeat(u[s:e], n)
         w[np.repeat(u[s:e] == 0.0, n)] = 0.0
-        if e < fit:
-            # the rates the next count shares with this block's last one
-            known = logs[at[-1] + int(lo[e] - lo[e - 1]):at[-1] + n[-1]].copy()
         w -= log_fact[s:e][c]
         w -= a
         np.exp(w, out=w)
@@ -378,7 +350,7 @@ def cluster_distributions(scores: ScoreMass) -> list[ScoreCluster]:
     always wholly inside or wholly outside a cluster.  Runs holding less
     than ``MIN_CLUSTER_MASS`` leaf-equivalents of mass are discarded.
     """
-    hist = scores.histogram()
+    hist = scores.histogram
     density = _smoothed(hist) if np.count_nonzero(hist) > SPARSE_BINS else hist
 
     # minima are interior and at least two bins apart: every run holds a bin

@@ -611,7 +611,7 @@ def localize(snapshot: Snapshot, cfg: LocalizeConfig | None = None) -> Localizat
         return _no_cluster_report(v, f, threshold, np.zeros(N_BINS), t0)
 
     scores = leaf_distributions(v[abnormal], f[abnormal], snapshot.measure.distribution_family)
-    density = scores.histogram() / len(scores)
+    density = scores.histogram / len(scores)
     clusters = cluster_distributions(scores)
 
     # clusters whose score is within the normal leaves' own deviation range

@@ -140,6 +140,21 @@ class TestLocalizeCommand:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["a_dir", "snap.csv"]
         assert not any((tmp_path / "a_dir").iterdir())
 
+    @pytest.mark.parametrize("hist", ["report.json", "sub/../report.json"])
+    def test_outputs_naming_one_file_write_neither(self, snapshot_file, tmp_path, hist, capsys):
+        (tmp_path / "sub").mkdir()
+        rc = main(
+            [
+                "localize",
+                "--snapshot", str(snapshot_file),
+                "--out", str(tmp_path / "report.json"),
+                "--hist-out", str(tmp_path / hist),
+            ]
+        )
+        assert rc == 1
+        assert "name one file" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["snap.csv", "sub"]
+
     def test_note_for_quiet_snapshot(self, tmp_path):
         snap = tmp_path / "quiet.csv"
         snap.write_text("a,real,predict\nx,1,1\ny,2,2\nz,3,3\n")

@@ -1,0 +1,48 @@
+"""``tools/verdict_digest.py`` shows reports unchanged between two trees.
+
+Each of its lines must be the same on every run of the same tree, and its
+stage-2 column must hash the score mass of every leaf of a Poisson snapshot.
+"""
+
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from rootdrill import SimulationParams, localize, simulate_fault, synthetic_base
+from rootdrill.cluster import leaf_distributions
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "tools"), str(ROOT / "bench")]
+
+from summary import report_signature  # noqa: E402
+from verdict_digest import digest_line  # noqa: E402
+
+
+def digest_columns(snap):
+    """The digest line of a fresh verdict, split into its four columns."""
+    line = digest_line("case", snap, localize(snap), report_signature)
+    assert line == digest_line("case", snap, localize(snap), report_signature)
+    return line.split(" ", 3)
+
+
+def test_a_snapshot_of_another_family_has_no_stage2_column(province_snapshot):
+    label, report_hash, stage2, verdict = digest_columns(province_snapshot)
+    assert label == "case"
+    assert len(report_hash) == 64
+    assert stage2 == "-"
+    clusters, _, _ = json.loads(verdict)
+    assert clusters[0][1] == ["Province=Beijing"]
+
+
+def test_the_stage2_column_hashes_every_leafs_score_mass():
+    base = synthetic_base(n_attrs=3, n_values=6, seed=42, family="poisson")
+    params = SimulationParams(1, 1, base_noise_sigma=0.05, leaf_noise_sigma=0.05)
+    snap = simulate_fault(base, params, np.random.default_rng(7)).snapshot
+    v, f = snap.leaf_values()
+    assert np.all(v + f > 0.0)
+    mass = leaf_distributions(v, f, "poisson")
+    want = hashlib.sha256(mass.ptr.tobytes() + mass.bins.tobytes() + mass.mass.tobytes())
+    assert digest_columns(snap)[2] == want.hexdigest()

@@ -392,15 +392,31 @@ def weighted_quantile(values: np.ndarray, weights: np.ndarray, q: float) -> floa
     """Quantile of ``values`` under non-negative ``weights``.
 
     Smallest value v with cumulative weight fraction at or above ``q``, for
-    ``q`` in [0, 1] and at least one value.
+    ``q`` in [0, 1] and at least one value.  The n values are counted into
+    √n buckets of equal width over their range; one ``np.bincount`` of the
+    weights finds the bucket where the cumulative share crosses ``q``, and
+    only that bucket is sorted.  Buckets keep the value order, so any bucket
+    count gives the same value: the one a stable sort of every value gives
+    whenever the weight sums are exact (integer weights, as leaf counts
+    are).  Otherwise the two can differ only where a share lands within
+    rounding of ``q``.
     """
     v = np.asarray(values, float)
     w = np.asarray(weights, float)
-    order = np.argsort(v, kind="stable")
-    v, w = v[order], w[order]
-    total = w.sum()
+    lo, hi = v.min(), v.max()
+    n_buckets = math.isqrt(v.size)
+    bucket = np.zeros(v.size, dtype=np.intp)
+    if 0 < hi - lo < np.inf:
+        # (v - lo) / (hi - lo) is at most 1 and never falls as v rises
+        scaled = (v - lo) / (hi - lo) * n_buckets
+        np.minimum(scaled, n_buckets - 1, out=bucket, casting="unsafe")
+    cum = np.cumsum(np.bincount(bucket, weights=w, minlength=n_buckets))
+    total = cum[-1]
     if total <= 0:
-        return float(v[-1])
-    cum = np.cumsum(w) / total
-    i = int(np.searchsorted(cum, q, side="left"))
-    return float(v[min(i, v.size - 1)])
+        return float(hi)
+    k = int(np.searchsorted(cum / total, q, side="left"))  # the last share is 1
+    inside = np.flatnonzero(bucket == k)
+    inside = inside[np.argsort(v[inside], kind="stable")]
+    share = np.cumsum(np.append(cum[k - 1] if k else 0.0, w[inside]))[1:] / total
+    i = int(np.searchsorted(share, q, side="left"))
+    return float(v[inside[min(i, inside.size - 1)]])

@@ -149,6 +149,47 @@ class Cuboid:
 
 # a mixed-radix leaf key stays below this, so it fits an int64 with room to spare
 _KEY_LIMIT = 2**62
+# keys spanning at most this many values per row are ranked by counting; on
+# wider spans one sort of the keys is as fast as counting over the span
+_COUNT_SPAN = 2
+
+
+def _count_keys(key: np.ndarray, span: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rank integer keys in ``[0, span)`` by counting.
+
+    Returns ``(distinct, rank, counts)``: the distinct keys in increasing
+    order, each key's position among them, and how often each occurs.  One
+    ``np.bincount`` over the span gives all three when the span is at most
+    ``_COUNT_SPAN`` values per key; keys of a wider span are ranked by one
+    ``np.unique`` instead, so no table is sized by it.
+    """
+    if span > _COUNT_SPAN * len(key):
+        return np.unique(key, return_inverse=True, return_counts=True)
+    counts = np.bincount(key.astype(np.intp, copy=False), minlength=span)
+    if counts.all():  # every key occurs, so each is its own rank
+        return np.arange(span), key, counts
+    seen = counts > 0
+    return np.flatnonzero(seen), (np.cumsum(seen) - 1)[key], counts[seen]
+
+
+def _row_keys(codes: np.ndarray, sizes: Sequence[int]) -> tuple[np.ndarray, int]:
+    """One ``int64`` key per row of ``codes``, whose column j holds codes in
+    ``[0, sizes[j])``, and the keys' span.
+
+    The key is ``key * sizes[j] + codes[:, j]`` over the columns, so key
+    order is the rows' lexicographic order.  Before the key would pass
+    ``_KEY_LIMIT`` it is replaced by its dense rank, which keeps that order.
+    """
+    key = codes[:, 0].astype(np.int64)
+    span = sizes[0]
+    for j in range(1, len(sizes)):
+        if span * sizes[j] > _KEY_LIMIT:
+            distinct, key, _ = _count_keys(key, span)
+            span = len(distinct)
+        key *= sizes[j]
+        key += codes[:, j]
+        span *= sizes[j]
+    return key, span
 
 
 def _group_rows(
@@ -160,37 +201,26 @@ def _group_rows(
     once in lexicographic order, every row's group id, the row indices
     sorted stably by group, and the (G+1,) group bounds into that order.
     Group ids follow the lexicographic order of the code rows; the search
-    breaks its ranking ties on them.
-    Each row gets one integer key, ``key * sizes[j] + codes[:, j]`` over the
-    columns, so key order is the rows' lexicographic order.  Before the key
-    would pass ``_KEY_LIMIT`` it is replaced by its dense rank, which keeps
-    that order.
+    breaks its ranking ties on them.  Ids and group sizes come from
+    counting the row keys (``_row_keys``, ``_count_keys``: a table over the
+    key span when it holds at most ``_COUNT_SPAN`` values per row, else one
+    ``np.unique`` rerank first).
     """
-    n = len(codes)
-    key = np.zeros(n, dtype=np.int64)
-    span = 1
-    for j, size in enumerate(sizes):
-        if span * size > _KEY_LIMIT:
-            distinct, key = np.unique(key, return_inverse=True)
-            span = len(distinct)
-        key = key * size + codes[:, j]
-        span *= size
-    # the narrowest unsigned type that holds every key: at 16 bits or fewer
-    # the stable sort is numpy's radix sort, and the order is the same
-    order = np.argsort(key.astype(np.min_scalar_type(span - 1)), kind="stable")
-    first = np.ones(n, dtype=bool)
-    first[1:] = key[order[1:]] != key[order[:-1]]
-    group_of = np.empty(n, dtype=np.int64)
-    group_of[order] = np.cumsum(first) - 1
-    heads = np.flatnonzero(first)
-    starts = np.append(heads, n)
-    return codes[order[heads]], group_of, order, starts
+    _, group_of, counts = _count_keys(*_row_keys(codes, sizes))
+    starts = np.concatenate(([0], np.cumsum(counts)))
+    # group ids in the narrowest unsigned type: at 16 bits or fewer the
+    # stable sort is numpy's radix sort
+    order = np.argsort(group_of.astype(np.min_scalar_type(len(counts) - 1)), kind="stable")
+    return codes[order[starts[:-1]]], group_of, order, starts
 
 
 @dataclass
 class _CuboidIndex:
     """Per-cuboid grouping of leaves by their projected attribute values; group
-    ids follow the lexicographic order of the groups' code rows (``_group_rows``)."""
+    ids follow the lexicographic order of the groups' code rows.  The groups
+    are counted over the span of the cuboid's leaf keys when it holds at
+    most ``_COUNT_SPAN`` values per leaf, else after one ``np.unique``
+    rerank of the keys (``_group_rows``)."""
 
     attrs: tuple[str, ...]       # the cuboid's attributes, sorted
     domains: tuple[tuple[str, ...], ...]  # value names of each attribute
@@ -277,9 +307,10 @@ class Snapshot:
             if col.min() < 0 or col.max() >= size:
                 raise ValueError(f"value code of attribute {a!r} outside its domain")
         # duplicate leaf bindings break the leaf/aggregate distinction
-        group_codes, _, _, starts = _group_rows(self.codes, sizes)
-        if len(group_codes) != n:
-            dup = group_codes[np.argmax(np.diff(starts) > 1)]
+        _, group_of, counts = _count_keys(*_row_keys(self.codes, sizes))
+        if len(counts) != n:
+            # the first row of the smallest duplicated leaf
+            dup = self.codes[np.argmax(group_of == np.argmax(counts > 1))]
             names = {a: self.schema.domains[a][c] for a, c in zip(self.schema.attributes, dup)}
             raise ParseError(f"duplicate leaf {names} in snapshot")
 
@@ -373,13 +404,15 @@ def _parse_table(
     order, as ``_encode`` assigns them), and the real and (when
     ``need_forecast``) forecast values per operand.  Rows with no fields or
     only blank fields are skipped, and so is one leading byte-order mark,
-    which spreadsheet tools write.  ``csv.reader`` reads the header; the
-    body is decoded from its UTF-8 bytes (``_read_plain``), or row by row
-    (``_read_rows``) when that reader declines the text.
+    which spreadsheet tools write.  ``csv.reader`` reads the header, from
+    the first line alone when the text holds no quote (a quoted header may
+    span lines); the body is decoded from its UTF-8 bytes (``_read_plain``),
+    or row by row (``_read_rows``) when that reader declines the text.
     """
     text = text.removeprefix("\ufeff")
+    first = text if '"' in text else text[: text.find("\n") + 1 or len(text)]
     try:
-        header = next(csv.reader(io.StringIO(text)))
+        header = next(csv.reader(io.StringIO(first)))
     except StopIteration:
         raise ParseError("empty CSV") from None
     except csv.Error as e:
@@ -453,13 +486,17 @@ def _read_plain(
     full-width row fails ``float``, so both go to the row-by-row read, which
     names a malformed row.
 
-    Each attribute field becomes one key of its bytes, left-aligned and
-    zero-padded: a ``uint64`` when the column's longest value has at most 8
-    bytes, else an ``S{m}`` string.  Key order is UTF-8 byte order, which is
-    code-point order, so ``np.unique`` gives the codes in sorted-domain
-    order.  A value field of 1 to 15 ASCII digits is read as the dot product
-    of its digits with powers of ten; any other is decoded and passed to
-    ``float``.
+    Each attribute field becomes one key of its bytes, zero-padded after
+    them to the column's longest value of m bytes: when m is at most 8 an
+    integer below 256**m, the bytes right-aligned in a ``uint64`` (``a00`` to
+    ``a11`` span 258 keys), else an ``S{m}`` string.  Key order is UTF-8
+    byte order, which is code-point order, so ranking the keys gives the
+    codes in sorted-domain order: integer keys less their minimum are
+    ranked by counting (``_count_keys``, with its ``np.unique`` rerank when
+    they span more than ``_COUNT_SPAN`` values per row), string keys by
+    ``np.unique``.  A value field of 1 to 15 ASCII digits is read as the
+    dot product of its digits with powers of ten; any other is decoded and
+    passed to ``float``.
     """
     if "\r" in text:
         text = text.replace("\r\n", "\n")
@@ -494,17 +531,18 @@ def _read_plain(
         s, size = starts[:, col], ends[:, col] - starts[:, col]
         m = int(size.max())
         if m <= 8:
-            key = word_at[s].astype(np.uint64) & _PREFIX[size]
+            shift = np.uint64(64 - 8 * m)
+            key = (word_at[s] & _PREFIX[size]) >> shift
+            low = key.min()
+            distinct, codes[:, j], _ = _count_keys(key - low, int(key.max() - low) + 1)
+            distinct = ((distinct.astype(np.uint64) + low) << shift).astype(">u8").view("S8")
         elif n * m > len(buf):
             return None  # one long value would blow the fixed-width keys past the text
         else:
             padded = np.concatenate([buf, np.zeros(m, np.uint8)])
             key = np.lib.stride_tricks.sliding_window_view(padded, m)[s]
             key *= np.arange(m) < size[:, None]
-            key = key.view(f"S{m}").ravel()
-        distinct, codes[:, j] = np.unique(key, return_inverse=True)
-        if m <= 8:
-            distinct = distinct.astype(">u8").view("S8")
+            distinct, codes[:, j] = np.unique(key.view(f"S{m}").ravel(), return_inverse=True)
         domains[a] = tuple(v.decode("utf-8", "surrogatepass") for v in distinct.tolist())
 
     values = {}

@@ -565,7 +565,47 @@ class TestClustering:
             assert hi < lo
 
 
+def reference_weighted_quantile(values, weights, q):
+    """The noise band's quantile over one stable sort of every value."""
+    v = np.asarray(values, float)
+    w = np.asarray(weights, float)
+    order = np.argsort(v, kind="stable")
+    v, w = v[order], w[order]
+    total = w.sum()
+    if total <= 0:
+        return float(v[-1])
+    cum = np.cumsum(w) / total
+    i = int(np.searchsorted(cum, q, side="left"))
+    return float(v[min(i, v.size - 1)])
+
+
+@st.composite
+def weighted_columns(draw):
+    """Values with ties (drawn from a small pool, or one constant), and
+    weights with zeros whose sums are exact: multiples of 1/4 up to 64."""
+    n = draw(st.integers(1, 60))
+    value = st.floats(-1e6, 1e6, allow_subnormal=False)
+    if draw(st.booleans()):
+        value = st.sampled_from(draw(st.lists(value, min_size=1, max_size=5)))
+    values = draw(st.lists(value, min_size=n, max_size=n))
+    weights = draw(st.lists(st.integers(0, 256).map(lambda k: k / 4), min_size=n, max_size=n))
+    return np.array(values), np.array(weights)
+
+
 class TestWeightedQuantile:
+    @settings(max_examples=300, deadline=None)
+    @given(weighted_columns(), st.sampled_from([0.5, 0.9, 0.999]))
+    @example((np.array([3.0]), np.array([2.0])), 0.5)  # a single value
+    @example((np.full(5, 0.25), np.array([0.0, 1.0, 0.0, 2.0, 1.0])), 0.9)  # constant
+    @example((np.array([0.0, 1.0, 0.5, 0.5]), np.zeros(4)), 0.999)  # no weight at all
+    # the share crosses 0.5 exactly at the end of a bucket, before zero weights
+    @example((np.array([0.0, 0.2, 0.4, 0.6, 0.8]), np.array([1.0, 1.0, 0.0, 0.0, 2.0])), 0.5)
+    def test_matches_the_stable_sort(self, column, q):
+        values, weights = column
+        want = reference_weighted_quantile(values, weights, q)
+        assert weighted_quantile(values, weights, q) == want
+
+
     def test_uniform_weights(self):
         v = np.array([1.0, 2.0, 3.0])
         w = np.ones(3)

@@ -1,8 +1,10 @@
 import csv
 import gc
 import io
+import itertools
 import math
 import re
+import tracemalloc
 from contextlib import contextmanager
 from unittest import mock
 
@@ -478,6 +480,47 @@ class TestGroupingReference:
         assert np.array_equal(order, np.argsort(key, kind="stable"))
         assert np.array_equal(group_of, np.unique(key, return_inverse=True)[1].ravel())
 
+    # the span of a one-column key is its size: one under, at and one over
+    # the counting bound, which only the last one reranks
+    @pytest.mark.parametrize("past", [-1, 0, 1])
+    def test_key_span_around_the_counting_bound(self, past):
+        n = 1000
+        span = data._COUNT_SPAN * n + past
+        rng = np.random.default_rng(span)
+        codes = np.concatenate([rng.integers(0, span, (n - 2, 1)), [[0], [span - 1]]])
+        with mock.patch.object(data.np, "unique", wraps=np.unique) as unique:
+            got = data._group_rows(codes, [span])
+        assert unique.call_count == (past > 0)
+        for g, w in zip(got, reference_grouping(codes)):
+            assert np.array_equal(g, w)
+
+    def test_key_wider_than_2_62_matches_unique_rows(self):
+        sizes = [2**31, 2**31, 7]
+        rng = np.random.default_rng(62)
+        pool = np.column_stack([rng.integers(0, s, 40) for s in sizes])
+        codes = pool[rng.integers(0, 40, 500)]  # repeated rows
+        assert math.prod(sizes) > 2**62
+        got = data._group_rows(codes, sizes)
+        for g, w in zip(got, reference_grouping(codes)):
+            assert np.array_equal(g, w)
+
+    def test_no_table_sized_by_the_key_span(self):
+        # past layer 1 the wide snapshot's key spans 630**2 values or more, a
+        # table of at least 3 MB; each grouping must stay near its 1,000 rows
+        snap = snapshot_of(wide_rows(), 8)
+        sizes = {a: len(d) for a, d in snap.schema.domains.items()}
+        tracemalloc.start()
+        try:
+            for cuboid in cuboids_by_layer(snap.schema):
+                cols = [snap.schema.attributes.index(a) for a in cuboid.attrs]
+                codes = snap.codes[:, cols]
+                tracemalloc.reset_peak()
+                data._group_rows(codes, [sizes[a] for a in cuboid.attrs])
+                _, peak = tracemalloc.get_traced_memory()
+                assert peak < 256 * snap.n_leaves, cuboid
+        finally:
+            tracemalloc.stop()
+
     def test_wide_duplicate_leaf_is_named(self):
         rows = wide_rows()
         rows.append(rows[417])
@@ -652,6 +695,19 @@ def csv_rows_read():
         yield rows
 
 
+# attribute columns of the byte reader: right-aligned keys of one length,
+# mixed lengths whose keys span few values or many, keys of exactly 8 bytes,
+# string keys past 8 bytes, and multi-byte UTF-8 keys spanning many values
+BYTE_KEY_COLUMNS = {
+    "narrow": [f"a{i:02d}" for i in range(12)],
+    "mixed-narrow": ["a0", "a00", "a01", "a1", "a10", "a11"],
+    "mixed-wide": ["a", "a0", "a00", "b", "ab"],
+    "eight-bytes": ["abcdefgh", "abcdefgi", "zzzzzzzz", "Abcdefgh", "abcdefg", "a"],
+    "past-eight-bytes": ["ninebytes", "abcdefghij", "abcdefgh", "a"],
+    "multi-byte": ["北京", "上海", "Zürich", "é", "ü", "z"],
+}
+
+
 class TestParseReference:
     @settings(max_examples=200, deadline=None)
     @given(snapshot_tables())
@@ -732,6 +788,20 @@ class TestParseReference:
         assert isinstance(want, str) and want.startswith("row ")
         assert outcome(parse_snapshot, text, measure) == want
 
+    @pytest.mark.parametrize("values", BYTE_KEY_COLUMNS.values(), ids=BYTE_KEY_COLUMNS.keys())
+    @pytest.mark.parametrize("n_other", [1, 40])
+    def test_byte_keys_match_the_row_wise_reader(self, values, n_other):
+        other = [f"b{j:02d}" for j in range(n_other)]
+        rows = [
+            f"{x},{y},{i},{i + 1}\n"
+            for i, (y, x) in enumerate(itertools.product(other, values[1::2] + values[::2]))
+        ]
+        text = "host,dc,real,predict\n" + "".join(rows)
+        want = outcome(reference_parse, text, MeasureSpec())
+        with csv_rows_read() as read:
+            assert outcome(parse_snapshot, text, MeasureSpec()) == want
+        assert read == [["host", "dc", "real", "predict"]]
+
 
 def test_plain_table_body_is_not_read_by_csv_reader():
     text = render_table(synthetic_base(n_attrs=3, n_values=4, seed=3))
@@ -739,6 +809,14 @@ def test_plain_table_body_is_not_read_by_csv_reader():
         snap = parse_snapshot(text)
     assert rows == [["A", "B", "C", "real", "predict"]]
     assert snap.n_leaves == 64
+
+
+def test_plain_header_is_read_from_its_line():
+    # csv.reader gets the header line, not a copy of the whole text
+    text = render_table(synthetic_base(n_attrs=3, n_values=4, seed=3))
+    with mock.patch.object(data.io, "StringIO", wraps=io.StringIO) as buffers:
+        parse_snapshot(text)
+    assert [c.args for c in buffers.call_args_list] == [("A,B,C,real,predict\n",)]
 
 
 def test_plain_parse_runs_no_collection():

@@ -1,7 +1,9 @@
 """``tools/verdict_digest.py`` shows reports unchanged between two trees.
 
-Each of its lines must be the same on every run of the same tree, and its
-stage-2 column must hash the score mass of every leaf of a Poisson snapshot.
+Each of its lines must be the same on every run of the same tree, its
+stage-2 column must hash the score mass of every leaf of a Poisson snapshot,
+and its snapshot column must hash what the verdict reads of the snapshot
+and the groupings of its layer-1 and layer-2 cuboids.
 """
 
 import hashlib
@@ -13,6 +15,7 @@ import numpy as np
 
 from rootdrill import SimulationParams, localize, simulate_fault, synthetic_base
 from rootdrill.cluster import leaf_distributions
+from rootdrill.data import Cuboid
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "tools"), str(ROOT / "bench")]
@@ -22,16 +25,16 @@ from verdict_digest import digest_line  # noqa: E402
 
 
 def digest_columns(snap):
-    """The digest line of a fresh verdict, split into its four columns."""
+    """The digest line of a fresh verdict, split into its five columns."""
     line = digest_line("case", snap, localize(snap), report_signature)
     assert line == digest_line("case", snap, localize(snap), report_signature)
-    return line.split(" ", 3)
+    return line.split(" ", 4)
 
 
 def test_a_snapshot_of_another_family_has_no_stage2_column(province_snapshot):
-    label, report_hash, stage2, verdict = digest_columns(province_snapshot)
+    label, report_hash, stage2, snapshot_hash, verdict = digest_columns(province_snapshot)
     assert label == "case"
-    assert len(report_hash) == 64
+    assert len(report_hash) == 64 and len(snapshot_hash) == 64
     assert stage2 == "-"
     clusters, _, _ = json.loads(verdict)
     assert clusters[0][1] == ["Province=Beijing"]
@@ -46,3 +49,16 @@ def test_the_stage2_column_hashes_every_leafs_score_mass():
     mass = leaf_distributions(v, f, "poisson")
     want = hashlib.sha256(mass.ptr.tobytes() + mass.bins.tobytes() + mass.mass.tobytes())
     assert digest_columns(snap)[2] == want.hexdigest()
+
+
+def test_the_snapshot_column_hashes_the_parsed_table_and_its_groupings(province_snapshot):
+    snap = province_snapshot
+    h = hashlib.sha256(repr([(a, snap.schema.domains[a]) for a in snap.schema.attributes]).encode())
+    arrays = [snap.codes, snap.real["value"], snap.forecast["value"]]
+    # the province snapshot has two attributes: two layer-1 cuboids, one layer-2
+    for attrs in (("ISP",), ("Province",), ("ISP", "Province")):
+        idx = snap.cuboid_index(Cuboid(attrs))
+        arrays += [idx.group_codes, idx.group_of, idx.order, idx.starts]
+    for a in arrays:
+        h.update(f"{a.dtype.str}{a.shape}".encode() + np.ascontiguousarray(a).tobytes())
+    assert digest_columns(snap)[3] == h.hexdigest()

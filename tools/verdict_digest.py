@@ -10,13 +10,18 @@ The snapshots are the benchmark's seed-101 to 103 cases of every workload
 (``bench/workloads.py``) and the faults of acceptance criteria 4 and 6
 (``tests/test_acceptance.py``), 474 in all.  Each line holds the snapshot's
 label, the sha256 of ``report_signature`` (raw gps included) and of the
-``score_density`` bytes, the sha256 of stage 2's score mass, and the
-verdict with bounds and gps rounded to 1e-9: the first hash moves with any
-bit of the report, the verdict only with what it states.  The score-mass
-hash covers the ``ptr``, ``bins`` and ``mass`` arrays of
-``leaf_distributions`` over every leaf of a Poisson snapshot, abnormal or
-not, except those with no count and no forecast, so it moves with any bit
-stage 2 computes; it reads ``-`` for other families.  ``rootdrill`` is
+``score_density`` bytes, the sha256 of stage 2's score mass, the sha256 of
+the snapshot and its groupings, and the verdict with bounds and gps
+rounded to 1e-9: the first hash moves with any bit of the report, the
+verdict only with what it states.  The score-mass hash covers the ``ptr``,
+``bins`` and ``mass`` arrays of ``leaf_distributions`` over every leaf of a
+Poisson snapshot, abnormal or not, except those with no count and no
+forecast, so it moves with any bit stage 2 computes; it reads ``-`` for
+other families.  The snapshot hash covers what the verdict reads of the
+parsed snapshot (attributes, domains, codes, real and forecast columns)
+and the ``group_codes``, ``group_of``, ``order`` and ``starts`` arrays of
+every layer-1 and layer-2 cuboid, so it moves with any bit the reader or
+the grouping computes.  ``rootdrill`` is
 imported from ``--src`` (default: this checkout's ``src/``), so one copy of
 the tool digests any checkout that keeps the same API.
 """
@@ -28,6 +33,8 @@ import hashlib
 import json
 import sys
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 BENCH_SEEDS = (101, 102, 103)
@@ -63,15 +70,36 @@ def score_mass_digest(snap) -> str:
     return h.hexdigest()
 
 
+def snapshot_digest(snap) -> str:
+    """sha256 of the snapshot's schema, codes and value columns, and of the
+    grouping arrays of its layer-1 and layer-2 cuboids."""
+    from rootdrill.data import cuboids_by_layer
+
+    h = hashlib.sha256(repr([(a, snap.schema.domains[a]) for a in snap.schema.attributes]).encode())
+    arrays = [snap.codes]
+    for c in snap.measure.operands:
+        arrays += [snap.real[c], snap.forecast[c]]
+    for cuboid in cuboids_by_layer(snap.schema):
+        if cuboid.layer <= 2:
+            idx = snap.cuboid_index(cuboid)
+            arrays += [idx.group_codes, idx.group_of, idx.order, idx.starts]
+    for a in arrays:
+        h.update(f"{a.dtype.str}{a.shape}".encode())
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
 def digest_line(label: str, snap, report, report_signature) -> str:
     h = hashlib.sha256(repr(report_signature(report)).encode())
     h.update(report.score_density.tobytes())
-    return f"{label} {h.hexdigest()} {score_mass_digest(snap)} {json.dumps(verdict(report))}"
+    return (
+        f"{label} {h.hexdigest()} {score_mass_digest(snap)} {snapshot_digest(snap)}"
+        f" {json.dumps(verdict(report))}"
+    )
 
 
 def bench_snapshots():
     """The benchmark's cases, as ``bench/run.py`` generates and parses them."""
-    import numpy as np
     from workloads import WORKLOADS
 
     from rootdrill import parse_snapshot
@@ -85,8 +113,6 @@ def bench_snapshots():
 
 def acceptance_snapshots():
     """The faults criteria 4 and 6 localize, drawn as the acceptance suite draws them."""
-    import numpy as np
-
     from rootdrill import SimulationParams, eliminate_attributes, simulate_fault, synthetic_base
 
     base = synthetic_base(4, 10, mean_rate=50.0, seed=1234, family="poisson")

@@ -311,7 +311,8 @@ class ScoreCluster:
     ``bounds`` are the scores of the separating minima (grid endpoints play
     the role of minima at the edges), so adjacent clusters share a boundary
     value.  ``membership`` and ``mass`` count only the interior bins: mass
-    landing exactly on a separating minimum belongs to neither side.
+    on a separating minimum, like that of a run too light to keep, belongs to
+    no cluster and lands in a spare row of the one count behind every membership.
     """
 
     lo_bin: int
@@ -348,31 +349,30 @@ def cluster_distributions(scores: ScoreMass) -> list[ScoreCluster]:
     of exact spikes must stay separable, and smearing them would fuse
     distinct faults.  Minimum bins belong to no cluster, so an exact spike is
     always wholly inside or wholly outside a cluster.  Runs holding less
-    than ``MIN_CLUSTER_MASS`` leaf-equivalents of mass are discarded.
+    than ``MIN_CLUSTER_MASS`` leaf-equivalents of mass are discarded.  One
+    count over the score terms gives every membership; a term on a minimum
+    or in a discarded run lands in a spare last row, which no cluster reads.
     """
     hist = scores.histogram
     density = _smoothed(hist) if np.count_nonzero(hist) > SPARSE_BINS else hist
 
     # minima are interior and at least two bins apart: every run holds a bin
     boundaries = [-1] + _interior_minima(density) + [N_BINS]
-    cut = []  # (left, right) separating bins of each kept run
-    run_of_bin = np.full(N_BINS, -1)
-    for left, right in zip(boundaries[:-1], boundaries[1:]):
-        if hist[left + 1:right].sum() >= MIN_CLUSTER_MASS:
-            run_of_bin[left + 1:right] = len(cut)
-            cut.append((left, right))
+    cut = [  # (left, right) separating bins and mass of each kept run
+        (left, right, mass) for left, right in zip(boundaries, boundaries[1:])
+        if (mass := hist[left + 1:right].sum()) >= MIN_CLUSTER_MASS
+    ]
+    run_of_bin = np.full(N_BINS, len(cut))
+    for k, (left, right, _) in enumerate(cut):
+        run_of_bin[left + 1:right] = k
     n = len(scores)
     leaf = np.repeat(np.arange(n), np.diff(scores.ptr))
-    run = run_of_bin[scores.bins]
-    inside = run >= 0
     membership = np.bincount(
-        run[inside] * n + leaf[inside],
-        weights=scores.mass[inside],
-        minlength=len(cut) * n,
-    ).reshape(len(cut), n)
+        run_of_bin[scores.bins] * n + leaf, weights=scores.mass, minlength=(len(cut) + 1) * n
+    ).reshape(len(cut) + 1, n)
 
     clusters: list[ScoreCluster] = []
-    for (left, right), member in zip(cut, membership):
+    for (left, right, mass), member in zip(cut, membership):
         seg = density[left + 1:right]
         peak = np.flatnonzero(seg == seg.max())
         center = float(bin_center(left + 1 + (peak[0] + peak[-1]) // 2))
@@ -380,8 +380,7 @@ def cluster_distributions(scores: ScoreMass) -> list[ScoreCluster]:
             -1.0 if left < 0 else float(bin_center(left)),
             1.0 if right >= N_BINS else float(bin_center(right)),
         )
-        mass = float(hist[left + 1:right].sum())
-        clusters.append(ScoreCluster(left + 1, right - 1, bounds, center, mass, member))
+        clusters.append(ScoreCluster(left + 1, right - 1, bounds, center, float(mass), member))
     return clusters
 
 

@@ -214,6 +214,17 @@ def _group_rows(
     return codes[order[starts[:-1]]], group_of, order, starts
 
 
+def _check_leaves(schema: AttributeSchema, codes: np.ndarray, where: str) -> None:
+    """Raise ``ParseError`` naming the first row of the smallest leaf that the
+    table ``codes`` under ``schema`` names twice, and ``where`` it is."""
+    sizes = [len(schema.domains[a]) for a in schema.attributes]
+    _, group_of, counts = _count_keys(*_row_keys(codes, sizes))
+    if len(counts) != len(codes):
+        dup = codes[np.argmax(group_of == np.argmax(counts > 1))]
+        names = {a: schema.domains[a][c] for a, c in zip(schema.attributes, dup)}
+        raise ParseError(f"duplicate leaf {names} in {where}")
+
+
 @dataclass
 class _CuboidIndex:
     """Per-cuboid grouping of leaves by their projected attribute values; group
@@ -307,12 +318,7 @@ class Snapshot:
             if col.min() < 0 or col.max() >= size:
                 raise ValueError(f"value code of attribute {a!r} outside its domain")
         # duplicate leaf bindings break the leaf/aggregate distinction
-        _, group_of, counts = _count_keys(*_row_keys(self.codes, sizes))
-        if len(counts) != n:
-            # the first row of the smallest duplicated leaf
-            dup = self.codes[np.argmax(group_of == np.argmax(counts > 1))]
-            names = {a: self.schema.domains[a][c] for a, c in zip(self.schema.attributes, dup)}
-            raise ParseError(f"duplicate leaf {names} in snapshot")
+        _check_leaves(self.schema, self.codes, "snapshot")
 
     @property
     def n_leaves(self) -> int:

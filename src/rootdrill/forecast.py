@@ -20,6 +20,7 @@ from .data import (
     MeasureSpec,
     ParseError,
     Snapshot,
+    _check_leaves,
     _group_rows,
     _parse_table,
 )
@@ -59,11 +60,11 @@ def snapshot_with_forecast(
                 f"history attributes {list(h_schema.attributes)} do not match"
                 f" snapshot attributes {list(attrs)}"
             )
-    if len(tables) > WINDOW + 1:
-        _stack(attrs, tables, len(history_texts))  # checked, not averaged
-        del tables[1:-WINDOW]
+    for k, (h_schema, codes, _, _) in enumerate(tables):
+        _check_leaves(h_schema, codes, f"history table {k}" if k else "snapshot")
+    del tables[1:-WINDOW]  # tables past the window are checked, not averaged
     n_hist = len(tables) - 1
-    schema, leaf_codes, leaf_of, table_of = _stack(attrs, tables, len(history_texts))
+    schema, leaf_codes, leaf_of, table_of = _stack(attrs, tables)
     n_leaves = len(leaf_codes)
 
     # rows are summed in table order, absent leaves adding nothing
@@ -101,13 +102,12 @@ def _fmt(x: float) -> str:
 
 
 def _stack(
-    attrs: Sequence[str], tables: list, n_history: int
+    attrs: Sequence[str], tables: list
 ) -> tuple[AttributeSchema, np.ndarray, np.ndarray, np.ndarray]:
     """Schema, leaf codes, and each row's leaf and table: one grouping of the
-    rows of ``tables`` (the snapshot's, then the last of ``n_history``
-    history tables) in order.  Each domain is the sorted union of the
-    tables' domains, and each table's codes are mapped into it.  A leaf
-    named twice in one table raises ``ParseError``."""
+    rows of ``tables`` (the snapshot's, then the history tables) in order.
+    Each domain is the sorted union of the tables' domains, and each
+    table's codes are mapped into it."""
     codes = np.concatenate([c for _, c, _, _ in tables])
     bounds = np.cumsum([0] + [len(c) for _, c, _, _ in tables])
     domains = {}
@@ -120,10 +120,4 @@ def _stack(
     schema = AttributeSchema(tuple(attrs), domains)
     leaf_codes, leaf_of, _, _ = _group_rows(codes, [len(domains[a]) for a in attrs])
     table_of = np.repeat(np.arange(len(tables)), np.diff(bounds))
-    pairs = np.bincount(leaf_of * len(tables) + table_of)
-    if pairs.max() > 1:
-        leaf, t = divmod(int(np.argmax(pairs)), len(tables))
-        names = {a: schema.domains[a][c] for a, c in zip(attrs, leaf_codes[leaf])}
-        where = "snapshot" if t == 0 else f"history table {n_history - len(tables) + 1 + t}"
-        raise ParseError(f"duplicate leaf {names} in {where}")
     return schema, leaf_codes, leaf_of, table_of

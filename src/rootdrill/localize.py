@@ -544,7 +544,7 @@ def localize_cluster(
     for layer, cuboids in groupby(cuboids_by_layer(snapshot.schema), attrgetter("layer")):
         searching = [
             c for c, f in enumerate(found)
-            if not (f and min(k[0][0] for k in f) < -round(weights[c] - layer**2, 9))
+            if not (f and min(k[0][0] for k in f) < _rank_key(1.0, layer**2, weights[c])[0])
         ]
         if not searching:
             break

@@ -143,6 +143,37 @@ def spikes(bins, mass=None):
     return ScoreMass(np.arange(n + 1), np.asarray(bins, dtype=np.int64), mass)
 
 
+def masses(leaves):
+    """One leaf per ``{bin: mass}`` entry of ``leaves``."""
+    lens = [len(m) for m in leaves]
+    bins = [b for m in leaves for b in sorted(m)]
+    mass = [m[b] for m in leaves for b in sorted(m)]
+    return ScoreMass(np.cumsum([0] + lens), np.array(bins, dtype=np.int64), np.array(mass))
+
+
+def sequential_sum(terms):
+    """The terms added left to right, as ``np.bincount`` adds its weights
+    (Python's ``sum`` compensates float rounding from 3.12 on)."""
+    total = 0.0
+    for t in terms.tolist():
+        total += t
+    return total
+
+
+@st.composite
+def clustered_masses(draw):
+    """Leaves whose few terms crowd a narrow window of the grid, so the
+    density has several modes, mass on the minima between them and runs
+    under ``MIN_CLUSTER_MASS``; the mass of a leaf sums to about 1."""
+    lo = draw(st.integers(0, N_BINS - 30))
+    leaves = []
+    for _ in range(draw(st.integers(1, 12))):
+        bins = draw(st.lists(st.integers(lo, lo + 29), min_size=1, max_size=5, unique=True))
+        weights = draw(st.lists(st.floats(0.01, 1.0), min_size=len(bins), max_size=len(bins)))
+        leaves.append({b: w / sum(weights) for b, w in zip(bins, weights)})
+    return masses(leaves)
+
+
 def reference_poisson(v, f):
     """Per-leaf Poisson score mass, written out with scipy.stats.
 
@@ -505,16 +536,34 @@ class TestClustering:
         stacked = np.vstack([c.membership for c in clusters])
         assert (stacked.sum(axis=0) <= 1.0 + 1e-12).all()
 
-    def test_membership_sums_each_leafs_mass_inside(self):
-        v = np.array([40.0, 42.0, 5.0, 200.0, 7.0])
-        f = np.array([20.0, 21.0, 6.0, 100.0, 0.0])
-        scores = leaf_distributions(v, f, "poisson")
+    @settings(max_examples=200, deadline=None)
+    @given(clustered_masses())
+    @example(
+        leaf_distributions(
+            np.array([40.0, 42.0, 5.0, 200.0, 7.0]),
+            np.array([20.0, 21.0, 6.0, 100.0, 0.0]),
+            "poisson",
+        )
+    )
+    # density 2.7, 0.3, 3, 0, 0.4, 0, 0.6, 0, 2 over bins 50-58: bin 51 is a
+    # separating minimum holding 0.1 of each of the first three leaves, and
+    # the runs at bins 54 and 56 are too light to keep
+    @example(
+        masses([{50: 0.9, 51: 0.1}] * 3 + [{52: 1.0}] * 3 + [{54: 0.4, 56: 0.6}] + [{58: 1.0}] * 2)
+    )
+    def test_membership_sums_each_leafs_mass_inside(self, scores):
         clusters = cluster_distributions(scores)
-        assert clusters
+        covered = np.zeros(N_BINS, bool)
         for c in clusters:
+            assert c.membership.shape == (len(scores),)
+            covered[c.lo_bin:c.hi_bin + 1] = True
             for i, d in enumerate(scores):
                 inside = (d.bins >= c.lo_bin) & (d.bins <= c.hi_bin)
-                assert c.membership[i] == pytest.approx(d.mass[inside].sum(), abs=1e-12)
+                assert c.membership[i] == sequential_sum(d.mass[inside])
+        # mass on a separating minimum or in a light run is in no membership
+        held = sum((c.membership for c in clusters), np.zeros(len(scores)))
+        for i, d in enumerate(scores):
+            assert held[i] == pytest.approx(d.mass[covered[d.bins]].sum(), abs=1e-12)
 
     def test_wide_modes_merge_under_smoothing(self):
         rng = np.random.default_rng(3)

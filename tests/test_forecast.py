@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rootdrill.forecast as forecast_mod
 from rootdrill import MeasureSpec, ParseError, parse_snapshot
 from rootdrill.data import AttributeSchema, Snapshot
 from rootdrill.forecast import WINDOW, render_table, snapshot_with_forecast
@@ -79,6 +80,19 @@ class TestSnapshotWithForecast:
         hist = ["a,real\nx,4\nx,100\n"] + ["a,real\nx,2\n"] * WINDOW
         with pytest.raises(ParseError, match="duplicate leaf {'a': 'x'} in history table 1"):
             snapshot_with_forecast("a,real\nx,1\n", hist)
+
+    def test_history_past_the_window_is_grouped_once(self, monkeypatch):
+        # every table is checked on its own codes; only the averaged ones are stacked
+        grouped, original = [], forecast_mod._group_rows
+
+        def group_rows(codes, sizes):
+            grouped.append(len(codes))
+            return original(codes, sizes)
+
+        monkeypatch.setattr(forecast_mod, "_group_rows", group_rows)
+        hist = ["a,real\nx,1\ny,2\n"] * (2 * WINDOW)
+        snapshot_with_forecast("a,real\nx,1\n", hist)
+        assert grouped == [1 + 2 * WINDOW]  # the snapshot row and two per averaged table
 
     def test_attribute_mismatch_outside_window(self):
         hist = ["b,real\nx,1\n"] + ["a,real\nx,1\n"] * WINDOW

@@ -11,13 +11,18 @@ The snapshots are the benchmark's seed-101 to 103 cases of every workload
 (``tests/test_acceptance.py``), 474 in all.  Each line holds the snapshot's
 label, the sha256 of ``report_signature`` (raw gps included) and of the
 ``score_density`` bytes, the sha256 of stage 2's score mass, the sha256 of
-the snapshot and its groupings, and the verdict with bounds and gps
-rounded to 1e-9: the first hash moves with any bit of the report, the
-verdict only with what it states.  The score-mass hash covers the ``ptr``,
-``bins`` and ``mass`` arrays of ``leaf_distributions`` over every leaf of a
-Poisson snapshot, abnormal or not, except those with no count and no
-forecast, so it moves with any bit stage 2 computes; it reads ``-`` for
-other families.  The snapshot hash covers what the verdict reads of the
+stage 3's clusters, the sha256 of the snapshot and its groupings, and the
+verdict with bounds and gps rounded to 1e-9: the first hash moves with any
+bit of the report, the verdict only with what it states.  The score-mass
+hash covers the ``ptr``, ``bins`` and ``mass`` arrays of
+``leaf_distributions`` over every leaf of a Poisson snapshot, abnormal or
+not, except those with no count and no forecast, so it moves with any bit
+stage 2 computes; it reads ``-`` for other families.  The cluster hash
+covers each cluster's ``lo_bin``, ``hi_bin``, ``bounds``, ``center``,
+``mass`` and ``membership`` bytes from ``cluster_distributions`` over the
+abnormal leaves as ``localize`` picks them, before the noise band drops
+any, so it moves with any bit stage 3 computes; it reads ``-`` when no
+leaf is abnormal.  The snapshot hash covers what the verdict reads of the
 parsed snapshot (attributes, domains, codes, real and forecast columns)
 and the ``group_codes``, ``group_of``, ``order`` and ``starts`` arrays of
 every layer-1 and layer-2 cuboid, so it moves with any bit the reader or
@@ -70,6 +75,23 @@ def score_mass_digest(snap) -> str:
     return h.hexdigest()
 
 
+def cluster_digest(snap) -> str:
+    """sha256 of stage 3's clusters over the abnormal leaves, or ``-``."""
+    from rootdrill.cluster import cluster_distributions, knee_threshold, leaf_distributions
+
+    v, f = snap.leaf_values()
+    resid = np.abs(v - f)
+    abnormal = np.flatnonzero(resid > knee_threshold(resid))
+    if abnormal.size == 0:
+        return "-"
+    family = snap.measure.distribution_family
+    h = hashlib.sha256()
+    for c in cluster_distributions(leaf_distributions(v[abnormal], f[abnormal], family)):
+        h.update(repr((c.lo_bin, c.hi_bin, c.bounds, c.center, c.mass)).encode())
+        h.update(c.membership.tobytes())
+    return h.hexdigest()
+
+
 def snapshot_digest(snap) -> str:
     """sha256 of the snapshot's schema, codes and value columns, and of the
     grouping arrays of its layer-1 and layer-2 cuboids."""
@@ -93,8 +115,8 @@ def digest_line(label: str, snap, report, report_signature) -> str:
     h = hashlib.sha256(repr(report_signature(report)).encode())
     h.update(report.score_density.tobytes())
     return (
-        f"{label} {h.hexdigest()} {score_mass_digest(snap)} {snapshot_digest(snap)}"
-        f" {json.dumps(verdict(report))}"
+        f"{label} {h.hexdigest()} {score_mass_digest(snap)} {cluster_digest(snap)}"
+        f" {snapshot_digest(snap)} {json.dumps(verdict(report))}"
     )
 
 

@@ -160,6 +160,22 @@ def sequential_sum(terms):
     return total
 
 
+def assert_membership_is_mass_inside(scores, clusters):
+    """Each membership is its leaf's mass inside the cluster, summed as
+    ``np.bincount`` sums it; mass on a separating minimum or in a light run
+    is in no membership."""
+    covered = np.zeros(N_BINS, bool)
+    for c in clusters:
+        assert c.membership.shape == (len(scores),)
+        covered[c.lo_bin:c.hi_bin + 1] = True
+        for i, d in enumerate(scores):
+            inside = (d.bins >= c.lo_bin) & (d.bins <= c.hi_bin)
+            assert c.membership[i] == sequential_sum(d.mass[inside])
+    held = sum((c.membership for c in clusters), np.zeros(len(scores)))
+    for i, d in enumerate(scores):
+        assert held[i] == pytest.approx(d.mass[covered[d.bins]].sum(), abs=1e-12)
+
+
 @st.composite
 def clustered_masses(draw):
     """Leaves whose few terms crowd a narrow window of the grid, so the
@@ -538,32 +554,37 @@ class TestClustering:
 
     @settings(max_examples=200, deadline=None)
     @given(clustered_masses())
-    @example(
-        leaf_distributions(
-            np.array([40.0, 42.0, 5.0, 200.0, 7.0]),
-            np.array([20.0, 21.0, 6.0, 100.0, 0.0]),
-            "poisson",
-        )
-    )
-    # density 2.7, 0.3, 3, 0, 0.4, 0, 0.6, 0, 2 over bins 50-58: bin 51 is a
-    # separating minimum holding 0.1 of each of the first three leaves, and
-    # the runs at bins 54 and 56 are too light to keep
-    @example(
-        masses([{50: 0.9, 51: 0.1}] * 3 + [{52: 1.0}] * 3 + [{54: 0.4, 56: 0.6}] + [{58: 1.0}] * 2)
-    )
     def test_membership_sums_each_leafs_mass_inside(self, scores):
+        # a drawn input may keep no cluster; the fixed inputs below must
+        assert_membership_is_mass_inside(scores, cluster_distributions(scores))
+
+    @pytest.mark.parametrize(
+        "scores, spans",
+        [
+            (
+                leaf_distributions(
+                    np.array([40.0, 42.0, 5.0, 200.0, 7.0]),
+                    np.array([20.0, 21.0, 6.0, 100.0, 0.0]),
+                    "poisson",
+                ),
+                [(0, 18), (20, 82)],
+            ),
+            # density 2.7, 0.3, 3, 0, 0.4, 0, 0.6, 0, 2 over bins 50-58: bin
+            # 51 is a separating minimum holding 0.1 of each of the first
+            # three leaves, and the runs at bins 54 and 56 are too light to
+            # keep
+            (
+                masses([{50: 0.9, 51: 0.1}] * 3 + [{52: 1.0}] * 3
+                       + [{54: 0.4, 56: 0.6}] + [{58: 1.0}] * 2),
+                [(0, 50), (52, 52), (58, 200)],
+            ),
+        ],
+        ids=["poisson", "light-runs"],
+    )
+    def test_membership_of_fixed_inputs(self, scores, spans):
         clusters = cluster_distributions(scores)
-        covered = np.zeros(N_BINS, bool)
-        for c in clusters:
-            assert c.membership.shape == (len(scores),)
-            covered[c.lo_bin:c.hi_bin + 1] = True
-            for i, d in enumerate(scores):
-                inside = (d.bins >= c.lo_bin) & (d.bins <= c.hi_bin)
-                assert c.membership[i] == sequential_sum(d.mass[inside])
-        # mass on a separating minimum or in a light run is in no membership
-        held = sum((c.membership for c in clusters), np.zeros(len(scores)))
-        for i, d in enumerate(scores):
-            assert held[i] == pytest.approx(d.mass[covered[d.bins]].sum(), abs=1e-12)
+        assert [(c.lo_bin, c.hi_bin) for c in clusters] == spans
+        assert_membership_is_mass_inside(scores, clusters)
 
     def test_wide_modes_merge_under_smoothing(self):
         rng = np.random.default_rng(3)

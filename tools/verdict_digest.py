@@ -79,6 +79,9 @@ def cluster_digest(snap) -> str:
     """sha256 of stage 3's clusters over the abnormal leaves, or ``-``."""
     from rootdrill.cluster import cluster_distributions, knee_threshold, leaf_distributions
 
+    # mirrors the abnormal-leaf selection at the top of rootdrill.localize.
+    # localize (|v - f| above knee_threshold, scored in the measure's
+    # family); change both together, or this column hashes a stale selection
     v, f = snap.leaf_values()
     resid = np.abs(v - f)
     abnormal = np.flatnonzero(resid > knee_threshold(resid))

@@ -312,10 +312,9 @@ class Snapshot:
             v = self.real[self.measure.operands[0]]
             if np.any(np.abs(v - np.round(v)) > 1e-9):
                 raise ParseError("poisson family requires integer real values")
-        sizes = [len(self.schema.domains[a]) for a in self.schema.attributes]
-        for j, (a, size) in enumerate(zip(self.schema.attributes, sizes)):
+        for j, a in enumerate(self.schema.attributes):
             col = self.codes[:, j]
-            if col.min() < 0 or col.max() >= size:
+            if col.min() < 0 or col.max() >= len(self.schema.domains[a]):
                 raise ValueError(f"value code of attribute {a!r} outside its domain")
         # duplicate leaf bindings break the leaf/aggregate distinction
         _check_leaves(self.schema, self.codes, "snapshot")

@@ -39,6 +39,7 @@ from .data import (
     Cuboid,
     Snapshot,
     _CuboidIndex,
+    _count_keys,
     _group_rows,
     cuboids_by_layer,
 )
@@ -384,7 +385,8 @@ class _Misfits:
         valid = np.arange(order.shape[1]) < K[:, None]
         # one table per (cuboid, side): the groups its rows rank, in group
         # order, take its first rows, and the others share its last row
-        keys, tab_of = np.unique(cub * (n_leaves + 1) + self.side, return_inverse=True)
+        span = layer.n_groups.size * (n_leaves + 1)  # above every key
+        keys, tab_of, _ = _count_keys(cub * (n_leaves + 1) + self.side, span)
         tab_cub, tab_side = np.divmod(keys, n_leaves + 1)
         tab_groups = layer.n_groups[tab_cub]
         group_at = np.cumsum(tab_groups) - tab_groups
@@ -417,7 +419,7 @@ class _Misfits:
         self.col = self.t // self.side[row]
         last, lane_width = n_rank[row], width.max()
         reads = np.stack([self.col, np.minimum(self.col + 1, last), last])
-        lanes, lane_of = np.unique(reads + row * lane_width, return_inverse=True)
+        lanes, lane_of, _ = _count_keys((reads + row * lane_width).ravel(), cub.size * lane_width)
         lane_of = lane_of.reshape(reads.shape)
         lane_row, lane_col = np.divmod(lanes, lane_width)
         n_lanes = np.bincount(lane_row, minlength=cub.size)
@@ -599,47 +601,56 @@ def _no_cluster_report(
     )
 
 
-def localize(snapshot: Snapshot, cfg: LocalizeConfig | None = None) -> LocalizationReport:
-    """Run the full pipeline on one snapshot."""
-    cfg = cfg or LocalizeConfig()
-    t0 = time.perf_counter()
+def _abnormal(snapshot: Snapshot) -> tuple[float, np.ndarray, cluster.ScoreMass | None]:
+    """Stages 1 and 2: the knee of |v − f|, the leaves above it (ascending)
+    and their score mass in the measure's family, ``None`` if there are none."""
     v, f = snapshot.leaf_values()
     resid = np.abs(v - f)
     threshold = knee_threshold(resid)
     abnormal = np.flatnonzero(resid > threshold)
     if abnormal.size == 0:
-        return _no_cluster_report(v, f, threshold, np.zeros(N_BINS), t0)
+        return threshold, abnormal, None
+    family = snapshot.measure.distribution_family
+    return threshold, abnormal, leaf_distributions(v[abnormal], f[abnormal], family)
 
-    scores = leaf_distributions(v[abnormal], f[abnormal], snapshot.measure.distribution_family)
-    density = scores.histogram / len(scores)
-    clusters = cluster_distributions(scores)
 
-    # clusters whose score is within the normal leaves' own deviation range
-    # carry no signal; their leaves stay in the complement pool.  The knee
-    # is never below the smallest residual, so some leaf is normal.
-    normal = resid <= threshold
-    normal_scores = np.abs(deviation_score(v[normal], f[normal]))
-    wts = snapshot.leaf_weights()[normal]
-    band = weighted_quantile(normal_scores, wts, NOISE_BAND_QUANTILE)
-    clusters = [c for c in clusters if abs(c.center) > band]
+def _kept(snapshot: Snapshot, threshold: float, clusters: list) -> list:
+    """The clusters outside the noise band (``NOISE_BAND_QUANTILE``); the others'
+    leaves stay in the complement pool.  The knee always leaves a leaf normal."""
+    v, f = snapshot.leaf_values()
+    normal = np.abs(v - f) <= threshold
+    scores = np.abs(deviation_score(v[normal], f[normal]))
+    band = weighted_quantile(scores, snapshot.leaf_weights()[normal], NOISE_BAND_QUANTILE)
+    return [c for c in clusters if abs(c.center) > band]
 
-    if not clusters:
-        return _no_cluster_report(v, f, threshold, density, t0)
 
+def _search_inputs(snapshot: Snapshot, abnormal: np.ndarray, clusters: list):
+    """The memberships, exclusion masks and tradeoff weights of ``clusters``."""
     n = snapshot.n_leaves
-    num_cluster = len(clusters)
-    num_attr = snapshot.schema.n_attributes
-    arrays = _SnapshotArrays(snapshot)
     memberships = np.array([c.membership for c in clusters])
-    total_membership = memberships.sum(axis=0)
     # a leaf mostly explained by the other clusters combined leaves the
     # complement pool, even when no single cluster claims it outright
-    excludes = np.zeros((num_cluster, n), dtype=bool)
-    excludes[:, abnormal] = total_membership - memberships > 0.5
-    weights = [tradeoff_weight(num_cluster, num_attr, c.mass / n) for c in clusters]
+    excludes = np.zeros((len(clusters), n), dtype=bool)
+    excludes[:, abnormal] = memberships.sum(axis=0) - memberships > 0.5
+    num_attr = snapshot.schema.n_attributes
+    weights = [tradeoff_weight(len(clusters), num_attr, c.mass / n) for c in clusters]
+    return memberships, excludes, weights
+
+
+def localize(snapshot: Snapshot, cfg: LocalizeConfig | None = None) -> LocalizationReport:
+    """Run the full pipeline on one snapshot."""
+    cfg = cfg or LocalizeConfig()
+    t0 = time.perf_counter()
+    threshold, abnormal, scores = _abnormal(snapshot)
+    density = np.zeros(N_BINS) if scores is None else scores.histogram / len(scores)
+    clusters = [] if scores is None else _kept(snapshot, threshold, cluster_distributions(scores))
+    if not clusters:
+        return _no_cluster_report(*snapshot.leaf_values(), threshold, density, t0)
+
     # a kept cluster holds at least MIN_CLUSTER_MASS, so some leaf has member
     # mass and the search always finds a candidate
-    candidates = localize_cluster(arrays, abnormal, memberships, excludes, weights)
+    arrays = _SnapshotArrays(snapshot)
+    candidates = localize_cluster(arrays, abnormal, *_search_inputs(snapshot, abnormal, clusters))
     results = [ClusterResult(c.bounds, cand) for c, cand in zip(clusters, candidates)]
 
     min_gps = min(r.candidate.gps for r in results)

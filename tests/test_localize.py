@@ -42,11 +42,14 @@ from rootdrill.forecast import render_table
 from rootdrill.ripple import UndefinedValueError, measure_values
 from rootdrill.localize import (
     RootCauseCandidate,
+    _abnormal,
     _Cluster,
+    _kept,
     _Layer,
     _Misfits,
     _rank_key,
     _Rows,
+    _search_inputs,
     _SnapshotArrays,
     localize_cluster,
     tradeoff_weight,
@@ -707,8 +710,7 @@ class TestSearch:
 
     def test_only_the_winner_is_decoded(self, monkeypatch):
         snap = planted_snapshot(n_values=4, d=0.5, quiet_noise=0.01, seed=4)
-        v, f = snap.leaf_values()
-        abnormal = np.flatnonzero(np.abs(v - f) > knee_threshold(np.abs(v - f)))
+        _, abnormal, _ = _abnormal(snap)
         membership = np.ones(abnormal.size)
         exclude = np.zeros(snap.n_leaves, dtype=bool)
         arrays = _SnapshotArrays(snap)
@@ -732,19 +734,13 @@ class TestSearch:
 
     def test_prefix_search_matches_exhaustive(self):
         snap = planted_snapshot(n_values=3, d=0.5, quiet_noise=0.002, seed=1)
-        v, f = snap.leaf_values()
-        resid = np.abs(v - f)
-        t = knee_threshold(resid)
-        abnormal = np.flatnonzero(resid > t)
-        dists = leaf_distributions(v[abnormal], f[abnormal], "none")
-        clusters = cluster_distributions(dists)
+        _, abnormal, scores = _abnormal(snap)
+        clusters = cluster_distributions(scores)
         assert len(clusters) == 1
-        weight = tradeoff_weight(1, 2, min(clusters[0].mass / snap.n_leaves, 1.0))
-        exclude = np.zeros(snap.n_leaves, dtype=bool)
+        memberships, excludes, (weight,) = _search_inputs(snap, abnormal, clusters)
+        assert not excludes.any()
 
-        (got,) = localize_cluster(
-            _SnapshotArrays(snap), abnormal, clusters[0].membership[None], exclude[None], [weight]
-        )
+        (got,) = localize_cluster(_SnapshotArrays(snap), abnormal, memberships, excludes, [weight])
 
         best_score, best = -np.inf, None
         for cuboid in cuboids_by_layer(snap.schema):
@@ -843,9 +839,11 @@ class TestLayerBound:
     @staticmethod
     def wide_clusters(cause):
         """A 6-attribute x 2-value snapshot (64 leaves, 63 cuboids) with
-        ``cause`` planted under 5% noise on every leaf, and per cluster the
-        leaves, membership and exclusion mask ``localize`` searches it with,
-        beside the weight ``tradeoff_weight`` gives it."""
+        ``cause`` planted under 5% noise on every leaf, and per cluster of its
+        abnormal leaves the leaves, membership, exclusion mask and weight
+        ``_search_inputs`` gives it.  Every cluster is kept: ``localize``'s
+        noise band reads 0.5 on the layer-1 and layer-2 causes, exactly the
+        planted score, and keeps none of theirs."""
         base = synthetic_base(n_attrs=6, n_values=2, seed=0, family="none")
         rng = np.random.default_rng(0)
         f = base.forecast["value"].astype(float)
@@ -853,17 +851,9 @@ class TestLayerBound:
         mask = base.leaf_mask(combo(**cause))
         v[mask] = f[mask] * (1 - 0.5) / (1 + 0.5)
         snap = Snapshot(base.schema, base.codes, {"value": v}, {"value": f}, base.measure)
-        resid = np.abs(v - f)
-        abnormal = np.flatnonzero(resid > knee_threshold(resid))
-        clusters = cluster_distributions(leaf_distributions(v[abnormal], f[abnormal], "none"))
-        total = np.sum([c.membership for c in clusters], axis=0)
-        cases = []
-        for c in clusters:
-            exclude = np.zeros(snap.n_leaves, dtype=bool)
-            exclude[abnormal] = total - c.membership > 0.5
-            weight = tradeoff_weight(len(clusters), 6, c.mass / snap.n_leaves)
-            cases.append(((abnormal, c.membership, exclude), weight))
-        return snap, cases
+        _, abnormal, scores = _abnormal(snap)
+        inputs = _search_inputs(snap, abnormal, cluster_distributions(scores))
+        return snap, [((abnormal, m, e), w) for m, e, w in zip(*inputs)]
 
     @pytest.mark.parametrize(
         "cause",
@@ -1402,6 +1392,47 @@ class TestRowOrder:
         for a, b in zip(got.per_cluster, ref.per_cluster):
             assert a.candidate.combinations == rename(b.candidate.combinations)
             assert a.candidate.gps == b.candidate.gps
+
+
+class TestStages:
+    """``localize`` runs ``_abnormal``, ``cluster_distributions``, ``_kept``
+    and ``_search_inputs`` in turn: stage 1 keeps its rule, and the report
+    is the stages' output."""
+
+    def test_abnormal_leaves_lie_above_the_knee_of_their_residuals(self):
+        snap = TestRowOrder.count_fault().snapshot
+        v, f = snap.leaf_values()
+        r = np.abs(v - f)
+        threshold, abnormal, scores = _abnormal(snap)
+        assert threshold == knee_threshold(r)
+        assert np.array_equal(abnormal, np.flatnonzero(r > knee_threshold(r)))
+        assert 0 < abnormal.size < snap.n_leaves
+        want = leaf_distributions(v[abnormal], f[abnormal], "poisson")
+        for a in ("ptr", "bins", "mass"):
+            assert np.array_equal(getattr(scores, a), getattr(want, a))
+
+    def test_a_quiet_table_has_no_score_mass(self, monkeypatch):
+        snap = parse_snapshot("a,real,predict\nx,5,5\ny,7,7\nz,9,9\n")
+
+        def unreachable(*args):
+            raise AssertionError("stage 2 ran without an abnormal leaf")
+
+        monkeypatch.setattr(localize_mod, "leaf_distributions", unreachable)
+        _, abnormal, scores = _abnormal(snap)
+        assert abnormal.size == 0 and scores is None
+        assert localize(snap).note == "no anomaly"
+
+    # the band drops some of count_fault's clusters and none of rate_fault's
+    @pytest.mark.parametrize("make, dropped", [("count_fault", True), ("rate_fault", False)])
+    def test_the_report_is_the_stages_output(self, make, dropped):
+        snap = getattr(TestRowOrder, make)().snapshot
+        report = localize(snap)
+        threshold, _, scores = _abnormal(snap)
+        clusters = cluster_distributions(scores)
+        kept = _kept(snap, threshold, clusters)
+        assert kept and (len(kept) < len(clusters)) == dropped
+        assert report.score_density.tobytes() == (scores.histogram / len(scores)).tobytes()
+        assert [r.bounds for r in report.per_cluster] == [c.bounds for c in kept]
 
 
 class TestScaling:

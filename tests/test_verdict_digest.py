@@ -21,8 +21,9 @@ from rootdrill import (
     simulate_fault,
     synthetic_base,
 )
-from rootdrill.cluster import cluster_distributions, knee_threshold, leaf_distributions
+from rootdrill.cluster import cluster_distributions, leaf_distributions
 from rootdrill.data import Cuboid
+from rootdrill.localize import _abnormal
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "tools"), str(ROOT / "bench")]
@@ -64,14 +65,12 @@ def test_the_stage2_column_hashes_every_leafs_score_mass():
 
 def test_the_stage3_column_hashes_every_cluster_of_the_abnormal_leaves():
     snap = poisson_fault()
-    v, f = snap.leaf_values()
-    resid = np.abs(v - f)
-    abnormal = resid > knee_threshold(resid)
-    clusters = cluster_distributions(leaf_distributions(v[abnormal], f[abnormal], "poisson"))
+    _, abnormal, scores = _abnormal(snap)
+    clusters = cluster_distributions(scores)
     assert clusters
     want = hashlib.sha256()
     for c in clusters:
-        assert c.membership.shape == (abnormal.sum(),)
+        assert c.membership.shape == abnormal.shape
         fields = (c.lo_bin, c.hi_bin, c.bounds, c.center, c.mass)
         want.update(repr(fields).encode() + c.membership.tobytes())
     assert digest_columns(snap)[3] == want.hexdigest()

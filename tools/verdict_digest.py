@@ -20,15 +20,21 @@ not, except those with no count and no forecast, so it moves with any bit
 stage 2 computes; it reads ``-`` for other families.  The cluster hash
 covers each cluster's ``lo_bin``, ``hi_bin``, ``bounds``, ``center``,
 ``mass`` and ``membership`` bytes from ``cluster_distributions`` over the
-abnormal leaves as ``localize`` picks them, before the noise band drops
-any, so it moves with any bit stage 3 computes; it reads ``-`` when no
-leaf is abnormal.  The snapshot hash covers what the verdict reads of the
-parsed snapshot (attributes, domains, codes, real and forecast columns)
+abnormal leaves that ``rootdrill.localize._abnormal`` picks for
+``localize``, before the noise band drops any, so it moves with any bit
+stage 3 computes; it reads ``-`` when no leaf is abnormal.  The snapshot
+hash covers what the verdict reads of the parsed snapshot (attributes,
+domains, codes, real and forecast columns)
 and the ``group_codes``, ``group_of``, ``order`` and ``starts`` arrays of
 every layer-1 and layer-2 cuboid, so it moves with any bit the reader or
 the grouping computes.  ``rootdrill`` is
 imported from ``--src`` (default: this checkout's ``src/``), so one copy of
-the tool digests any checkout that keeps the same API.
+the tool digests any checkout that keeps the same API, ``_abnormal``
+included.  To compare against an older checkout without it, run that
+checkout's own copy of the tool from a worktree of it:
+
+    git worktree add ../parent <commit>
+    (cd ../parent && python3 tools/verdict_digest.py) > parent.txt
 """
 
 from __future__ import annotations
@@ -77,19 +83,14 @@ def score_mass_digest(snap) -> str:
 
 def cluster_digest(snap) -> str:
     """sha256 of stage 3's clusters over the abnormal leaves, or ``-``."""
-    from rootdrill.cluster import cluster_distributions, knee_threshold, leaf_distributions
+    from rootdrill.cluster import cluster_distributions
+    from rootdrill.localize import _abnormal
 
-    # mirrors the abnormal-leaf selection at the top of rootdrill.localize.
-    # localize (|v - f| above knee_threshold, scored in the measure's
-    # family); change both together, or this column hashes a stale selection
-    v, f = snap.leaf_values()
-    resid = np.abs(v - f)
-    abnormal = np.flatnonzero(resid > knee_threshold(resid))
-    if abnormal.size == 0:
+    _, _, scores = _abnormal(snap)
+    if scores is None:
         return "-"
-    family = snap.measure.distribution_family
     h = hashlib.sha256()
-    for c in cluster_distributions(leaf_distributions(v[abnormal], f[abnormal], family)):
+    for c in cluster_distributions(scores):
         h.update(repr((c.lo_bin, c.hi_bin, c.bounds, c.center, c.mass)).encode())
         h.update(c.membership.tobytes())
     return h.hexdigest()

@@ -19,7 +19,7 @@ from contextlib import ExitStack, contextmanager
 from pathlib import Path
 
 from .cluster import N_BINS, bin_center
-from .data import MeasureSpec, parse_snapshot
+from .data import _FAMILIES, MeasureSpec, parse_snapshot
 from .evaluate import run_benchmark
 from .forecast import snapshot_with_forecast
 from .localize import LocalizationReport, LocalizeConfig, localize, select_exrc_threshold
@@ -290,15 +290,17 @@ def build_parser() -> argparse.ArgumentParser:
     si.add_argument("--grid", required=True, help="cells, e.g. 1-3x1-3")
     si.add_argument("--per-cell", type=int, required=True, help="faults per cell")
     si.add_argument("--seed", type=int, default=0)
-    si.add_argument("--noise", type=float, default=0.0, help="relative base noise sigma")
-    si.add_argument("--leaf-noise", type=float, default=0.05, help="relative noise on faulty leaves")
+    si.add_argument("--noise", type=float, default=SimulationParams.base_noise_sigma,
+                    help="relative base noise sigma")
+    si.add_argument("--leaf-noise", type=float, default=SimulationParams.leaf_noise_sigma,
+                    help="relative noise on faulty leaves")
     si.add_argument("--out", required=True, help="dataset directory")
     si.set_defaults(func=_cmd_simulate)
 
     ev = sub.add_parser("evaluate", help="score localization over a dataset", allow_abbrev=False)
     ev.add_argument("--dataset", required=True)
     ev.add_argument("--workers", type=int, default=1)
-    ev.add_argument("--family", choices=["none", "poisson"], help="override distribution family")
+    ev.add_argument("--family", choices=_FAMILIES, help="override distribution family")
     ev.add_argument("--delta-exrc", type=float, default=cfg.delta_exrc)
     ev.add_argument("--out", required=True, help="report JSON path")
     ev.set_defaults(func=_cmd_evaluate)

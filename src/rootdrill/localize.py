@@ -46,7 +46,7 @@ from .data import (
 from .ripple import deviation_score, measure_values
 
 
-@dataclass
+@dataclass(frozen=True)
 class LocalizeConfig:
     """Tunables of the localization pipeline.
 
@@ -456,29 +456,22 @@ class _Misfits:
         ranked below t, in chunks of at most ``cluster.BLOCK_TERMS`` leaves,
         and counts the leaves of its own groups."""
         layer, arrays = self.layer, self.layer.arrays
-        by_cuboid = np.argsort(self.cub[self.row[sel]], kind="stable")
-        sel = sel[by_cuboid]
         row, j = self.row[sel], self.j[sel]
         start = self.col[sel] * self.side[row]
         head = self.t[sel] - start  # ranks [col·side, t)
         sv, sf = self.sv[sel], self.sf[sel]
         for lo, hi in _blocks(head):
             jh = np.repeat(np.arange(hi - lo), head[lo:hi])
-            if not jh.size:
-                continue
             leaf = arrays.by_rank[_runs(start[lo:hi], head[lo:hi])]
             at = row[lo:hi][jh]
             cub = self.cub[at]
             group = np.empty_like(leaf)
-            cut = np.flatnonzero(np.diff(cub)) + 1
-            for a, z in zip([0, *cut], [*cut, cub.size]):
-                group[a:z] = layer.idxs[cub[a]].group_of[leaf[a:z]]
+            for u in np.unique(self.cub[row[lo:hi]]).tolist():
+                group[cub == u] = layer.idxs[u].group_of[leaf[cub == u]]
             coef = np.where(self.position[self.group_at[at] + group] <= j[lo:hi][jh], -2.0, 0.0)
             sv[lo:hi] += np.bincount(jh, weights=coef * arrays.v[leaf], minlength=hi - lo)
             sf[lo:hi] += np.bincount(jh, weights=coef * arrays.f[leaf], minlength=hi - lo)
-        out = np.empty(sel.size)
-        out[by_cuboid] = sv - self.r[sel] * sf
-        return out
+        return sv - self.r[sel] * sf
 
 
 def explanation_score(snapshot: Snapshot, combinations: Sequence[AttributeCombination]) -> float:
@@ -614,11 +607,11 @@ def _abnormal(snapshot: Snapshot) -> tuple[float, np.ndarray, cluster.ScoreMass 
     return threshold, abnormal, leaf_distributions(v[abnormal], f[abnormal], family)
 
 
-def _kept(snapshot: Snapshot, threshold: float, clusters: list) -> list:
-    """The clusters outside the noise band (``NOISE_BAND_QUANTILE``); the others'
-    leaves stay in the complement pool.  The knee always leaves a leaf normal."""
+def _kept(snapshot: Snapshot, abnormal: np.ndarray, clusters: list) -> list:
+    """The clusters outside the noise band (``NOISE_BAND_QUANTILE``) of the leaves the knee left
+    normal (all but ``abnormal``, one at least); the others' leaves stay in the complement pool."""
     v, f = snapshot.leaf_values()
-    normal = np.abs(v - f) <= threshold
+    normal = np.delete(np.arange(v.size), abnormal)
     scores = np.abs(deviation_score(v[normal], f[normal]))
     band = weighted_quantile(scores, snapshot.leaf_weights()[normal], NOISE_BAND_QUANTILE)
     return [c for c in clusters if abs(c.center) > band]
@@ -643,7 +636,7 @@ def localize(snapshot: Snapshot, cfg: LocalizeConfig | None = None) -> Localizat
     t0 = time.perf_counter()
     threshold, abnormal, scores = _abnormal(snapshot)
     density = np.zeros(N_BINS) if scores is None else scores.histogram / len(scores)
-    clusters = [] if scores is None else _kept(snapshot, threshold, cluster_distributions(scores))
+    clusters = [] if scores is None else _kept(snapshot, abnormal, cluster_distributions(scores))
     if not clusters:
         return _no_cluster_report(*snapshot.leaf_values(), threshold, density, t0)
 

@@ -7,8 +7,8 @@ import sys
 import numpy as np
 import pytest
 
-from rootdrill import MeasureSpec, SimulationParams, simulate_fault, snapshot_from_rows
-from rootdrill.cli import main, parse_grid, parse_measure
+from rootdrill import MeasureSpec, SimulationParams, data, simulate_fault, snapshot_from_rows
+from rootdrill.cli import build_parser, main, parse_grid, parse_measure
 from rootdrill.forecast import render_table
 from rootdrill.simulate import write_fault
 
@@ -205,6 +205,14 @@ class TestLocalizeCommand:
             [{"attr": "a", "value": "x"}]
         ]
 
+    def test_history_holding_only_the_snapshot_is_input_error(self, tmp_path, capsys):
+        hist_dir = tmp_path / "history"
+        hist_dir.mkdir()
+        (hist_dir / "t0.csv").write_text("a,real\nx,2\ny,5\n")
+        args = ["--snapshot", str(hist_dir / "t0.csv"), "--history", str(hist_dir)]
+        assert main(["localize", *args, "--out", str(tmp_path / "r.json")]) == 1
+        assert "no history CSVs usable" in capsys.readouterr().err
+
     def test_missing_file_is_input_error(self, tmp_path):
         rc = main(
             ["localize", "--snapshot", str(tmp_path / "nope.csv"), "--out", "r.json"]
@@ -294,6 +302,24 @@ class TestSimulateEvaluateCommands:
         assert report["n_cases"] == 4
         assert set(report["per_setting"]) == {"1,1", "2,1"}
         assert 0.0 <= report["overall_f1"] <= 1.0
+
+    def test_a_cell_written_again_is_replaced_whole(self, tmp_path):
+        ds = tmp_path / "ds"
+        args = ["simulate", "--base", "synthetic:2x4", "--grid", "1x1", "--out", str(ds)]
+        assert main([*args, "--per-cell", "3"]) == 0
+        assert len(list((ds / "n1_l1").iterdir())) == 3
+        assert main([*args, "--per-cell", "1"]) == 0
+        assert [p.name for p in (ds / "n1_l1").iterdir()] == ["0000"]
+
+    def test_defaults_and_choices_come_from_their_one_home(self):
+        parser = build_parser()
+        sim = ["simulate", "--base", "b", "--grid", "1x1", "--per-cell", "1", "--out", "d"]
+        args = parser.parse_args(sim)
+        assert args.noise == SimulationParams.base_noise_sigma
+        assert args.leaf_noise == SimulationParams.leaf_noise_sigma
+        for family in data._FAMILIES:
+            ev = ["evaluate", "--dataset", "d", "--out", "e.json", "--family", family]
+            assert parser.parse_args(ev).family == family
 
     def test_simulate_deterministic(self, tmp_path):
         args = [

@@ -87,6 +87,20 @@ class TestAttributeCombination:
         assert len({combo(a="1"), combo(a="1"), combo(a="2")}) == 2
 
 
+class TestAttributeSchema:
+    @pytest.mark.parametrize(
+        "attributes, domains, message",
+        [
+            ((), {}, "at least one attribute"),
+            (("a", "a"), {"a": ("x",)}, "duplicate attribute names"),
+            (("a", "b"), {"a": ("x",), "b": ()}, "attribute 'b' has an empty domain"),
+        ],
+    )
+    def test_rejects(self, attributes, domains, message):
+        with pytest.raises(ValueError, match=message):
+            AttributeSchema(attributes, domains)
+
+
 class TestCuboid:
     def test_attrs_sorted(self):
         assert Cuboid(("b", "a")).attrs == ("a", "b")
@@ -136,6 +150,12 @@ class TestParse:
     def test_empty(self):
         with pytest.raises(ParseError):
             parse_snapshot("a,real,predict\n")
+        with pytest.raises(ParseError, match="empty CSV"):
+            parse_snapshot("")
+
+    def test_a_header_of_value_columns_only(self):
+        with pytest.raises(ParseError, match="no attribute columns"):
+            parse_snapshot("real,predict\n1,2\n")
 
     @pytest.mark.parametrize(
         "header, column", [("A,A,real,predict", "A"), ("A,real,predict,real", "real")]
@@ -357,6 +377,15 @@ def test_snapshot_rejects_negative_value():
             {"x": [1.0, 1.0]},
             MeasureSpec(operands=("x",)),
         )
+
+
+def test_snapshot_rejects_no_rows_and_a_code_matrix_of_the_wrong_width():
+    schema = AttributeSchema(("a",), {"a": ("x", "y")})
+    none, two = {"value": np.zeros(0)}, {"value": np.ones(2)}
+    with pytest.raises(ParseError, match="snapshot holds no leaves"):
+        Snapshot(schema, np.zeros((0, 1), dtype=int), none, none, MeasureSpec())
+    with pytest.raises(ValueError, match="code matrix does not match schema"):
+        Snapshot(schema, np.zeros((2, 2), dtype=int), two, two, MeasureSpec())
 
 
 def test_snapshot_rejects_short_forecast_column():

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import itertools
 import sys
@@ -29,7 +30,13 @@ from rootdrill import (
     snapshot_from_rows,
     synthetic_base,
 )
-from rootdrill.cluster import _interior_minima, bin_of, cluster_distributions, leaf_distributions
+from rootdrill.cluster import (
+    _interior_minima,
+    bin_of,
+    cluster_distributions,
+    leaf_distributions,
+    weighted_quantile,
+)
 from rootdrill.data import (
     Cuboid,
     Snapshot,
@@ -39,7 +46,7 @@ from rootdrill.data import (
     drop_attributes,
 )
 from rootdrill.forecast import render_table
-from rootdrill.ripple import UndefinedValueError, measure_values
+from rootdrill.ripple import UndefinedValueError, deviation_score, measure_values
 from rootdrill.localize import (
     RootCauseCandidate,
     _abnormal,
@@ -1030,6 +1037,33 @@ class TestMisfitBounds:
                 rows.bounds.floor = np.where(np.arange(exact.size) % 2 == tight, exact, -np.inf)
                 assert rows.best()[0].tolist() == [best]
 
+    def test_exact_sums_do_not_depend_on_the_order_of_the_prefixes(self):
+        # every cluster of a Poisson fault's abnormal leaves on every layer-1
+        # cuboid: one chunk whose prefixes gather leaves in several cuboids
+        snap = TestRowOrder.count_fault().snapshot
+        arrays = _SnapshotArrays(snap)
+        _, abnormal, scores = _abnormal(snap)
+        memberships, excludes, _ = _search_inputs(snap, abnormal, cluster_distributions(scores))
+        clusters = [_Cluster(arrays, abnormal, m, e) for m, e in zip(memberships, excludes)]
+        idxs = [snap.cuboid_index(c) for c in cuboids_by_layer(snap.schema) if c.layer == 1]
+        layer = _Layer(arrays, idxs)
+        rows, cub = clusters * len(idxs), np.repeat(np.arange(len(idxs)), len(clusters))
+        ranked, K = layer.rank(rows, cub)
+        start = np.cumsum(K) - K
+        order = ranked[start[:, None] + np.minimum(np.arange(K.max()), K[:, None] - 1)]
+        b = _Rows(layer, rows, cub, order, K).bounds
+        gathers = b.t > b.col * b.side[b.row]
+        assert np.unique(b.cub[b.row[gathers]]).size > 1
+        sel = np.arange(b.r.size)
+        perm = np.random.default_rng(0).permutation(sel.size)
+        sums = []
+        for budget in (1, cluster_mod.BLOCK_TERMS):
+            with mock.patch.object(cluster_mod, "BLOCK_TERMS", budget):
+                want, got = b.exact(sel), b.exact(sel[perm])
+            assert got.tobytes() == want[perm].tobytes()
+            sums.append(want.tobytes())
+        assert sums[0] == sums[1]
+
     def test_a_leaf_level_cuboid_takes_about_one_cell_per_leaf(self):
         # every A x B group is one leaf, and two clusters rank them all.  A
         # table of √L-rank blocks over every group would take G·(√L + 1) =
@@ -1168,6 +1202,12 @@ class TestLocalizeReport:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             LocalizeConfig(delta_exrc=1.5)
+
+    def test_config_range_check_cannot_be_bypassed(self):
+        cfg = LocalizeConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.delta_exrc = 1.5
+        assert cfg.delta_exrc == 0.8
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -1427,12 +1467,34 @@ class TestStages:
     def test_the_report_is_the_stages_output(self, make, dropped):
         snap = getattr(TestRowOrder, make)().snapshot
         report = localize(snap)
-        threshold, _, scores = _abnormal(snap)
+        _, abnormal, scores = _abnormal(snap)
         clusters = cluster_distributions(scores)
-        kept = _kept(snap, threshold, clusters)
+        kept = _kept(snap, abnormal, clusters)
         assert kept and (len(kept) < len(clusters)) == dropped
         assert report.score_density.tobytes() == (scores.histogram / len(scores)).tobytes()
         assert [r.bounds for r in report.per_cluster] == [c.bounds for c in kept]
+
+    def test_the_band_is_taken_over_the_leaves_stage_1_left_normal(self, monkeypatch):
+        snap = TestRowOrder.count_fault().snapshot
+        v, f = snap.leaf_values()
+        threshold, abnormal, scores = _abnormal(snap)
+        # a set the knee rule would not pick: its first abnormal leaf swapped
+        # for its first normal one
+        normal = np.setdiff1d(np.arange(snap.n_leaves), abnormal)
+        other = np.sort(np.append(abnormal[1:], normal[0]))
+        assert not np.array_equal(other, np.flatnonzero(np.abs(v - f) > threshold))
+        seen = []
+
+        def spy(values, weights, q):
+            seen.append((values, weights))
+            return weighted_quantile(values, weights, q)
+
+        monkeypatch.setattr(localize_mod, "weighted_quantile", spy)
+        _kept(snap, other, cluster_distributions(scores))
+        ((values, weights),) = seen
+        rest = np.setdiff1d(np.arange(snap.n_leaves), other)
+        assert values.tobytes() == np.abs(deviation_score(v[rest], f[rest])).tobytes()
+        assert weights.tobytes() == snap.leaf_weights()[rest].tobytes()
 
 
 class TestScaling:

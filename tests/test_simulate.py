@@ -85,6 +85,12 @@ class TestSimulateFault:
                     mag, rel=1e-9
                 )
 
+    def test_magnitudes_that_cannot_sit_apart_raise(self):
+        # three causes 0.05 apart need a range 0.1 wide
+        params = SimulationParams(3, 1, magnitude_range=(0.2, 0.25))
+        with pytest.raises(ValueError, match="could not draw 3 magnitudes 0.05 apart"):
+            simulate_fault(synthetic_base(4, 10), params, np.random.default_rng(0))
+
     def test_magnitudes_in_range_and_separated(self, base):
         params = SimulationParams(n_element=3, cuboid_layer=1, seed=4)
         fault = simulate_fault(base, params, np.random.default_rng(4))
@@ -282,6 +288,16 @@ class TestGenerateDataset:
     def test_per_cell_validation(self, base):
         with pytest.raises(ValueError):
             generate_dataset(base, SimulationParams(n_element=1, cuboid_layer=1, seed=15), 0)
+
+    def test_a_cell_of_invalid_faults_aborts(self):
+        # each A value singles out the leaves of one B value, so every
+        # planted layer-1 combination has a coextensive twin
+        rows = [(f"a{i}", f"b{i}") for i in range(4)]
+        f = np.full(4, 100.0)
+        diagonal = snapshot_from_rows(("A", "B"), rows, {"value": f}, {"value": f}, MeasureSpec())
+        params = SimulationParams(n_element=1, cuboid_layer=1, seed=19)
+        with pytest.raises(ValueError, match="acceptance below 1%"):
+            generate_dataset(diagonal, params, 1)
 
     def test_impossible_cell_aborts(self):
         tiny = synthetic_base(n_attrs=1, n_values=3, seed=17, family="none")
